@@ -4,11 +4,11 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all ci lint test test-shuffle conformance flightrec-conformance arena-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
+.PHONY: all ci lint test test-shuffle benchmark-module conformance flightrec-conformance arena-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
 
 all: lint test
 
-ci: lint build buildrelease build386 test test-shuffle conformance flightrec-conformance arena-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
+ci: lint build buildrelease build386 test test-shuffle benchmark-module conformance flightrec-conformance arena-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,12 @@ test:
 test-shuffle:
 	$(GO) test -shuffle=on ./...
 
+# benchmark-module vets and tests benchmark/, its own Go module: the root
+# module's ./... never compiles it, yet it imports the telemetry, flightrec,
+# httpseg and sim APIs, so an API change must keep it building.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # conformance re-runs the shared solve-cache, decision-table, telemetry and
 # arena bit-identity contracts under the race detector on their own, so a
 # cache, table, telemetry or arena regression fails with a named step even
@@ -50,8 +56,8 @@ conformance:
 # flightrec-conformance re-runs the flight-recorder purity contract under the
 # race detector on its own: sessions observed by the QoE-consistency watchdog
 # (every registered ladder concurrently against one shared watchdog) must
-# decide bit-identically to bare sessions, and the recorder/incident-log
-# internals must be race-clean.
+# decide bit-identically to bare sessions, and the span and incident rings
+# must be race-clean and lossless.
 flightrec-conformance:
 	$(GO) test -race ./internal/flightrec
 	$(GO) test -race -run 'TestSodaFlightRec' ./internal/abrtest

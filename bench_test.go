@@ -648,7 +648,7 @@ func BenchmarkTelemetryHistogram(b *testing.B) {
 }
 
 func BenchmarkTelemetryRingAppend(b *testing.B) {
-	ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
+	ring := telemetry.NewRing[telemetry.DecisionEvent](telemetry.DefaultRingCapacity)
 	ev := telemetry.DecisionEvent{Session: 1, Rung: 3, Buffer: units.Seconds(11), Throughput: units.Mbps(30), Bitrate: units.Mbps(8.1)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -759,8 +759,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // --- Flight recorder: hot-path cost and end-to-end overhead ---------------
 //
-// The flight-recorder hot path is two calls: Recorder.Record (a seqlock ring
-// store) and Watchdog.Observe (branchy integer detectors over per-session
+// The flight-recorder hot path is two calls: Recorder.Record (a locked ring
+// append) and Watchdog.Observe (branchy integer detectors over per-session
 // watch state). Both are gated at 0 allocs/op in bench_baseline.json, and
 // BenchmarkFlightRecOverhead bounds the end-to-end watchdog cost at <=5% of
 // the uninstrumented decision loop with the same paired-minimum methodology

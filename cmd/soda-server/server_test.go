@@ -2,11 +2,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +17,16 @@ import (
 	"repro/internal/httpseg"
 	"repro/internal/telemetry"
 	"repro/internal/video"
+)
+
+// The wire shapes of the flight-recorder records: the literals flightrec's
+// TestWireFormat pins byte for byte, with the values generalized. Field names
+// and order are exact.
+var (
+	spanWire = regexp.MustCompile(`^\{"start_ns":\d+,"dur_ns":\d+,"session":\d+,"ok":(true|false),` +
+		`"stage":"(ratelimit|inflight|session|arena|decide|respond)"\}$`)
+	incidentWire = regexp.MustCompile(`^\{"seq":\d+,"session":\d+,"kind":"(oscillation|stall|underrun_risk)",` +
+		`"at_s":[-+.\deE]+,"buffer_s":[-+.\deE]+,"rung":-?\d+\}$`)
 )
 
 // TestServerEndpointSmoke boots the introspection mux, drives a few /decide
@@ -233,11 +245,14 @@ func TestServerEndpointSmoke(t *testing.T) {
 	spanLines := 0
 	sc = bufio.NewScanner(strings.NewReader(spansBody))
 	for sc.Scan() {
+		if !spanWire.Match(sc.Bytes()) {
+			t.Errorf("/debug/spans line off the wire format: %s", sc.Text())
+		}
 		var sp flightrec.Span
 		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
 			t.Fatalf("/debug/spans line not JSON: %v\n%s", err, sc.Text())
 		}
-		if sp.StageName != "decide" || sp.Dur < 0 || !sp.OK {
+		if sp.Stage != flightrec.StageDecide || sp.Dur < 0 || !sp.OK {
 			t.Errorf("decide span = %+v", sp)
 		}
 		spanLines++
@@ -249,9 +264,21 @@ func TestServerEndpointSmoke(t *testing.T) {
 		t.Errorf("bad stage: status %d, want 400", resp.StatusCode)
 	}
 
-	// /debug/incidents serves JSONL (empty here: steady high-buffer traffic).
-	if resp, _ := get("/debug/incidents"); resp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/incidents: status %d", resp.StatusCode)
+	// /debug/incidents serves JSONL. Each of the three sessions above opened
+	// at a 2 s buffer, under the watchdog's 4 s horizon, so each logged one
+	// underrun-risk incident, numbered in log order.
+	resp, incidentsBody := get("/debug/incidents")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/incidents: status %d", resp.StatusCode)
+	}
+	incidentLines := strings.Split(strings.TrimSpace(incidentsBody), "\n")
+	if len(incidentLines) != 3 {
+		t.Errorf("/debug/incidents returned %d lines, want 3:\n%s", len(incidentLines), incidentsBody)
+	}
+	for i, line := range incidentLines {
+		if !incidentWire.MatchString(line) || !strings.HasPrefix(line, fmt.Sprintf(`{"seq":%d,`, i)) {
+			t.Errorf("/debug/incidents line %d off the wire format: %s", i, line)
+		}
 	}
 
 	// /debug/sessions?id=N reconstructs one session's timeline, and its
@@ -279,6 +306,30 @@ func TestServerEndpointSmoke(t *testing.T) {
 	}
 	if len(tl.Spans) == 0 {
 		t.Error("timeline carries no spans for an instrumented session")
+	}
+	// The timeline's spans and incidents keep the JSONL wire format.
+	var raw struct {
+		Spans     []json.RawMessage `json:"spans"`
+		Incidents []json.RawMessage `json:"incidents"`
+	}
+	if err := json.Unmarshal([]byte(timeline), &raw); err != nil {
+		t.Fatalf("/debug/sessions not JSON: %v", err)
+	}
+	if len(raw.Incidents) != 1 {
+		t.Errorf("timeline carries %d incidents, want 1", len(raw.Incidents))
+	}
+	for i, rec := range append(raw.Spans, raw.Incidents...) {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, rec); err != nil {
+			t.Fatal(err)
+		}
+		wire := spanWire
+		if i >= len(raw.Spans) {
+			wire = incidentWire
+		}
+		if !wire.Match(compact.Bytes()) {
+			t.Errorf("/debug/sessions record off the wire format: %s", compact.Bytes())
+		}
 	}
 
 	// The same timeline as Chrome trace-event JSON must parse and carry

@@ -2,8 +2,7 @@ package flightrec
 
 // HTTP surface and trace export: /debug/spans, /debug/incidents,
 // /debug/sessions, and the Chrome trace-event (Perfetto-loadable) writer.
-// All of it is cold-path snapshot-and-encode; nothing here touches the
-// seqlock rings beyond Snapshot.
+// All of it is cold-path snapshot-and-encode over the rings' snapshots.
 
 import (
 	"encoding/json"
@@ -22,68 +21,36 @@ import (
 // after filtering), ?session=, ?stage=<name>.
 func SpansHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		limit, session, ok := parseLimitSession(w, r)
+		q, ok := telemetry.ParseQuery(w, r)
 		if !ok {
 			return
 		}
-		stage := r.URL.Query().Get("stage")
-		if stage != "" && !validStage(stage) {
-			http.Error(w, "unknown stage (want one of ratelimit, inflight, session, arena, decide, respond)", http.StatusBadRequest)
-			return
-		}
-		spans := rec.Snapshot()
-		kept := spans[:0]
-		for _, sp := range spans {
-			if session != telemetry.AllSessions && sp.Session != session {
-				continue
+		var stage Stage
+		name := r.URL.Query().Get("stage")
+		if name != "" {
+			if err := stage.UnmarshalText([]byte(name)); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
 			}
-			if stage != "" && sp.StageName != stage {
-				continue
-			}
-			kept = append(kept, sp)
-		}
-		if limit > 0 && len(kept) > limit {
-			kept = kept[len(kept)-limit:]
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for i := range kept {
-			if err := enc.Encode(&kept[i]); err != nil {
-				return // client hung up
-			}
-		}
+		// A failed write means the client hung up.
+		_ = telemetry.WriteJSONL(w, rec.Snapshot(), q.Limit, func(sp *Span) bool {
+			return q.Keeps(sp.Session) && (name == "" || sp.Stage == stage)
+		})
 	})
 }
 
 // IncidentsHandler serves the watchdog's incident log as JSONL, oldest
 // first. Filters: ?limit= (newest N), ?session=.
-func IncidentsHandler(log *IncidentLog) http.Handler {
+func IncidentsHandler(log *telemetry.Ring[Incident]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		limit, session, ok := parseLimitSession(w, r)
+		q, ok := telemetry.ParseQuery(w, r)
 		if !ok {
 			return
 		}
-		var incidents []Incident
-		if log != nil {
-			incidents = log.Snapshot()
-		}
-		kept := incidents[:0]
-		for _, in := range incidents {
-			if session != telemetry.AllSessions && in.Session != session {
-				continue
-			}
-			kept = append(kept, in)
-		}
-		if limit > 0 && len(kept) > limit {
-			kept = kept[len(kept)-limit:]
-		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for i := range kept {
-			if err := enc.Encode(&kept[i]); err != nil {
-				return
-			}
-		}
+		_ = telemetry.WriteJSONL(w, Incidents(log), q.Limit, func(in *Incident) bool { return q.Keeps(in.Session) })
 	})
 }
 
@@ -99,7 +66,7 @@ type SessionTimeline struct {
 
 // BuildTimeline reconstructs one session's timeline. ring is required;
 // rec and log may be nil.
-func BuildTimeline(ring *telemetry.Ring, rec *Recorder, log *IncidentLog, session int32) SessionTimeline {
+func BuildTimeline(ring *telemetry.Ring[telemetry.DecisionEvent], rec *Recorder, log *telemetry.Ring[Incident], session int32) SessionTimeline {
 	tl := SessionTimeline{Session: session, Decisions: []telemetry.DecisionEvent{}}
 	if ring != nil {
 		for _, ev := range ring.Snapshot() {
@@ -111,11 +78,9 @@ func BuildTimeline(ring *telemetry.Ring, rec *Recorder, log *IncidentLog, sessio
 	if rec != nil {
 		tl.Spans = rec.SessionSpans(session)
 	}
-	if log != nil {
-		for _, in := range log.Snapshot() {
-			if in.Session == session {
-				tl.Incidents = append(tl.Incidents, in)
-			}
+	for _, in := range Incidents(log) {
+		if in.Session == session {
+			tl.Incidents = append(tl.Incidents, in)
 		}
 	}
 	return tl
@@ -124,7 +89,7 @@ func BuildTimeline(ring *telemetry.Ring, rec *Recorder, log *IncidentLog, sessio
 // SessionTimelineHandler serves /debug/sessions?id=N: the session's
 // reconstructed timeline as JSON, or as Chrome trace-event JSON with
 // ?format=trace. rec and log may be nil (decisions-only timelines).
-func SessionTimelineHandler(ring *telemetry.Ring, rec *Recorder, log *IncidentLog) http.Handler {
+func SessionTimelineHandler(ring *telemetry.Ring[telemetry.DecisionEvent], rec *Recorder, log *telemetry.Ring[Incident]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		idStr := r.URL.Query().Get("id")
 		if idStr == "" {
@@ -150,36 +115,6 @@ func SessionTimelineHandler(ring *telemetry.Ring, rec *Recorder, log *IncidentLo
 			http.Error(w, "format must be json or trace", http.StatusBadRequest)
 		}
 	})
-}
-
-func parseLimitSession(w http.ResponseWriter, r *http.Request) (limit int, session int32, ok bool) {
-	session = telemetry.AllSessions
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
-			return 0, 0, false
-		}
-		limit = n
-	}
-	if s := r.URL.Query().Get("session"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 32)
-		if err != nil || n < 0 {
-			http.Error(w, "session must be a non-negative int32", http.StatusBadRequest)
-			return 0, 0, false
-		}
-		session = int32(n)
-	}
-	return limit, session, true
-}
-
-func validStage(name string) bool {
-	for _, s := range stageNames {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // traceEvent is one Chrome trace-event record; see the Trace Event Format
@@ -246,7 +181,7 @@ func WriteChromeTrace(w io.Writer, events []telemetry.DecisionEvent, spans []Spa
 		tid := int64(sp.Session)
 		sessions[tid] = true
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: sp.StageName, Ph: "X",
+			Name: sp.Stage.String(), Ph: "X",
 			Ts:  float64(sp.Start) * 1e-3,
 			Dur: float64(sp.Dur) * 1e-3,
 			Pid: 1, Tid: tid,

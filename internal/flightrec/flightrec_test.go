@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -39,7 +40,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 	byStage := map[string]int{}
 	for _, sp := range spans {
-		byStage[sp.StageName]++
+		byStage[sp.Stage.String()]++
 	}
 	if byStage["decide"] != 2 || byStage["ratelimit"] != 1 {
 		t.Fatalf("stage counts = %v", byStage)
@@ -56,7 +57,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	// The rejected ratelimit span kept its OK=false bit and payload.
 	var rl *Span
 	for i := range spans {
-		if spans[i].StageName == "ratelimit" {
+		if spans[i].Stage == StageRateLimit {
 			rl = &spans[i]
 		}
 	}
@@ -101,53 +102,76 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers the seqlock rings with concurrent writers
-// while a reader snapshots continuously: under -race this proves the rings
-// are race-detector-clean, and the payload invariant (Dur == Session+1 for
-// every span this test writes) proves snapshots never return torn spans.
+// TestRecorderConcurrent hammers the span rings with concurrent writers
+// while a reader snapshots continuously. Under -race this proves the rings
+// are race-detector-clean; the payload invariant (Dur == Session+1 for every
+// span this test writes) proves no snapshot returns a torn span; and every
+// snapshot of a stage holds exactly min(written, capacity) spans, so none is
+// ever dropped — with a ring smaller than the per-stage traffic (wrapping
+// under contention) and one larger (never wrapping).
 func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder(nil, 64)
-	stop := make(chan struct{})
-	readerDone := make(chan error, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				readerDone <- nil
-				return
-			default:
-				for _, sp := range rec.Snapshot() {
-					if int(sp.Stage) >= NumStages || sp.Dur != int64(sp.Session)+1 {
-						readerDone <- fmt.Errorf("torn span %+v", sp)
+	const nWriters, each = 8, 2000
+	for _, perStage := range []int{64, 4096} {
+		t.Run(fmt.Sprint(perStage), func(t *testing.T) {
+			rec := NewRecorder(nil, perStage)
+			stop := make(chan struct{})
+			readerDone := make(chan error, 1)
+			go func() {
+				for {
+					select {
+					case <-stop:
+						readerDone <- nil
 						return
+					default:
+					}
+					for _, sp := range rec.Snapshot() {
+						if int(sp.Stage) >= NumStages || sp.Dur != int64(sp.Session)+1 {
+							readerDone <- fmt.Errorf("torn span %+v", sp)
+							return
+						}
+					}
+					for s := 0; s < NumStages; s++ {
+						first, spans := rec.rings[s].SnapshotSeq()
+						written := first + uint64(len(spans))
+						if want := min(written, uint64(perStage)); uint64(len(spans)) != want {
+							readerDone <- fmt.Errorf("stage %s: snapshot holds %d spans of %d written, want %d",
+								Stage(s), len(spans), written, want)
+							return
+						}
 					}
 				}
+			}()
+			var writers sync.WaitGroup
+			var written [NumStages]atomic.Uint64
+			for w := 0; w < nWriters; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					for i := 0; i < each; i++ {
+						s := int32((w*each + i) % 100)
+						rec.Record(Stage(i%NumStages), s, int64(i), int64(s)+1, true)
+						written[i%NumStages].Add(1)
+					}
+				}(w)
 			}
-		}
-	}()
-	var writers sync.WaitGroup
-	const nWriters, each = 8, 2000
-	for w := 0; w < nWriters; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < each; i++ {
-				s := int32((w*each + i) % 100)
-				rec.Record(Stage(i%NumStages), s, int64(i), int64(s)+1, true)
+			writers.Wait()
+			close(stop)
+			if err := <-readerDone; err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
-	recorded := uint64(0)
-	for s := 0; s < NumStages; s++ {
-		recorded += rec.rings[s].cursor.Load()
-	}
-	if recorded != nWriters*each {
-		t.Fatalf("claimed %d slots, want %d", recorded, nWriters*each)
+			held := map[Stage]int{}
+			for _, sp := range rec.Snapshot() {
+				held[sp.Stage]++
+			}
+			for s := 0; s < NumStages; s++ {
+				if want := min(written[s].Load(), uint64(perStage)); uint64(held[Stage(s)]) != want {
+					t.Errorf("stage %s holds %d spans, want %d", Stage(s), held[Stage(s)], want)
+				}
+			}
+			if d := rec.Dropped(); d != 0 {
+				t.Fatalf("Dropped() = %d, want 0", d)
+			}
+		})
 	}
 }
 
@@ -210,17 +234,17 @@ func TestWatchdogStallAndUnderrun(t *testing.T) {
 	if got := w.Total(); got != 3 {
 		t.Fatalf("total incidents = %d, want 3", got)
 	}
-	// The incident log carries labeled records.
-	incidents := w.Log().Snapshot()
+	// The incident log carries labeled, sequenced records.
+	incidents := Incidents(w.Log())
 	if len(incidents) != 3 {
 		t.Fatalf("incident log holds %d, want 3", len(incidents))
 	}
 	kinds := map[string]int{}
-	for _, in := range incidents {
-		if in.Session != 2 {
-			t.Fatalf("incident session = %d", in.Session)
+	for i, in := range incidents {
+		if in.Session != 2 || in.Seq != uint64(i) {
+			t.Fatalf("incident %d: session %d seq %d", i, in.Session, in.Seq)
 		}
-		kinds[in.KindN]++
+		kinds[in.Kind.String()]++
 	}
 	if kinds["underrun_risk"] != 2 || kinds["stall"] != 1 {
 		t.Fatalf("incident kinds = %v", kinds)
@@ -258,15 +282,17 @@ func TestWatchdogCountersRegistered(t *testing.T) {
 	}
 }
 
+// TestIncidentLogWrap checks the incident log keeps the newest incidents
+// once it wraps and that Incidents numbers them by their append order.
 func TestIncidentLogWrap(t *testing.T) {
-	l := NewIncidentLog(4)
+	l := telemetry.NewRing[Incident](4)
 	for i := 0; i < 10; i++ {
-		l.append(Incident{Session: int32(i), Kind: KindStall})
+		l.Append(Incident{Session: int32(i), Kind: KindStall})
 	}
 	if l.Total() != 10 {
 		t.Fatalf("total = %d", l.Total())
 	}
-	snap := l.Snapshot()
+	snap := Incidents(l)
 	if len(snap) != 4 || snap[0].Session != 6 || snap[3].Session != 9 {
 		t.Fatalf("wrapped snapshot = %+v", snap)
 	}
@@ -274,6 +300,53 @@ func TestIncidentLogWrap(t *testing.T) {
 		if in.Seq != uint64(6+i) {
 			t.Fatalf("seq[%d] = %d, want %d", i, in.Seq, 6+i)
 		}
+	}
+}
+
+// TestWireFormat pins the JSONL bytes of a span and an incident: field
+// names, field order, and the stage/kind labels rendered by MarshalText.
+// The soda-server endpoint smoke test checks the live endpoints against the
+// same shapes.
+func TestWireFormat(t *testing.T) {
+	const (
+		spanJSON     = `{"start_ns":1000,"dur_ns":250,"session":7,"ok":true,"stage":"decide"}`
+		incidentJSON = `{"seq":2,"session":3,"kind":"stall","at_s":12.5,"buffer_s":0,"rung":1}`
+	)
+	sp := Span{Start: 1000, Dur: 250, Session: 7, OK: true, Stage: StageDecide}
+	got, err := json.Marshal(sp)
+	if err != nil || string(got) != spanJSON {
+		t.Fatalf("span encodes as %s (err %v), want %s", got, err, spanJSON)
+	}
+	var back Span
+	if err := json.Unmarshal([]byte(spanJSON), &back); err != nil || back != sp {
+		t.Fatalf("span decodes as %+v (err %v), want %+v", back, err, sp)
+	}
+
+	// Seq is derived from the log's sequence numbers: the third incident
+	// appended to a two-slot log is the second held, with Seq 2.
+	log := telemetry.NewRing[Incident](2)
+	for i := 0; i < 3; i++ {
+		log.Append(Incident{Session: 3, Kind: KindStall, At: units.Seconds(12.5), Rung: 1})
+	}
+	incidents := Incidents(log)
+	if len(incidents) != 2 || incidents[0].Seq != 1 {
+		t.Fatalf("incidents = %+v, want seqs 1 and 2", incidents)
+	}
+	got, err = json.Marshal(incidents[1])
+	if err != nil || string(got) != incidentJSON {
+		t.Fatalf("incident encodes as %s (err %v), want %s", got, err, incidentJSON)
+	}
+	var in Incident
+	if err := json.Unmarshal([]byte(incidentJSON), &in); err != nil || in != incidents[1] {
+		t.Fatalf("incident decodes as %+v (err %v), want %+v", in, err, incidents[1])
+	}
+
+	// Labels outside the known set are rejected on decode.
+	if err := json.Unmarshal([]byte(`{"stage":"nope"}`), &back); err == nil {
+		t.Error("unknown stage label decoded")
+	}
+	if err := json.Unmarshal([]byte(`{"kind":"nope"}`), &in); err == nil {
+		t.Error("unknown incident kind decoded")
 	}
 }
 
@@ -311,7 +384,7 @@ func TestSpansHandler(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
 			t.Fatalf("span line does not parse: %v", err)
 		}
-		if sp.Session != 1 || sp.StageName != "decide" {
+		if sp.Session != 1 || sp.Stage != StageDecide {
 			t.Fatalf("filter leaked %+v", sp)
 		}
 		n++
@@ -351,7 +424,7 @@ func TestIncidentsHandler(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &in); err != nil {
 			t.Fatalf("incident line does not parse: %v", err)
 		}
-		if in.Session != 2 || in.KindN != "underrun_risk" {
+		if in.Session != 2 || in.Kind != KindUnderrunRisk {
 			t.Fatalf("filter leaked %+v", in)
 		}
 	}
@@ -369,7 +442,7 @@ func TestIncidentsHandler(t *testing.T) {
 }
 
 func TestSessionTimelineHandler(t *testing.T) {
-	ring := telemetry.NewRing(64)
+	ring := telemetry.NewRing[telemetry.DecisionEvent](64)
 	for i := 0; i < 6; i++ {
 		ring.Append(telemetry.DecisionEvent{
 			Session: int32(i % 2), Segment: int32(i), Rung: int16(i % 3),
@@ -429,7 +502,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		{Session: 4, Segment: 0, Rung: 1, PrevRung: -1, Buffer: units.Seconds(0), Throughput: units.Mbps(3), Bitrate: units.Mbps(1.5), AtSeconds: units.Seconds(0.5)},
 	}
 	spans := []Span{
-		{Start: 1_000_000, Dur: 5_000, Session: 3, Stage: StageDecide, OK: true, StageName: "decide"},
+		{Start: 1_000_000, Dur: 5_000, Session: 3, Stage: StageDecide, OK: true},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events, spans); err != nil {

@@ -1,8 +1,8 @@
 package flightrec
 
 import (
+	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -40,84 +40,51 @@ func (k IncidentKind) String() string {
 	return "unknown"
 }
 
-// Incident is one watchdog detection, the unit of /debug/incidents.
+// MarshalText renders the kind as its exposition label, the "kind" field of
+// /debug/incidents.
+func (k IncidentKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses an exposition label back into the kind.
+func (k *IncidentKind) UnmarshalText(text []byte) error {
+	for i, name := range incidentKindNames {
+		if string(text) == name {
+			*k = IncidentKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown incident kind %q", text)
+}
+
+// Incident is one watchdog detection, the unit of /debug/incidents. The
+// field order is the JSONL wire order.
 type Incident struct {
+	// Seq is the incident's position in the watchdog's log, counting from 0.
+	// The log does not store it: Incidents derives it from the ring's
+	// sequence numbers when reading.
 	Seq     uint64        `json:"seq"`
 	Session int32         `json:"session"`
-	Kind    IncidentKind  `json:"-"`
-	KindN   string        `json:"kind"`
+	Kind    IncidentKind  `json:"kind"`
 	At      units.Seconds `json:"at_s"`
 	Buffer  units.Seconds `json:"buffer_s"`
 	Rung    int16         `json:"rung"`
 }
 
-// IncidentLog is a bounded overwrite-oldest log of incidents, the same
-// shape as telemetry.Ring: one mutex, a power-of-two buffer, a monotone
-// sequence counter. Incidents are rare by construction (one per excursion,
-// not per decision), so the lock is never contended on the hot path.
-type IncidentLog struct {
-	mu sync.Mutex
-	//soda:guard mu
-	buf  []Incident
-	mask uint64
-	//soda:guard mu
-	next uint64
-}
-
-// DefaultIncidentCapacity bounds the incident log.
+// DefaultIncidentCapacity bounds the incident log. Incidents are rare by
+// construction (one per excursion, not per decision), so the log's lock is
+// never contended on the hot path.
 const DefaultIncidentCapacity = 1024
 
-// NewIncidentLog builds a log holding the last capacity incidents
-// (rounded up to a power of two; non-positive = DefaultIncidentCapacity).
-func NewIncidentLog(capacity int) *IncidentLog {
-	if capacity <= 0 {
-		capacity = DefaultIncidentCapacity
+// Incidents copies the held incidents of log, oldest first, with Seq filled
+// in from the ring's sequence numbers. A nil log holds none.
+func Incidents(log *telemetry.Ring[Incident]) []Incident {
+	if log == nil {
+		return nil
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
+	first, recs := log.SnapshotSeq()
+	for i := range recs {
+		recs[i].Seq = first + uint64(i)
 	}
-	return &IncidentLog{buf: make([]Incident, n), mask: uint64(n - 1)}
-}
-
-// append records one incident, overwriting the oldest once full.
-//
-//soda:noalloc
-func (l *IncidentLog) append(in Incident) {
-	l.mu.Lock()
-	in.Seq = l.next
-	in.KindN = in.Kind.String()
-	l.buf[l.next&l.mask] = in
-	l.next++
-	l.mu.Unlock()
-}
-
-// Total returns the number of incidents ever appended.
-func (l *IncidentLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-//soda:locked mu
-func (l *IncidentLog) held() int {
-	if l.next < uint64(len(l.buf)) {
-		return int(l.next)
-	}
-	return len(l.buf)
-}
-
-// Snapshot copies the held incidents, oldest first.
-func (l *IncidentLog) Snapshot() []Incident {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.held()
-	out := make([]Incident, n)
-	start := l.next - uint64(n)
-	for i := 0; i < n; i++ {
-		out[i] = l.buf[(start+uint64(i))&l.mask]
-	}
-	return out
+	return recs
 }
 
 // WatchdogConfig tunes the detectors; the zero value selects the defaults.
@@ -183,7 +150,7 @@ type Watchdog struct {
 	windowMask uint64
 	counts     [NumIncidentKinds]atomic.Uint64
 	counters   [NumIncidentKinds]*telemetry.Counter
-	log        *IncidentLog
+	log        *telemetry.Ring[Incident]
 }
 
 // NewWatchdog builds a watchdog, registering the per-kind
@@ -196,7 +163,7 @@ func NewWatchdog(reg *telemetry.Registry, cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{
 		cfg:        cfg,
 		windowMask: (uint64(1) << cfg.OscillationWindow) - 1,
-		log:        NewIncidentLog(0),
+		log:        telemetry.NewRing[Incident](DefaultIncidentCapacity),
 	}
 	for k := 0; k < NumIncidentKinds; k++ {
 		w.counters[k] = reg.Counter(
@@ -212,8 +179,9 @@ func NewWatchdog(reg *telemetry.Registry, cfg WatchdogConfig) *Watchdog {
 // Config returns the effective (defaulted) configuration.
 func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
 
-// Log returns the incident log (nil for a nil watchdog).
-func (w *Watchdog) Log() *IncidentLog {
+// Log returns the incident log (nil for a nil watchdog); read it through
+// Incidents to get sequence numbers.
+func (w *Watchdog) Log() *telemetry.Ring[Incident] {
 	if w == nil {
 		return nil
 	}
@@ -279,7 +247,7 @@ func (w *Watchdog) Observe(watch *SessionWatch, session int32, at, buffer units.
 func (w *Watchdog) incident(kind IncidentKind, session int32, at, buffer units.Seconds, rung int16) {
 	w.counts[kind].Add(1)
 	w.counters[kind].Inc()
-	w.log.append(Incident{
+	w.log.Append(Incident{
 		Session: session, Kind: kind, At: at, Buffer: buffer, Rung: rung,
 	})
 }

@@ -19,7 +19,10 @@
 // may only be read or written while the *same object's* mutex field is held
 // on every intra-procedural path, or through a sync/atomic call taking the
 // field's address. The mutex must be a sibling field of sync.Mutex or
-// sync.RWMutex type. Holding is tracked syntactically per function body:
+// sync.RWMutex type. Fields of generic structs are matched through their
+// origin, so an access through any instantiation — including the receiver's
+// own type parameters in a method of `Ring[T]` — is checked against the
+// annotated declaration. Holding is tracked syntactically per function body:
 // `x.mu.Lock()` (or RLock) puts `x.mu` into the held set, `Unlock`/`RUnlock`
 // removes it, `defer x.mu.Unlock()` holds it to function exit, and branch
 // exits merge by intersection (a branch that returns does not constrain the
@@ -330,14 +333,8 @@ func receiverName(fd *ast.FuncDecl) string {
 }
 
 func funcName(fd *ast.FuncDecl) string {
-	if recv := fd.Recv; recv != nil && len(recv.List) > 0 {
-		t := recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			return "(" + id.Name + ")." + fd.Name.Name
-		}
+	if name := lint.ReceiverType(fd); name != "" {
+		return "(" + name + ")." + fd.Name.Name
 	}
 	return fd.Name.Name
 }
@@ -571,7 +568,7 @@ func (c *checker) mutexCall(call *ast.CallExpr) (key string, unlock bool) {
 		return "", false
 	}
 	muField, ok := c.pass.TypesInfo.Uses[muSel.Sel].(*types.Var)
-	if !ok || !c.tracked[muField] {
+	if !ok || !c.tracked[muField.Origin()] {
 		return "", false
 	}
 	return exprString(muSel), isUnlock
@@ -620,6 +617,10 @@ func (c *checker) checkAccess(state lockState, sel *ast.SelectorExpr) {
 	if !ok {
 		return
 	}
+	// A field of a generic struct reached through an instance (including
+	// the receiver's own type parameters) is a distinct object; its origin
+	// is the annotated declaration.
+	field = field.Origin()
 	g, guarded := c.guards[field]
 	if !guarded {
 		return

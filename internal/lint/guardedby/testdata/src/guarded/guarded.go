@@ -276,3 +276,70 @@ func (m *Misguard) RWLocked() int {
 	defer m.lock.RUnlock()
 	return m.d
 }
+
+// Ring is the generic overwrite-oldest ring in the telemetry shape. Inside
+// its methods the guarded fields are reached through an instance over the
+// receiver's type parameter, and outside them through concrete
+// instantiations; both must resolve to the annotated declaration.
+type Ring[T any] struct {
+	mu sync.Mutex
+	//soda:guard mu
+	buf  []T
+	mask uint64
+	//soda:guard mu
+	next uint64
+}
+
+// NewRing builds a ring; the fresh composite literal is exempt.
+func NewRing[T any](n int) *Ring[T] {
+	r := &Ring[T]{buf: make([]T, n), mask: uint64(n - 1)}
+	r.next = 0
+	return r
+}
+
+// Append is the real ring's hot path: clean.
+func (r *Ring[T]) Append(v T) {
+	r.mu.Lock()
+	r.buf[r.next&r.mask] = v
+	r.next++
+	r.mu.Unlock()
+}
+
+// held is the real ring's //soda:locked helper: clean.
+//
+//soda:locked mu
+func (r *Ring[T]) held() int {
+	if r.next < uint64(len(r.buf)) {
+		return int(r.next)
+	}
+	return len(r.buf)
+}
+
+// Snapshot is the real ring's reader: clean.
+func (r *Ring[T]) Snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, r.held())
+	start := r.next - uint64(len(out))
+	for i := range out {
+		out[i] = r.buf[(start+uint64(i))&r.mask]
+	}
+	return out
+}
+
+// Peek reads the buffer with no lock held.
+func (r *Ring[T]) Peek() T {
+	return r.buf[0] // want `access to r\.buf in \(Ring\)\.Peek without holding r\.mu`
+}
+
+// peekInts reads a concrete instantiation's buffer with no lock held.
+func peekInts(r *Ring[int]) int {
+	return r.buf[0] // want `access to r\.buf in peekInts without holding r\.mu`
+}
+
+// lockedInts locks a concrete instantiation: clean.
+func lockedInts(r *Ring[int]) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.next
+}

@@ -15,10 +15,13 @@
 // check exact for the shapes it sees but leaves known false negatives
 // (see DESIGN.md "Static invariants"): an allocation inside a small callee
 // that gets inlined into the tagged function is attributed to the callee's
-// source position, so only tagging the callee too closes that hole; and
-// escape analysis runs on the plain build, so //soda:noalloc in a _test.go
-// file cannot be enforced — the analyzer reports the directive as ignored
-// rather than letting it silently rot.
+// source position, so only tagging the callee too closes that hole; a
+// generic function is compiled, and so checked, only through the
+// instantiations in its own package (telemetry.Ring through the decision
+// ring's), so an escape specific to a type argument used only elsewhere goes
+// unseen; and escape analysis runs on the plain build, so //soda:noalloc in a
+// _test.go file cannot be enforced — the analyzer reports the directive as
+// ignored rather than letting it silently rot.
 package noalloc
 
 import (
@@ -100,17 +103,35 @@ func run(pass *lint.Pass) error {
 	if err != nil {
 		return fmt.Errorf("noalloc: %v", err)
 	}
+	// A generic function is escape-analysed through its instantiations, and
+	// the compiler echoes each body finding at the declaration line for the
+	// instantiation's wrapper. Index the body findings to drop those echoes.
+	owner := func(d escapeDiag) *taggedFunc {
+		for i := range tagged {
+			if t := &tagged[i]; d.file == t.file && d.line >= t.startLine && d.line <= t.endLine {
+				return t
+			}
+		}
+		return nil
+	}
+	type bodyKey struct {
+		fn  *taggedFunc
+		msg string
+	}
+	inBody := make(map[bodyKey]bool)
+	for _, d := range diags {
+		if t := owner(d); t != nil && d.line > t.startLine {
+			inBody[bodyKey{t, d.msg}] = true
+		}
+	}
 	lineStarts := fileIndex(pass)
 	for _, d := range diags {
-		for i := range tagged {
-			t := &tagged[i]
-			if d.file != t.file || d.line < t.startLine || d.line > t.endLine {
-				continue
-			}
-			pos := diagPos(pass.Fset, lineStarts[d.file], d.line, d.col)
-			pass.Reportf(pos, "heap allocation in %s function %s: %s", Directive, t.name, d.msg)
-			break
+		t := owner(d)
+		if t == nil || (d.line == t.startLine && inBody[bodyKey{t, d.msg}]) {
+			continue
 		}
+		pos := diagPos(pass.Fset, lineStarts[d.file], d.line, d.col)
+		pass.Reportf(pos, "heap allocation in %s function %s: %s", Directive, t.name, d.msg)
 	}
 	return nil
 }
@@ -135,15 +156,8 @@ func directiveLine(text string) bool {
 // funcName renders a function like the other analyzers: (Type).Method for
 // methods, the bare name otherwise.
 func funcName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return "(" + id.Name + ")." + fn.Name.Name
+	if name := lint.ReceiverType(fn); name != "" {
+		return "(" + name + ")." + fn.Name.Name
 	}
 	return fn.Name.Name
 }

@@ -2,6 +2,8 @@
 // want comments, everything else is the false-positive-avoidance corpus.
 package noallocpkg
 
+import "sync"
+
 // Sum is allocation-free: nothing here can escape.
 //
 //soda:noalloc
@@ -81,38 +83,46 @@ func (c *Counter) Box() any {
 //soda:noalloc // want `//soda:noalloc must be the doc comment of a function declaration`
 type Misplaced struct{ n int }
 
-// spanRing is a fixed-slot seqlock ring in the flight-recorder shape: a
-// version word per slot plus packed payload words, written with plain
-// stores here (the real ring uses atomics; escape analysis is identical).
-type spanRing struct {
-	version [8]uint64
-	w0      [8]uint64
-	w1      [8]uint64
-	next    uint64
+// Ring is the generic overwrite-oldest ring in the telemetry shape. The
+// compiler escape-analyses a generic function only through its
+// instantiations, so the package instantiates it once (spanRing below), as
+// the real telemetry package does with its decision events.
+type Ring[T any] struct {
+	mu   sync.Mutex
+	buf  []T
+	mask uint64
+	next uint64
 }
 
-// record claims the next slot and stores the packed span in place — the
-// flight-recorder hot path. Everything is fixed-size receiver state: no
-// allocation.
+// span is a pointer-free record, the shape of the flight recorder's spans.
+type span struct {
+	start, dur int64
+	session    int32
+	ok         bool
+}
+
+// spanRing instantiates Ring; untagged, so its allocations are fine.
+func spanRing(n int) *Ring[span] {
+	return &Ring[span]{buf: make([]span, n), mask: uint64(n - 1)}
+}
+
+// Append copies one record into a pre-allocated slot under the lock — the
+// real ring's hot path: no allocation.
 //
 //soda:noalloc
-func (r *spanRing) record(start, dur uint64) {
-	i := r.next & 7
-	r.version[i]++
-	r.w0[i] = start
-	r.w1[i] = dur
-	r.version[i]++
+func (r *Ring[T]) Append(v T) {
+	r.mu.Lock()
+	r.buf[r.next&r.mask] = v
 	r.next++
+	r.mu.Unlock()
 }
 
-// snapshotSpans copies the ring out for exposition. The copy is the point —
-// but it allocates, so it must never carry the noalloc tag.
+// Snapshot copies the ring out for exposition. The copy is the point — but
+// it allocates, so it must never carry the noalloc tag.
 //
 //soda:noalloc
-func (r *spanRing) snapshotSpans() [][2]uint64 {
-	out := make([][2]uint64, 0, 8) // want `heap allocation in //soda:noalloc function \(spanRing\)\.snapshotSpans: make\(\[\]\[2\]uint64, 0, 8\) escapes to heap`
-	for i := range r.w0 {
-		out = append(out, [2]uint64{r.w0[i], r.w1[i]})
-	}
+func (r *Ring[T]) Snapshot() []T {
+	out := make([]T, len(r.buf)) // want `heap allocation in //soda:noalloc function \(Ring\)\.Snapshot: make\(\[\]go\.shape\..*, len\(r\.buf\)\) escapes to heap`
+	copy(out, r.buf)
 	return out
 }

@@ -16,8 +16,9 @@
 //
 // Each virtual session walks a bandwidth trace drawn from an
 // internal/tracegen profile (the paper-calibrated throughput processes) and
-// runs a small player model: decisions advance a simulated buffer, which
-// feeds back into the next request. Sessions share a bounded pool of traces
+// runs the fleet simulator's player model (sim.StepPlayer): decisions advance
+// a simulated buffer, which feeds back into the next request, and buffer
+// underflow is charged as stall time. Sessions share a bounded pool of traces
 // round-robin so 50k sessions do not need 50k trace syntheses, and their
 // player state lives in an internal/arena slab — the same struct-of-arrays
 // layout soda-server and the fleet simulator use — rather than one heap
@@ -42,6 +43,7 @@ import (
 	"repro/internal/flightrec"
 	"repro/internal/httpseg"
 	"repro/internal/sessiontable"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracegen"
 	"repro/internal/units"
@@ -238,6 +240,9 @@ func Run(cfg Config, target Target) (Report, error) {
 		rep.ServerEvictions = stats.EvictedIdle
 		rep.ServerSessions = stats.Active
 	}
+	for _, st := range r.states {
+		rep.StallSeconds += float64(st.Stall)
+	}
 	if cfg.Watchdog != nil {
 		rep.QoEIncidents = cfg.Watchdog.Total()
 		rep.QoEIncidentsPer1k = flightrec.PerThousandSessions(rep.QoEIncidents, cfg.Sessions)
@@ -330,10 +335,8 @@ func (r *runner) step(i int, start time.Time) {
 		r.ok.Add(1)
 		r.latency.Observe(time.Since(start).Seconds())
 		prev := st.PrevRung
-		r.advancePlayer(st, throughput, res)
-		if res.Rung >= 0 {
-			st.PrevRung = int32(res.Rung)
-		}
+		sim.StepPlayer(st, res.Rung, units.Mbps(res.BitrateMbps), units.Seconds(res.WaitSeconds),
+			throughput, r.cfg.SegmentSeconds, r.cfg.BufferCap)
 		if r.watches != nil {
 			// Observe with the client-side view: the buffer reported in the
 			// request and the rung the server answered with.
@@ -350,32 +353,6 @@ func (r *runner) step(i int, start time.Time) {
 	case httpseg.StatusRejectedDraining:
 		r.rejDrain.Add(1)
 	}
-}
-
-// advancePlayer applies one decision to the session's simulated buffer: a
-// download consumes link time and deposits a segment; a wait decision drains
-// the buffer for the advised time. All arithmetic is local float64 — the
-// unit types come back on at the request boundary.
-func (r *runner) advancePlayer(st *arena.State, throughput units.Mbps, res httpseg.DecideResult) {
-	buffer := float64(st.Buffer)
-	segment := float64(r.cfg.SegmentSeconds)
-	if res.Rung >= 0 {
-		thr := float64(throughput)
-		if thr < 0.1 {
-			thr = 0.1 // a stalled link still finishes the download eventually
-		}
-		downloadTime := res.BitrateMbps * segment / thr
-		buffer += segment - downloadTime
-	} else {
-		buffer -= res.WaitSeconds
-	}
-	if buffer < 0 {
-		buffer = 0
-	}
-	if limit := float64(r.cfg.BufferCap); buffer > limit {
-		buffer = limit
-	}
-	st.Buffer = units.Seconds(buffer)
 }
 
 // runClosed runs the closed loop on a fixed worker pool: worker w owns the
@@ -490,6 +467,9 @@ type Report struct {
 	// sessions — the gate-schema denomination.
 	QoEIncidents      uint64  `json:"qoe_incidents"`
 	QoEIncidentsPer1k float64 `json:"qoe_incidents_per_1k_sessions"`
+	// StallSeconds is the rebuffering the virtual players' buffer model
+	// charged across all sessions (sim.StepPlayer).
+	StallSeconds float64 `json:"stall_seconds"`
 }
 
 // Rejected is the total shed count across all rejection reasons.

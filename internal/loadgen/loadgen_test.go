@@ -1,9 +1,11 @@
 package loadgen
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func TestClosedLoopInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"p99_ms", "rejected_pct", "server_sessions_active", "achieved_rps"} {
+	for _, key := range []string{"p99_ms", "rejected_pct", "server_sessions_active", "achieved_rps", "stall_seconds"} {
 		if !strings.Contains(string(out), key) {
 			t.Errorf("report JSON missing %q:\n%s", key, out)
 		}
@@ -379,5 +381,38 @@ func TestWatchdogAttached(t *testing.T) {
 	}
 	if err := rep.Gate(0, -1, 1e9); err != nil {
 		t.Errorf("generous incident gate failed: %v", err)
+	}
+}
+
+// greedyTarget answers every decide with a fixed rung and bitrate and sums
+// the stall the shared player model must charge for it.
+type greedyTarget struct {
+	mu      sync.Mutex
+	bitrate float64
+	stall   float64
+}
+
+func (g *greedyTarget) Decide(req *httpseg.DecideRequest) (httpseg.DecideResult, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	dl := g.bitrate * 2 / math.Max(float64(req.Throughput), 0.1)
+	g.stall += math.Max(0, dl-(float64(req.Buffer)+2))
+	return httpseg.DecideResult{Status: httpseg.StatusOK, Rung: 0, BitrateMbps: g.bitrate}, nil
+}
+
+// TestPlayerChargesStall proves the virtual players charge buffer underflow
+// as stall time: a target that always picks a rung far above the link drains
+// every buffer, and the report carries exactly the stall that implies.
+func TestPlayerChargesStall(t *testing.T) {
+	target := &greedyTarget{bitrate: 4000}
+	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 4, Requests: 200, SegmentSeconds: units.Seconds(2), Seed: 3}, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 200 || target.stall <= 0 {
+		t.Fatalf("ok = %d, target saw %g s of stall; want 200 and > 0", rep.OK, target.stall)
+	}
+	if math.Abs(rep.StallSeconds-target.stall) > 1e-9*target.stall {
+		t.Fatalf("report stall = %g s, want %g s", rep.StallSeconds, target.stall)
 	}
 }

@@ -402,7 +402,7 @@ func (w *fleetWorker) run() {
 
 // fire handles one session's due event: charge playback since the decision
 // is instantaneous at event time, pull the session's next throughput sample,
-// run the real controller, apply the loadgen player model, and schedule the
+// run the real controller, apply the StepPlayer model, and schedule the
 // completion of whatever the decision started.
 //
 //soda:noalloc
@@ -422,43 +422,18 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 	decision := w.ctrls[local].Decide(&w.ctx)
 	w.decisions++
 
-	segment := w.f.cfg.Ladder.SegmentSeconds
-	var dt units.Seconds
-	var rung int
+	rung := abr.NoRung
+	var bitrate units.Mbps
 	if decision.Rung == abr.NoRung {
 		w.waits++
-		wait := decision.WaitSeconds
-		if wait <= 0 || wait > segment {
-			wait = segment.Scale(0.5)
-		}
-		if wait > st.Buffer {
-			wait = st.Buffer
-		}
-		st.Buffer -= wait
-		dt = wait
-		rung = abr.NoRung
 	} else {
 		rung = w.f.cfg.Ladder.ClampIndex(decision.Rung)
-		thr := float64(omega)
-		if thr < 0.1 {
-			thr = 0.1 // a stalled link still finishes the download eventually
-		}
-		dl := units.Seconds(float64(w.f.cfg.Ladder.Mbps(rung)) * float64(segment) / thr)
-		buffer := st.Buffer + segment - dl
-		if buffer < 0 {
-			w.stall -= buffer
-			st.Stall -= buffer
-			buffer = 0
-		}
-		if buffer > w.f.cfg.BufferCap {
-			buffer = w.f.cfg.BufferCap
-		}
-		st.Buffer = buffer
-		st.PrevRung = int32(rung)
-		st.Segment++
+		bitrate = w.f.cfg.Ladder.Mbps(rung)
 		w.segments++
-		dt = dl
 	}
+	dt, stall := StepPlayer(st, rung, bitrate, decision.WaitSeconds, omega,
+		w.f.cfg.Ladder.SegmentSeconds, w.f.cfg.BufferCap)
+	w.stall += stall
 
 	if w.recs != nil {
 		if rec := w.recs[local]; rec != nil {
@@ -472,7 +447,7 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 			if rung == abr.NoRung {
 				ev.WaitSeconds = dt
 			} else {
-				ev.Bitrate = w.f.cfg.Ladder.Mbps(rung)
+				ev.Bitrate = bitrate
 			}
 			rec.Commit()
 		}
@@ -484,6 +459,51 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 
 	due := tick + uint32(float64(dt)/float64(w.f.cfg.TickSeconds)+0.999999)
 	w.wheel.schedule(w.states, local, due)
+}
+
+// StepPlayer applies one decision to a session's player state under the
+// one-throughput-sample-per-segment model sim.Fleet and loadgen share, and
+// returns the simulated time the decision spans and the stall it charged.
+//
+// A wait (rung < 0) idles for wait seconds (half a segment when wait is
+// outside (0, segment]), at most the buffer. A download of rung at bitrate
+// takes bitrate·segment/omega seconds of link time (omega floored at
+// 0.1 Mb/s), deposits one segment, charges any underflow to st.Stall, caps
+// the buffer at bufferCap and commits the rung and segment index.
+//
+//soda:noalloc
+func StepPlayer(st *arena.State, rung int, bitrate units.Mbps, wait units.Seconds, omega units.Mbps,
+	segment, bufferCap units.Seconds) (dt, stall units.Seconds) {
+	if rung < 0 {
+		if wait <= 0 || wait > segment {
+			wait = segment.Scale(0.5)
+		}
+		if wait > st.Buffer {
+			wait = st.Buffer
+		}
+		st.Buffer -= wait
+		return wait, 0
+	}
+	thr := float64(omega)
+	if thr < 0.1 {
+		thr = 0.1 // a stalled link still finishes the download eventually
+	}
+	dl := units.Seconds(float64(bitrate) * float64(segment) / thr)
+	// (Buffer + segment) − dl, in this order: the fleet's state is pinned
+	// bit-identical by its twin check.
+	buffer := st.Buffer + segment - dl
+	if buffer < 0 {
+		stall = -buffer
+		st.Stall += stall
+		buffer = 0
+	}
+	if buffer > bufferCap {
+		buffer = bufferCap
+	}
+	st.Buffer = buffer
+	st.PrevRung = int32(rung)
+	st.Segment++
+	return dl, stall
 }
 
 // Advance runs the whole cohort forward by window of simulated time, all

@@ -332,3 +332,46 @@ func TestRunManyDeterministicAcrossRepeats(t *testing.T) {
 		}
 	}
 }
+
+func TestStepPlayer(t *testing.T) {
+	const segment, bufferCap = units.Seconds(2), units.Seconds(10)
+	// Seconds and Mb/s as plain numbers: buffer, wait, dt, stall and the
+	// buffer after in seconds, bitrate and omega in Mb/s.
+	cases := []struct {
+		name                            string
+		buffer                          float64
+		rung                            int
+		bitrate, wait, omega            float64
+		wantDT, wantStall, wantBufferAt float64
+	}{
+		{name: "wait drains", buffer: 5, rung: abr.NoRung, wait: 1.5, wantDT: 1.5, wantBufferAt: 3.5},
+		{name: "wait capped at the buffer", buffer: 0.5, rung: abr.NoRung, wait: 1.5, wantDT: 0.5},
+		{name: "non-positive wait is half a segment", buffer: 5, rung: abr.NoRung, wantDT: 1, wantBufferAt: 4},
+		{name: "over-long wait is half a segment", buffer: 5, rung: abr.NoRung, wait: 3, wantDT: 1, wantBufferAt: 4},
+		{name: "download deposits a segment", buffer: 4, rung: 1, bitrate: 2, omega: 4, wantDT: 1, wantBufferAt: 5},
+		{name: "download capped", buffer: 9, rung: 1, bitrate: 2, omega: 4, wantDT: 1, wantBufferAt: 10},
+		{name: "underflow charged as stall", buffer: 1, rung: 2, bitrate: 8, omega: 2, wantDT: 8, wantStall: 5},
+		{name: "dead link floored", rung: 0, bitrate: 0.1, wantDT: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := arena.State{Buffer: units.Seconds(tc.buffer), Stall: units.Seconds(1), PrevRung: 7, Segment: 3}
+			dt, stall := StepPlayer(&st, tc.rung, units.Mbps(tc.bitrate), units.Seconds(tc.wait),
+				units.Mbps(tc.omega), segment, bufferCap)
+			if float64(dt) != tc.wantDT || float64(stall) != tc.wantStall || float64(st.Buffer) != tc.wantBufferAt {
+				t.Fatalf("dt, stall, buffer = %g, %g, %g; want %g, %g, %g",
+					dt, stall, st.Buffer, tc.wantDT, tc.wantStall, tc.wantBufferAt)
+			}
+			if want := 1 + tc.wantStall; float64(st.Stall) != want {
+				t.Fatalf("state stall = %g, want %g", st.Stall, want)
+			}
+			wantPrev, wantSeg := int32(7), int32(3)
+			if tc.rung >= 0 {
+				wantPrev, wantSeg = int32(tc.rung), 4
+			}
+			if st.PrevRung != wantPrev || st.Segment != wantSeg {
+				t.Fatalf("prev rung, segment = %d, %d; want %d, %d", st.PrevRung, st.Segment, wantPrev, wantSeg)
+			}
+		})
+	}
+}

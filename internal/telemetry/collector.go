@@ -28,7 +28,7 @@ type SolverStats struct {
 // a nil *Collector records nothing, so harnesses wire it unconditionally.
 type Collector struct {
 	Registry *Registry
-	Ring     *Ring
+	Ring     *Ring[DecisionEvent]
 
 	// recorders recycles SessionRecorders (and their pending buffers and
 	// histogram tallies) across sessions: a fleet churns through thousands
@@ -78,7 +78,7 @@ func NewCollector(reg *Registry, ringCapacity int) *Collector {
 	}
 	return &Collector{
 		Registry: reg,
-		Ring:     NewRing(ringCapacity),
+		Ring:     NewRing[DecisionEvent](ringCapacity),
 
 		Decisions: reg.Counter("soda_decisions_total", "ABR decisions recorded, including waits", None),
 		Waits:     reg.Counter("soda_wait_decisions_total", "decisions that idled instead of downloading", None),

@@ -2,10 +2,13 @@ package telemetry
 
 // Prometheus text exposition (format 0.0.4): the encoder renders a registry
 // snapshot, the parser validates a scrape — the CI endpoint smoke test runs
-// the parser against a live soda-server /metrics response.
+// the parser against a live soda-server /metrics response. Also the JSONL
+// plumbing every /debug record endpoint shares: one ?limit=/?session= parser
+// and one filter-tail-encode writer.
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,27 +209,79 @@ func MetricsHandler(reg *Registry, onScrape ...func()) http.Handler {
 // DecisionsHandler serves the trace ring as JSONL (newest ?limit= events,
 // default the whole ring; ?session=N keeps one session's events so timeline
 // reconstruction needs no client-side scan), for `curl /debug/decisions | jq`.
-func DecisionsHandler(ring *Ring) http.Handler {
+func DecisionsHandler(ring *Ring[DecisionEvent]) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		limit := 0
-		if s := r.URL.Query().Get("limit"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 0 {
-				http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			limit = n
-		}
-		session := AllSessions
-		if s := r.URL.Query().Get("session"); s != "" {
-			n, err := strconv.ParseInt(s, 10, 32)
-			if err != nil || n < 0 {
-				http.Error(w, "session must be a non-negative int32", http.StatusBadRequest)
-				return
-			}
-			session = int32(n)
+		q, ok := ParseQuery(w, r)
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = ring.WriteJSONL(w, limit, session) // a failed write means the client hung up
+		// A failed write means the client hung up.
+		_ = WriteJSONL(w, ring.Snapshot(), q.Limit, func(ev *DecisionEvent) bool { return q.Keeps(ev.Session) })
 	})
+}
+
+// AllSessions is the Query session filter that keeps every record.
+const AllSessions int32 = -1
+
+// Query is the parsed filter of the /debug JSONL endpoints: ?limit= keeps the
+// newest Limit records after filtering (0 = all) and ?session= keeps one
+// session's records (AllSessions = no filter). Filtering comes before the
+// cut, so `?session=N&limit=K` is the newest K records *of that session*.
+type Query struct {
+	Limit   int
+	Session int32
+}
+
+// ParseQuery reads ?limit= and ?session= from r. On a malformed value it
+// answers 400 on w and returns ok=false; the handler just returns.
+func ParseQuery(w http.ResponseWriter, r *http.Request) (q Query, ok bool) {
+	q.Session = AllSessions
+	if s := r.URL.Query().Get("limit"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
+			return q, false
+		}
+		q.Limit = n
+	}
+	if s := r.URL.Query().Get("session"); s != "" {
+		n, err := strconv.ParseInt(s, 10, 32)
+		if err != nil || n < 0 {
+			http.Error(w, "session must be a non-negative int32", http.StatusBadRequest)
+			return q, false
+		}
+		q.Session = int32(n)
+	}
+	return q, true
+}
+
+// Keeps reports whether a record of the given session passes the filter.
+func (q Query) Keeps(session int32) bool {
+	return q.Session == AllSessions || session == q.Session
+}
+
+// WriteJSONL writes recs (oldest first) as one JSON object per line: the
+// records keep accepts (nil keeps all), then only the newest limit of those
+// when limit is positive. recs is filtered in place.
+func WriteJSONL[T any](w io.Writer, recs []T, limit int, keep func(*T) bool) error {
+	if keep != nil {
+		kept := recs[:0]
+		for i := range recs {
+			if keep(&recs[i]) {
+				kept = append(kept, recs[i])
+			}
+		}
+		recs = kept
+	}
+	if limit > 0 && len(recs) > limit {
+		recs = recs[len(recs)-limit:]
+	}
+	enc := json.NewEncoder(w)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 
 	"repro/internal/units"
@@ -63,26 +61,28 @@ type DecisionEvent struct {
 	AtSeconds units.Seconds `json:"at_s,omitempty"`
 }
 
-// Ring is a fixed-capacity overwrite-oldest buffer of decision events. A
-// single mutex guards it: appends copy one event under the lock and the
-// recorder batch path amortises the lock over many events, so the ring never
-// allocates after construction.
-type Ring struct {
+// Ring is a fixed-capacity overwrite-oldest buffer of records — the one
+// recording substrate behind the decision trace, the flight recorder's
+// stage spans and the watchdog's incident log. A single mutex guards it:
+// appends copy one record under the lock and batch appends amortise the lock
+// over many, so the ring never allocates after construction and never drops
+// a record.
+type Ring[T any] struct {
 	mu sync.Mutex
 	//soda:guard mu
-	buf  []DecisionEvent
+	buf  []T
 	mask uint64
 	//soda:guard mu
-	next uint64 // total events ever appended
+	next uint64 // total records ever appended; the next record's sequence number
 }
 
 // DefaultRingCapacity holds ~a minute of fleet decision traffic at the
 // simulator's decision rates; see DESIGN.md §6 for the sizing argument.
 const DefaultRingCapacity = 4096
 
-// NewRing builds a ring holding the last capacity events (rounded up to a
+// NewRing builds a ring holding the last capacity records (rounded up to a
 // power of two; non-positive capacities get DefaultRingCapacity).
-func NewRing(capacity int) *Ring {
+func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
@@ -90,96 +90,74 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{buf: make([]DecisionEvent, n), mask: uint64(n - 1)}
+	return &Ring[T]{buf: make([]T, n), mask: uint64(n - 1)}
 }
 
-// Append records one event, overwriting the oldest once full.
+// Append records one record, overwriting the oldest once full.
 //
 //soda:noalloc
-func (r *Ring) Append(ev DecisionEvent) {
+func (r *Ring[T]) Append(v T) {
 	r.mu.Lock()
-	r.buf[r.next&r.mask] = ev
+	r.buf[r.next&r.mask] = v
 	r.next++
 	r.mu.Unlock()
 }
 
-// AppendBatch records a slice of events under one lock acquisition — the
+// AppendBatch records a slice of records under one lock acquisition — the
 // SessionRecorder flush path.
 //
 //soda:noalloc
-func (r *Ring) AppendBatch(evs []DecisionEvent) {
-	if len(evs) == 0 {
+func (r *Ring[T]) AppendBatch(vs []T) {
+	if len(vs) == 0 {
 		return
 	}
 	r.mu.Lock()
-	for i := range evs {
-		r.buf[r.next&r.mask] = evs[i]
+	for i := range vs {
+		r.buf[r.next&r.mask] = vs[i]
 		r.next++
 	}
 	r.mu.Unlock()
 }
 
-// Len returns the number of events currently held.
-func (r *Ring) Len() int {
+// Len returns the number of records currently held.
+func (r *Ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.held()
 }
 
-// Total returns the number of events ever appended.
-func (r *Ring) Total() uint64 {
+// Total returns the number of records ever appended.
+func (r *Ring[T]) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.next
 }
 
 //soda:locked mu
-func (r *Ring) held() int {
+func (r *Ring[T]) held() int {
 	if r.next < uint64(len(r.buf)) {
 		return int(r.next)
 	}
 	return len(r.buf)
 }
 
-// Snapshot copies the held events, oldest first.
-func (r *Ring) Snapshot() []DecisionEvent {
+// Snapshot copies the held records, oldest first.
+func (r *Ring[T]) Snapshot() []T {
+	_, recs := r.SnapshotSeq()
+	return recs
+}
+
+// SnapshotSeq copies the held records, oldest first, together with the
+// sequence number of the first: record i was the (first+i)-th ever appended,
+// counting from 0.
+func (r *Ring[T]) SnapshotSeq() (first uint64, recs []T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.held()
-	out := make([]DecisionEvent, n)
-	start := r.next - uint64(n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(start+uint64(i))&r.mask]
+	recs = make([]T, n)
+	first = r.next - uint64(n)
+	for i := range recs {
+		recs[i] = r.buf[(first+uint64(i))&r.mask]
 	}
-	return out
-}
-
-// AllSessions is the WriteJSONL session filter that keeps every event.
-const AllSessions int32 = -1
-
-// WriteJSONL writes held events as one JSON object per line, oldest first.
-// A positive max keeps only the newest max events; a session other than
-// AllSessions keeps only that session's events (filtered before the max cut,
-// so `?session=N&limit=K` is the newest K events *of that session*).
-func (r *Ring) WriteJSONL(w io.Writer, max int, session int32) error {
-	events := r.Snapshot()
-	if session != AllSessions {
-		kept := events[:0]
-		for i := range events {
-			if events[i].Session == session {
-				kept = append(kept, events[i])
-			}
-		}
-		events = kept
-	}
-	if max > 0 && len(events) > max {
-		events = events[len(events)-max:]
-	}
-	enc := json.NewEncoder(w)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return first, recs
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -339,8 +340,85 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestRing is the contract of the one overwrite-oldest ring behind the
+// decision trace, the flight recorder's spans and the incident log.
+func TestRing(t *testing.T) {
+	cases := []struct {
+		name      string
+		capacity  int
+		batches   [][]int // each inner slice is one Append (len 1) or AppendBatch
+		wantCap   int
+		wantFirst uint64
+		wantHeld  []int
+	}{
+		{name: "empty", capacity: 4, wantCap: 4},
+		{name: "partial", capacity: 4, batches: [][]int{{0}, {1}, {2}},
+			wantCap: 4, wantHeld: []int{0, 1, 2}},
+		{name: "exactly full", capacity: 4, batches: [][]int{{0}, {1}, {2}, {3}},
+			wantCap: 4, wantHeld: []int{0, 1, 2, 3}},
+		{name: "wrap keeps newest", capacity: 4,
+			batches: [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}},
+			wantCap: 4, wantFirst: 6, wantHeld: []int{6, 7, 8, 9}},
+		{name: "rounds up to a power of two", capacity: 5,
+			batches: [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+			wantCap: 8, wantFirst: 1, wantHeld: []int{1, 2, 3, 4, 5, 6, 7, 8}},
+		{name: "batch across the wrap point", capacity: 4,
+			batches: [][]int{{0, 1, 2}, {3, 4, 5}, {}},
+			wantCap: 4, wantFirst: 2, wantHeld: []int{2, 3, 4, 5}},
+		{name: "batch longer than the ring", capacity: 2,
+			batches: [][]int{{0}, {1, 2, 3, 4, 5}},
+			wantCap: 2, wantFirst: 4, wantHeld: []int{4, 5}},
+		{name: "non-positive capacity gets the default", capacity: 0,
+			batches: [][]int{{0}}, wantCap: DefaultRingCapacity, wantHeld: []int{0}},
+		{name: "negative capacity gets the default", capacity: -3,
+			wantCap: DefaultRingCapacity},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRing[int](tc.capacity)
+			total := 0
+			for _, b := range tc.batches {
+				if len(b) == 1 {
+					r.Append(b[0])
+				} else {
+					r.AppendBatch(b)
+				}
+				total += len(b)
+			}
+			// Fill past capacity on a scratch ring to observe the rounded size.
+			probe := NewRing[int](tc.capacity)
+			probe.AppendBatch(make([]int, 3*tc.wantCap))
+			if got := probe.Len(); got != tc.wantCap {
+				t.Fatalf("capacity = %d, want %d", got, tc.wantCap)
+			}
+			if got := r.Total(); got != uint64(total) {
+				t.Fatalf("Total = %d, want %d", got, total)
+			}
+			if got := r.Len(); got != len(tc.wantHeld) {
+				t.Fatalf("Len = %d, want %d", got, len(tc.wantHeld))
+			}
+			first, held := r.SnapshotSeq()
+			if first != tc.wantFirst {
+				t.Fatalf("first sequence = %d, want %d", first, tc.wantFirst)
+			}
+			if !slices.Equal(held, tc.wantHeld) {
+				t.Fatalf("SnapshotSeq = %v, want %v (oldest first)", held, tc.wantHeld)
+			}
+			// Records are appended in order, so record i is sequence first+i.
+			for i, v := range held {
+				if uint64(v) != first+uint64(i) {
+					t.Fatalf("record %d = %d, want sequence %d", i, v, first+uint64(i))
+				}
+			}
+			if snap := r.Snapshot(); !slices.Equal(snap, held) {
+				t.Fatalf("Snapshot = %v, SnapshotSeq = %v", snap, held)
+			}
+		})
+	}
+}
+
 func TestRingWrapAndSnapshot(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[DecisionEvent](4)
 	for i := 0; i < 10; i++ {
 		r.Append(DecisionEvent{Segment: int32(i)})
 	}
@@ -359,12 +437,12 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 }
 
 func TestRingJSONL(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing[DecisionEvent](8)
 	for i := 0; i < 5; i++ {
 		r.Append(DecisionEvent{Segment: int32(i), Rung: int16(i % 3), Buffer: units.Seconds(i)})
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf, 3, AllSessions); err != nil {
+	if err := WriteJSONL(&buf, r.Snapshot(), 3, nil); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -382,12 +460,14 @@ func TestRingJSONL(t *testing.T) {
 }
 
 func TestRingJSONLSessionFilter(t *testing.T) {
-	r := NewRing(16)
+	r := NewRing[DecisionEvent](16)
 	for i := 0; i < 12; i++ {
 		r.Append(DecisionEvent{Session: int32(i % 3), Segment: int32(i)})
 	}
+	session1 := Query{Session: 1}
+	keep := func(ev *DecisionEvent) bool { return session1.Keeps(ev.Session) }
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf, 0, 1); err != nil {
+	if err := WriteJSONL(&buf, r.Snapshot(), 0, keep); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -407,7 +487,7 @@ func TestRingJSONLSessionFilter(t *testing.T) {
 	}
 	// The limit applies after the session filter: newest K of that session.
 	buf.Reset()
-	if err := r.WriteJSONL(&buf, 2, 1); err != nil {
+	if err := WriteJSONL(&buf, r.Snapshot(), 2, keep); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -436,11 +516,11 @@ func (w *errAfterWriter) Write(p []byte) (int, error) {
 }
 
 func TestRingJSONLClientHangup(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing[DecisionEvent](8)
 	for i := 0; i < 8; i++ {
 		r.Append(DecisionEvent{Segment: int32(i)})
 	}
-	err := r.WriteJSONL(&errAfterWriter{n: 50}, 0, AllSessions)
+	err := WriteJSONL(&errAfterWriter{n: 50}, r.Snapshot(), 0, nil)
 	if err == nil {
 		t.Fatal("WriteJSONL swallowed the write error")
 	}
