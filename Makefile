@@ -124,6 +124,7 @@ loadgen-gate:
 # fuzz is the CI smoke budget; raise -fuzztime locally for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/telemetry
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

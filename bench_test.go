@@ -638,8 +638,7 @@ func BenchmarkTelemetryCounter(b *testing.B) {
 
 func BenchmarkTelemetryHistogram(b *testing.B) {
 	reg := telemetry.NewRegistry()
-	h := reg.Histogram("bench_level_seconds", "benchmark histogram", telemetry.USeconds,
-		[]float64{0.5, 1, 2, 4, 8, 16})
+	h := reg.Histogram("bench_level_seconds", "benchmark histogram", telemetry.USeconds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -146,6 +147,33 @@ func TestServerEndpointSmoke(t *testing.T) {
 	} {
 		if _, ok := families[family]; !ok {
 			t.Errorf("/metrics missing family %s", family)
+		}
+	}
+
+	// Histograms expose only their non-empty buckets of the one log-linear
+	// layout: ascending le edges, cumulative counts that never decrease, and
+	// a closing +Inf bucket equal to _count.
+	for _, family := range []string{"soda_buffer_level_seconds", "soda_server_decide_latency_seconds"} {
+		lastLe, lastCount, buckets := math.Inf(-1), -1.0, 0
+		for _, line := range strings.Split(exposition, "\n") {
+			rest, ok := strings.CutPrefix(line, family+`_bucket{le="`)
+			if !ok {
+				continue
+			}
+			le, count, _ := strings.Cut(rest, `"} `)
+			edge, err1 := strconv.ParseFloat(le, 64)
+			n, err2 := strconv.ParseFloat(count, 64)
+			if err1 != nil || err2 != nil || edge <= lastLe || n < lastCount {
+				t.Fatalf("%s: bucket line %q after le=%g count %g", family, line, lastLe, lastCount)
+			}
+			lastLe, lastCount = edge, n
+			buckets++
+		}
+		if buckets < 2 || buckets > 40 || !math.IsInf(lastLe, 1) {
+			t.Errorf("%s: %d bucket lines ending at le=%g, want a few sparse ones ending at +Inf", family, buckets, lastLe)
+		}
+		if !strings.Contains(exposition, fmt.Sprintf("%s_count %g\n", family, lastCount)) {
+			t.Errorf("%s: +Inf bucket %g does not match _count", family, lastCount)
 		}
 	}
 

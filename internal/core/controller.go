@@ -164,17 +164,6 @@ func (c *Controller) SolveStats() SolveStats {
 	return s
 }
 
-// SolveWork returns the five cumulative work counters the telemetry layer
-// snapshots around every Decide call. It exists alongside SolveStats because
-// the full multi-field struct costs two 64-byte-plus copies per decision on
-// the simulator's hot loop; five scalars come back in registers.
-func (c *Controller) SolveWork() (solves, nodes, memoHits, sharedHits, tableHits uint64) {
-	if c.model != nil {
-		solves, nodes = c.model.stats.Solves, c.model.stats.Nodes
-	}
-	return solves, nodes, c.memoHits, c.sharedHits, c.tableHits
-}
-
 // ResetSolveStats zeroes the solver and memo work counters.
 func (c *Controller) ResetSolveStats() {
 	if c.model != nil {
@@ -227,7 +216,14 @@ func (c *Controller) horizon(ctx *abr.Context) int {
 
 func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
 	if c.model == nil || c.capFor != bufferCap {
+		// The solver counters live on the model; carry them across the
+		// rebuild so SolveStats never goes down when a session changes cap.
+		var stats SolveStats
+		if c.model != nil {
+			stats = c.model.stats
+		}
 		c.model = newCostModel(c.cfg, c.ladder, bufferCap)
+		c.model.stats = stats
 		c.capFor = bufferCap
 		// The memo key does not include the buffer cap (it is fixed per
 		// session in every harness), so a cap change invalidates the cache.

@@ -174,6 +174,33 @@ func TestSolveStatsReset(t *testing.T) {
 	}
 }
 
+// TestSolveStatsMonotoneAcrossCapChange pins that a buffer-cap change, which
+// rebuilds the controller's cost model, carries the solver counters across:
+// SolveStats only ever goes up, so a harness's per-decision Delta cannot
+// wrap around.
+func TestSolveStatsMonotoneAcrossCapChange(t *testing.T) {
+	ladder := video.YouTube4K()
+	c := New(DefaultConfig(), ladder)
+	var prev SolveStats
+	for i, capSeconds := range []float64{30, 30, 30, 20, 20, 30} {
+		// A fresh throughput every step misses the memo, so every decision
+		// solves.
+		omega := units.Mbps(17.3 + 0.37*float64(i))
+		c.Decide(&abr.Context{
+			Buffer:    units.Seconds(8),
+			BufferCap: units.Seconds(capSeconds),
+			PrevRung:  2,
+			Ladder:    ladder,
+			Predict:   func(units.Seconds) units.Mbps { return omega },
+		})
+		st := c.SolveStats()
+		if st.Solves <= prev.Solves || st.Nodes <= prev.Nodes || st.MemoLookups <= prev.MemoLookups {
+			t.Fatalf("step %d (cap %g s): counters went from %+v to %+v", i, capSeconds, prev, st)
+		}
+		prev = st
+	}
+}
+
 // TestDecideSteadyStateZeroAlloc pins the allocation-free steady-state solve
 // path at K=5: after warmup, Decide must not allocate.
 func TestDecideSteadyStateZeroAlloc(t *testing.T) {

@@ -101,13 +101,6 @@ type Span struct {
 // the same "context around the incident" sizing as the decision ring.
 const DefaultSpansPerStage = 4096
 
-// latency buckets for the per-stage histograms: 100ns..100ms, the range
-// between an arena load and a contended solver fallback.
-var stageLatencyBuckets = []float64{
-	1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
-	1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 1e-2, 0.1,
-}
-
 // Recorder is the stage-latency flight recorder: one span ring and one
 // latency histogram per pipeline stage, sharing a monotonic epoch. A nil
 // Recorder is a valid no-op, so harnesses wire it unconditionally.
@@ -134,7 +127,7 @@ func NewRecorder(reg *telemetry.Registry, perStage int) *Recorder {
 		r.hist[s] = reg.Histogram(
 			"soda_server_stage_latency_seconds",
 			"serving pipeline stage latency, by stage",
-			telemetry.USeconds, stageLatencyBuckets,
+			telemetry.USeconds,
 			telemetry.Label{Key: "stage", Value: Stage(s).String()},
 		)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -111,6 +112,61 @@ func TestDecideServiceValidation(t *testing.T) {
 	svc.ServeHTTP(rw, httptest.NewRequest("POST", "/decide?session=a&buffer=5&throughput=5", nil))
 	if rw.Code != 405 {
 		t.Errorf("POST = %d, want 405", rw.Code)
+	}
+}
+
+// TestDecideServiceRejectsNonFinite: a NaN or infinite buffer, throughput or
+// cap is a 400, never a decision — let through, it poisoned the histogram
+// sums, broke the reply encoding or bound a table identity.
+func TestDecideServiceRejectsNonFinite(t *testing.T) {
+	col := telemetry.NewCollector(nil, 16)
+	svc, err := NewDecideService(video.Mobile(), DecideOptions{TableQuantum: 0.5}, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf", "1e999", "-1e999"} {
+		v := url.QueryEscape(bad)
+		for _, query := range []string{
+			"session=a&buffer=" + v + "&throughput=5",
+			"session=a&buffer=5&throughput=" + v,
+			"session=a&buffer=5&throughput=5&cap=" + v,
+		} {
+			if code, _ := decideStatus(t, svc, query); code != 400 {
+				t.Errorf("GET /decide?%s = %d, want 400", query, code)
+			}
+		}
+	}
+	if got := col.Decisions.Value(); got != 0 {
+		t.Errorf("%g decisions recorded from rejected requests", got)
+	}
+	if got := svc.tables.Stats().Tables; got != 1 {
+		t.Errorf("%d decision tables bound, want only the default cap's", got)
+	}
+}
+
+// TestDecideServiceCapChangeCounters: a session that changes cap= rebuilds
+// its controller's cost model, and the solver counters the service records
+// must still only go up — the per-decision delta used to wrap to ~2^64.
+func TestDecideServiceCapChangeCounters(t *testing.T) {
+	col := telemetry.NewCollector(nil, 64)
+	svc, err := NewDecideService(video.YouTube4K(), DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5}, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for i, capSeconds := range []int{30, 30, 30, 20, 20, 30} {
+		// 500 Mb/s is off the tables' throughput grid, so the solver runs.
+		decideGet(t, svc, fmt.Sprintf("session=a&buffer=%g&throughput=500&cap=%d", 4+1.3*float64(i), capSeconds))
+		got := col.Solves.Value()
+		if got <= prev || got > 1e6 {
+			t.Fatalf("step %d (cap %d): soda_solver_solves_total went from %g to %g", i, capSeconds, prev, got)
+		}
+		prev = got
+	}
+	for _, ev := range col.Ring.Snapshot() {
+		if ev.Solves == 0 || ev.Solves > 1000 || ev.Nodes > 1e6 {
+			t.Errorf("segment %d recorded %d solves, %d nodes", ev.Segment, ev.Solves, ev.Nodes)
+		}
 	}
 }
 

@@ -580,16 +580,7 @@ func (f *Fleet) Close() {
 					continue
 				}
 				st := w.states[local]
-				var total telemetry.SolverStats
-				s := w.ctrls[local].SolveStats()
-				total = telemetry.SolverStats{
-					Solves: s.Solves, Nodes: s.Nodes,
-					MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
-					SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
-					TableLookups: s.TableLookups, TableHits: s.TableHits,
-					TableFallbacks: s.TableFallbacks,
-				}
-				rec.Finish(total, int(st.Segment), st.Stall)
+				rec.Finish(solverStats(w.ctrls[local].SolveStats()), int(st.Segment), st.Stall)
 			}
 		}
 	}

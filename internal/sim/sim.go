@@ -183,20 +183,14 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	// recorder, so a nil collector costs nothing and a live one never
 	// changes the decision sequence.
 	rec := cfg.Telemetry.StartSession(cfg.TelemetrySession)
-	// statsCore is the devirtualised fast path (core.Controller's SolveWork
-	// returns the five gated counters in registers); statser covers any
-	// other controller exposing SolveStats. The prev* counters roll forward
-	// so each decision costs one snapshot, not two.
-	var statsCore *core.Controller
-	var statser interface{ SolveStats() core.SolveStats }
-	var prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits uint64
-	if rec != nil {
-		if statsCore, _ = cfg.Controller.(*core.Controller); statsCore != nil {
-			prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits = statsCore.SolveWork()
-		} else if statser, _ = cfg.Controller.(interface{ SolveStats() core.SolveStats }); statser != nil {
-			s := statser.SolveStats()
-			prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits = s.Solves, s.Nodes, s.MemoHits, s.SharedHits, s.TableHits
-		}
+	// A decision's solver work is the difference of the SolveStats snapshots
+	// taken after it and after the previous one: stats rolls forward, so each
+	// decision costs one snapshot, not two. The concrete type lets the
+	// snapshot inline; other controllers report no solver work.
+	var stats core.SolveStats
+	soda, _ := cfg.Controller.(*core.Controller)
+	if rec != nil && soda != nil {
+		stats = soda.SolveStats()
 	}
 
 	var (
@@ -290,20 +284,13 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			if timed {
 				ev.SolveSeconds = units.Seconds(time.Since(t0).Seconds())
 			}
-			if statsCore != nil || statser != nil {
-				var solves, nodes, memoHits, sharedHits, tableHits uint64
-				if statsCore != nil {
-					solves, nodes, memoHits, sharedHits, tableHits = statsCore.SolveWork()
-				} else {
-					s := statser.SolveStats()
-					solves, nodes, memoHits, sharedHits, tableHits = s.Solves, s.Nodes, s.MemoHits, s.SharedHits, s.TableHits
-				}
-				ev.Solves = uint32(solves - prevSolves)
-				ev.Nodes = uint32(nodes - prevNodes)
-				ev.MemoHits = uint32(memoHits - prevMemoHits)
-				ev.SharedHits = uint32(sharedHits - prevSharedHits)
-				ev.TableHits = uint32(tableHits - prevTableHits)
-				prevSolves, prevNodes, prevMemoHits, prevSharedHits, prevTableHits = solves, nodes, memoHits, sharedHits, tableHits
+			if soda != nil {
+				s := soda.SolveStats()
+				ev.Solves, ev.Nodes = uint32(s.Solves-stats.Solves), uint32(s.Nodes-stats.Nodes)
+				ev.MemoHits = uint32(s.MemoHits - stats.MemoHits)
+				ev.SharedHits = uint32(s.SharedHits - stats.SharedHits)
+				ev.TableHits = uint32(s.TableHits - stats.TableHits)
+				stats = s
 			}
 		}
 		if decision.Rung == abr.NoRung {
@@ -403,27 +390,23 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	result.Rungs = append([]int(nil), tally.Rungs()...)
 	result.Duration = now
 	if rec != nil {
-		var total telemetry.SolverStats
-		if statsCore != nil || statser != nil {
-			// One full snapshot per session: the lookup counters are not in
-			// the per-decision SolveWork fast path.
-			var s core.SolveStats
-			if statsCore != nil {
-				s = statsCore.SolveStats()
-			} else {
-				s = statser.SolveStats()
-			}
-			total = telemetry.SolverStats{
-				Solves: s.Solves, Nodes: s.Nodes,
-				MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
-				SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
-				TableLookups: s.TableLookups, TableHits: s.TableHits,
-				TableFallbacks: s.TableFallbacks,
-			}
-		}
-		rec.Finish(total, result.Metrics.Segments, result.Metrics.RebufferSec)
+		// No Decide ran after the last snapshot, so stats is the session's
+		// total.
+		rec.Finish(solverStats(stats), result.Metrics.Segments, result.Metrics.RebufferSec)
 	}
 	return result, nil
+}
+
+// solverStats copies a controller's counters into the telemetry layer's
+// mirror of them.
+func solverStats(s core.SolveStats) telemetry.SolverStats {
+	return telemetry.SolverStats{
+		Solves: s.Solves, Nodes: s.Nodes,
+		MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
+		SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
+		TableLookups: s.TableLookups, TableHits: s.TableHits,
+		TableFallbacks: s.TableFallbacks,
+	}
 }
 
 // SessionFactory builds a fresh controller and predictor for each session of

@@ -30,10 +30,10 @@ type Collector struct {
 	Registry *Registry
 	Ring     *Ring[DecisionEvent]
 
-	// recorders recycles SessionRecorders (and their pending buffers and
-	// histogram tallies) across sessions: a fleet churns through thousands
-	// of short sessions, and per-session buffer allocations are the
-	// dominant GC cost of the telemetry layer otherwise.
+	// recorders recycles SessionRecorders (and their pending buffers) across
+	// sessions: a fleet churns through thousands of short sessions, and
+	// per-session buffer allocations are the dominant GC cost of the
+	// telemetry layer otherwise.
 	recorders sync.Pool
 
 	// Per-decision counters and distributions.
@@ -60,16 +60,6 @@ type Collector struct {
 	TableFallbacks *Counter
 }
 
-// Default bucket layouts. Buffer levels live in [0, ~20 s] (the live cap),
-// bitrates span the registered ladders (0.1–60 Mb/s), and solve latencies
-// sit in the hundreds of nanoseconds (Algorithm 1's deployability argument),
-// so the latency buckets start below a microsecond.
-var (
-	bufferBuckets  = []float64{0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
-	bitrateBuckets = []float64{0.25, 0.5, 1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
-	latencyBuckets = []float64{250e-9, 500e-9, 1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 1e-3, 10e-3}
-)
-
 // NewCollector registers the standard instruments on reg (a nil reg gets a
 // fresh registry) with a trace ring of ringCapacity events.
 func NewCollector(reg *Registry, ringCapacity int) *Collector {
@@ -83,11 +73,11 @@ func NewCollector(reg *Registry, ringCapacity int) *Collector {
 		Decisions: reg.Counter("soda_decisions_total", "ABR decisions recorded, including waits", None),
 		Waits:     reg.Counter("soda_wait_decisions_total", "decisions that idled instead of downloading", None),
 		BufferLevel: reg.Histogram("soda_buffer_level_seconds",
-			"playback buffer level at decision time", USeconds, bufferBuckets),
+			"playback buffer level at decision time", USeconds),
 		Bitrate: reg.Histogram("soda_decided_bitrate_mbps",
-			"nominal bitrate of the chosen rung", UMbps, bitrateBuckets),
+			"nominal bitrate of the chosen rung", UMbps),
 		Latency: reg.Histogram("soda_decide_latency_seconds",
-			"sampled Decide wall-clock latency", USeconds, latencyBuckets),
+			"sampled Decide wall-clock latency", USeconds),
 
 		Sessions:        reg.Counter("soda_sessions_total", "completed streaming sessions", None),
 		Segments:        reg.Counter("soda_segments_total", "segments downloaded", None),
@@ -194,68 +184,16 @@ const latencySampleEvery = 64
 // flushes; the ring lock and counter CAS traffic amortise over a batch.
 const recorderBatch = 256
 
-// histTally is a lock-free local histogram tally parallel to a shared
-// Histogram's buckets, drained on flush.
-type histTally struct {
-	h      *Histogram
-	counts []uint64
-	sum    float64
-	last   int // bucket of the previous observation, the scan hint
-	seen   bool
-}
-
-func newHistTally(h *Histogram) histTally {
-	return histTally{h: h, counts: make([]uint64, len(h.upper)+1)}
-}
-
-func (t *histTally) observe(v float64) {
-	// Session observations cluster (buffer levels drift, bitrates hold a
-	// rung), so first test the previous observation's bucket — two
-	// comparisons instead of a scan from the bottom on the common path.
-	i, u := t.last, t.h.upper
-	switch {
-	case i < len(u) && v <= u[i] && (i == 0 || v > u[i-1]):
-		// cached bucket still holds v
-	case i == len(u) && v > u[len(u)-1]:
-		// still the +Inf bucket
-	default:
-		i = t.h.bucketIndex(v)
-		t.last = i
-	}
-	t.counts[i]++
-	t.sum += v
-	t.seen = true
-}
-
-func (t *histTally) drain() {
-	if !t.seen {
-		return
-	}
-	t.h.addBatch(t.counts, t.sum)
-	for i := range t.counts {
-		t.counts[i] = 0
-	}
-	t.sum = 0
-	t.seen = false
-}
-
 // SessionRecorder batches one session's decision telemetry: events buffer
-// locally and flush to the shared ring/counters every recorderBatch
-// decisions and at Finish. It is single-goroutine state (one per session,
-// used by that session's worker only) and nil-safe, so the simulator calls
-// it unconditionally.
+// locally and flush to the shared ring, counters and histograms every
+// recorderBatch decisions and at Finish. It is single-goroutine state (one
+// per session, used by that session's worker only) and nil-safe, so the
+// simulator calls it unconditionally.
 type SessionRecorder struct {
 	c       *Collector
 	session int32
 	pending []DecisionEvent
-
-	decisions uint64
-	waits     uint64
-	seen      uint64 // decisions recorded, for latency sampling
-
-	buffer  histTally
-	bitrate histTally
-	latency histTally
+	seen    uint64 // decisions recorded, for latency sampling
 }
 
 // StartSession returns a recorder labelling events with the session id, or
@@ -273,9 +211,6 @@ func (c *Collector) StartSession(session int) *SessionRecorder {
 		c:       c,
 		session: int32(session),
 		pending: make([]DecisionEvent, 0, recorderBatch),
-		buffer:  newHistTally(c.BufferLevel),
-		bitrate: newHistTally(c.Bitrate),
-		latency: newHistTally(c.Latency),
 	}
 }
 
@@ -296,7 +231,7 @@ func (r *SessionRecorder) RecordDecision(ev *DecisionEvent) {
 	}
 	ev.Session = r.session
 	r.pending = append(r.pending, *ev)
-	r.tally(&r.pending[len(r.pending)-1])
+	r.Commit()
 }
 
 // Start claims the next buffered event slot, cleared and labelled with the
@@ -317,46 +252,57 @@ func (r *SessionRecorder) Start() *DecisionEvent {
 	return p
 }
 
-// Commit records the event claimed by the matching Start.
+// Commit records the event claimed by the matching Start, flushing a full
+// batch.
 //
 //soda:noalloc
 func (r *SessionRecorder) Commit() {
 	if r == nil {
 		return
 	}
-	r.tally(&r.pending[len(r.pending)-1])
-}
-
-// tally folds the just-buffered event into the local counters and flushes a
-// full batch. ev points into pending.
-func (r *SessionRecorder) tally(ev *DecisionEvent) {
 	r.seen++
-	r.decisions++
-	r.buffer.observe(float64(ev.Buffer))
-	if ev.Rung < 0 {
-		r.waits++
-	} else {
-		r.bitrate.observe(float64(ev.Bitrate))
-	}
-	if ev.Timed {
-		r.latency.observe(float64(ev.SolveSeconds))
-	}
 	if len(r.pending) == cap(r.pending) {
 		r.flush()
 	}
 }
 
+// flush folds the pending batch into the shared instruments: the ring, the
+// decision counters and each event's histogram bucket. Histogram sums
+// accumulate locally and are added once per batch.
 func (r *SessionRecorder) flush() {
-	if len(r.pending) > 0 {
-		r.c.Ring.AppendBatch(r.pending)
-		r.pending = r.pending[:0]
+	if len(r.pending) == 0 {
+		return
 	}
-	addCounter(r.c.Decisions, r.decisions)
-	addCounter(r.c.Waits, r.waits)
-	r.decisions, r.waits = 0, 0
-	r.buffer.drain()
-	r.bitrate.drain()
-	r.latency.drain()
+	c := r.c
+	var waits, timed uint64
+	var bufferSum, bitrateSum, latencySum float64
+	for i := range r.pending {
+		ev := &r.pending[i]
+		c.BufferLevel.count(float64(ev.Buffer))
+		bufferSum += float64(ev.Buffer)
+		if ev.Rung < 0 {
+			waits++
+		} else {
+			c.Bitrate.count(float64(ev.Bitrate))
+			bitrateSum += float64(ev.Bitrate)
+		}
+		if ev.Timed {
+			timed++
+			c.Latency.count(float64(ev.SolveSeconds))
+			latencySum += float64(ev.SolveSeconds)
+		}
+	}
+	c.BufferLevel.sum.Add(bufferSum)
+	if waits < uint64(len(r.pending)) {
+		c.Bitrate.sum.Add(bitrateSum)
+	}
+	if timed > 0 {
+		c.Latency.sum.Add(latencySum)
+	}
+	addCounter(c.Decisions, uint64(len(r.pending)))
+	addCounter(c.Waits, waits)
+	c.Ring.AppendBatch(r.pending)
+	r.pending = r.pending[:0]
 }
 
 // Finish flushes buffered events, records the session's solver-work totals
@@ -369,8 +315,8 @@ func (r *SessionRecorder) Finish(stats SolverStats, segments int, rebuffer units
 	r.flush()
 	r.c.RecordSolverStats(stats)
 	r.c.RecordSession(segments, rebuffer)
-	// flush left pending empty, the counters zero and the tallies drained;
-	// reset the sampling phase so every session times its first decision.
+	// flush left pending empty; reset the sampling phase so every session
+	// times its first decision.
 	r.seen = 0
 	r.c.recorders.Put(r)
 }

@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer of the reproduction: a
-// stdlib-only metrics registry (atomic counters, gauges and fixed-bucket
+// stdlib-only metrics registry (atomic counters, gauges and log-linear
 // histograms with Prometheus text exposition), a per-decision trace ring
 // buffer with JSONL export, and a Collector bundling the standard SODA
 // instruments.
@@ -118,43 +118,62 @@ func (g *Gauge) Add(v float64) { g.v.Add(v) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket histogram: per-bucket atomic counts plus an
-// atomic sum. The bucket layout is fixed at registration, so Observe is a
-// bounds scan and two atomic updates — no locks, no allocation.
+// Every histogram shares one log-linear layout: each power-of-two octave
+// (2^e, 2^(e+1)] of the covered range (2^-32, 2^32] splits into 2^minorBits
+// equal-width buckets, and one underflow bucket (≤ 2^-32, which takes 0,
+// negatives and NaN) plus one overflow bucket (> 2^32) close the ends. The
+// range spans sub-nanosecond to century-scale seconds and every bitrate, so
+// no call site picks buckets. A bucket's upper edge is at most 1 + 2^-minorBits
+// = 1.125 times its lower edge, which is the error bound Quantile documents.
+const (
+	minorBits = 3
+	minExp    = -32
+	maxExp    = 32
+	// mantissaShift keeps a float64's exponent and top minorBits mantissa
+	// bits: the bucket key.
+	mantissaShift = 52 - minorBits
+	// keyBase is the key of the first finite bucket, (2^minExp, ...].
+	keyBase = (minExp + 1023) << minorBits
+	// numBuckets counts the finite buckets plus underflow and overflow.
+	numBuckets = (maxExp-minExp)<<minorBits + 2
+)
+
+// Histogram is a log-linear histogram: per-bucket atomic counts plus an
+// atomic sum. Observe indexes the bucket straight from the value's bit
+// pattern and does two atomic updates — no scan, no locks, no allocation.
 type Histogram struct {
-	upper  []float64 // ascending finite upper bounds; +Inf bucket is implicit
-	counts []atomic.Uint64
+	counts [numBuckets]atomic.Uint64
 	sum    atomicFloat
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.counts[h.bucketIndex(v)].Add(1)
+	h.count(v)
 	h.sum.Add(v)
 }
 
-// bucketIndex returns the index of the bucket v falls into; len(upper) is
-// the +Inf bucket. Buckets are few (≤ ~20), so a linear scan beats binary
-// search in practice and stays branch-predictable for clustered values.
-func (h *Histogram) bucketIndex(v float64) int {
-	for i, ub := range h.upper {
-		if v <= ub {
-			return i
-		}
+// count adds v to its bucket but not to the sum; a batch caller adds its
+// sum once.
+func (h *Histogram) count(v float64) { h.counts[bucketIndex(v)].Add(1) }
+
+// bucketIndex returns v's bucket: 0 is underflow, numBuckets-1 overflow.
+// Buckets are upper-inclusive (lo, hi], so the key is taken from bits(v)-1:
+// an exact edge such as a power of two lands in the bucket it closes.
+func bucketIndex(v float64) int {
+	switch {
+	case !(v > 0x1p-32): // also NaN
+		return 0
+	case v > 0x1p32:
+		return numBuckets - 1
 	}
-	return len(h.upper)
+	return int((math.Float64bits(v)-1)>>mantissaShift) - keyBase + 1
 }
 
-// addBatch folds a locally accumulated bucket tally into the histogram —
-// the SessionRecorder flush path. counts must be parallel to the histogram's
-// buckets (including the +Inf slot).
-func (h *Histogram) addBatch(counts []uint64, sum float64) {
-	for i, c := range counts {
-		if c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.sum.Add(sum)
+// upperBound is the inclusive upper edge of bucket i < numBuckets-1: the
+// float64 whose key is the next bucket's and whose lower mantissa bits are
+// zero. The overflow bucket's edge is +Inf.
+func upperBound(i int) float64 {
+	return math.Float64frombits(uint64(keyBase+i) << mantissaShift)
 }
 
 // Count returns the total number of observations.
@@ -171,23 +190,25 @@ func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) from the bucket counts.
 //
-// The estimator is the conservative bucket-upper-bound rule: it finds the
-// bucket containing the rank-⌈q·N⌉ observation and returns that bucket's
-// upper bound, with no interpolation inside the bucket. The estimate
-// therefore never underestimates the true quantile (resolution is bounded
-// by the bucket layout), which is the convention the load gates want: a
-// reported p99 below a threshold guarantees the true p99 is below it too.
+// The estimator is the conservative upper-edge rule: it finds the bucket
+// containing the rank-⌈q·N⌉ observation and returns that bucket's upper
+// edge, with no interpolation inside the bucket. Since every bucket (lo, hi]
+// has hi ≤ 1.125·lo, the true q-quantile x, when it lies in (2^-32, 2^32],
+// satisfies
 //
-// Degenerate inputs, pinned by TestHistogramQuantileEstimatorTable:
+//	x ≤ Quantile(q) ≤ 1.125·x,
 //
-//   - empty histogram (no observations, or q out of range): returns 0;
-//   - single-bucket layout: every in-range observation reports that
-//     bucket's bound, however small the observed values were;
-//   - observations in the implicit +Inf overflow bucket: report the
-//     largest finite bound — the histogram cannot resolve beyond its
-//     layout, and returning +Inf would poison downstream arithmetic.
+// which is the convention the load gates want: a reported p99 below a
+// threshold guarantees the true p99 is below it too, and overstates it by at
+// most 12.5%. Pinned by TestHistogramQuantileBound and
+// TestHistogramQuantileEstimatorTable; outside the range:
+//
+//   - empty histogram, or q out of range: returns 0;
+//   - quantile in the underflow bucket (≤ 2^-32, including 0): 2^-32;
+//   - quantile in the overflow bucket (> 2^32): 2^32, the largest finite
+//     edge — returning +Inf would poison downstream arithmetic.
 func (h *Histogram) Quantile(q float64) float64 {
-	if q <= 0 || q > 1 || len(h.upper) == 0 {
+	if q <= 0 || q > 1 {
 		return 0
 	}
 	total := h.Count()
@@ -201,13 +222,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank++
 	}
 	var cum uint64
-	for i, ub := range h.upper {
+	for i := 0; i < numBuckets-1; i++ {
 		cum += h.counts[i].Load()
 		if cum >= rank {
-			return ub
+			return upperBound(i)
 		}
 	}
-	return h.upper[len(h.upper)-1]
+	return upperBound(numBuckets - 2)
 }
 
 // series is one label-set instance of a metric family.
@@ -220,19 +241,18 @@ type series struct {
 
 // family is one metric name: kind, unit, help and its per-label-set series.
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	unit    Unit
-	buckets []float64
-	order   []string
-	series  map[string]*series
+	name   string
+	help   string
+	kind   kind
+	unit   Unit
+	order  []string
+	series map[string]*series
 }
 
 // Registry holds metric families and hands out instruments. Registration is
 // get-or-create: asking for the same name and label set again returns the
-// existing instrument; re-registering a name with a different kind, unit or
-// bucket layout panics (it is a programming error, not a runtime condition).
+// existing instrument; re-registering a name with a different kind or unit
+// panics (it is a programming error, not a runtime condition).
 type Registry struct {
 	mu sync.Mutex
 	//soda:guard mu
@@ -249,33 +269,25 @@ func NewRegistry() *Registry {
 // Counter registers (or fetches) a counter. The name must end in _total; a
 // unit-carrying counter must end in _<unit>_total.
 func (r *Registry) Counter(name, help string, unit Unit, labels ...Label) *Counter {
-	s := r.lookup(name, help, kindCounter, unit, nil, labels)
+	s := r.lookup(name, help, kindCounter, unit, labels)
 	return s.c
 }
 
 // Gauge registers (or fetches) a gauge. A unit-carrying gauge must end in
 // _<unit>.
 func (r *Registry) Gauge(name, help string, unit Unit, labels ...Label) *Gauge {
-	s := r.lookup(name, help, kindGauge, unit, nil, labels)
+	s := r.lookup(name, help, kindGauge, unit, labels)
 	return s.g
 }
 
-// Histogram registers (or fetches) a histogram with the given ascending
-// finite bucket upper bounds (the +Inf bucket is implicit).
-func (r *Registry) Histogram(name, help string, unit Unit, buckets []float64, labels ...Label) *Histogram {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %s registered with no buckets", name))
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %s buckets not strictly ascending at %d", name, i))
-		}
-	}
-	s := r.lookup(name, help, kindHistogram, unit, buckets, labels)
+// Histogram registers (or fetches) a histogram. Every histogram has the one
+// log-linear bucket layout, so there is nothing to choose.
+func (r *Registry) Histogram(name, help string, unit Unit, labels ...Label) *Histogram {
+	s := r.lookup(name, help, kindHistogram, unit, labels)
 	return s.h
 }
 
-func (r *Registry) lookup(name, help string, k kind, unit Unit, buckets []float64, labels []Label) *series {
+func (r *Registry) lookup(name, help string, k kind, unit Unit, labels []Label) *series {
 	if err := CheckName(name, k == kindCounter, unit); err != nil {
 		panic("telemetry: " + err.Error())
 	}
@@ -288,18 +300,12 @@ func (r *Registry) lookup(name, help string, k kind, unit Unit, buckets []float6
 	defer r.mu.Unlock()
 	fam := r.families[name]
 	if fam == nil {
-		fam = &family{
-			name: name, help: help, kind: k, unit: unit,
-			buckets: append([]float64(nil), buckets...),
-			series:  map[string]*series{},
-		}
+		fam = &family{name: name, help: help, kind: k, unit: unit, series: map[string]*series{}}
 		r.families[name] = fam
 		r.order = append(r.order, name)
-	} else {
-		if fam.kind != k || fam.unit != unit || !sameBuckets(fam.buckets, buckets) {
-			panic(fmt.Sprintf("telemetry: metric %s re-registered as %s/%q (was %s/%q)",
-				name, k, unit, fam.kind, fam.unit))
-		}
+	} else if fam.kind != k || fam.unit != unit {
+		panic(fmt.Sprintf("telemetry: metric %s re-registered as %s/%q (was %s/%q)",
+			name, k, unit, fam.kind, fam.unit))
 	}
 	key := labelKey(labels)
 	s := fam.series[key]
@@ -311,27 +317,12 @@ func (r *Registry) lookup(name, help string, k kind, unit Unit, buckets []float6
 		case kindGauge:
 			s.g = &Gauge{}
 		case kindHistogram:
-			s.h = &Histogram{
-				upper:  fam.buckets,
-				counts: make([]atomic.Uint64, len(fam.buckets)+1),
-			}
+			s.h = &Histogram{}
 		}
 		fam.series[key] = s
 		fam.order = append(fam.order, key)
 	}
 	return s
-}
-
-func sameBuckets(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func labelKey(labels []Label) string {
@@ -389,9 +380,16 @@ func CheckName(name string, counter bool, unit Unit) error {
 	return nil
 }
 
-// BucketCount is one cumulative histogram bucket of a snapshot; the +Inf
-// bucket is omitted (MetricSnapshot.Count carries the total), keeping the
-// snapshot JSON-encodable.
+// BucketCount is one cumulative histogram bucket of a snapshot. Only the
+// edges of buckets that are non-empty in some series of the family appear,
+// so a snapshot carries a few of the layout's buckets, every series of a
+// family lists the same edges, and each count is exact at its edge. Another
+// registry may list other edges for the same family. Summing across
+// registries therefore takes the union of their edges; at an edge a series
+// does not list, its count is the one at its next lower listed edge (0
+// below the first). The +Inf bucket is omitted
+// (MetricSnapshot.Count carries the total), keeping the snapshot
+// JSON-encodable.
 type BucketCount struct {
 	UpperBound float64 `json:"le"`
 	Count      uint64  `json:"count"`
@@ -427,6 +425,17 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 
 	var out []MetricSnapshot
 	for _, fam := range fams {
+		// A histogram family lists every edge that is non-empty in any of its
+		// series, so its series share one set of le values and summing their
+		// buckets, as `sum by (le)` does, stays cumulative.
+		var edges [numBuckets - 1]bool
+		if fam.kind == kindHistogram {
+			for _, s := range fam.series {
+				for i := range edges {
+					edges[i] = edges[i] || s.h.counts[i].Load() > 0
+				}
+			}
+		}
 		for _, key := range fam.order {
 			s := fam.series[key]
 			snap := MetricSnapshot{
@@ -443,12 +452,13 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 				snap.Value = s.g.Value()
 			case kindHistogram:
 				var cum uint64
-				snap.Buckets = make([]BucketCount, len(s.h.upper))
-				for i, ub := range s.h.upper {
+				for i, listed := range edges {
 					cum += s.h.counts[i].Load()
-					snap.Buckets[i] = BucketCount{UpperBound: ub, Count: cum}
+					if listed {
+						snap.Buckets = append(snap.Buckets, BucketCount{UpperBound: upperBound(i), Count: cum})
+					}
 				}
-				snap.Count = cum + s.h.counts[len(s.h.upper)].Load()
+				snap.Count = cum + s.h.counts[numBuckets-1].Load()
 				snap.Sum = s.h.Sum()
 			}
 			out = append(out, snap)

@@ -3,14 +3,17 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,41 +53,117 @@ func TestNegativeCounterAddPanics(t *testing.T) {
 
 func TestHistogramBucketing(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("soda_h_seconds", "h", USeconds, []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
+	h := reg.Histogram("soda_h_seconds", "h", USeconds)
+	for _, v := range []float64{0.5, 1, 1.0625, 1.125, 3, 100} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
+	if got := h.Count(); got != 6 {
+		t.Fatalf("count = %d, want 6", got)
 	}
-	if got := h.Sum(); got != 106 {
-		t.Fatalf("sum = %g, want 106", got)
+	if got := h.Sum(); got != 106.6875 {
+		t.Fatalf("sum = %g, want 106.6875", got)
 	}
 	snaps := reg.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))
 	}
-	// Cumulative: ≤1 → 2 (0.5 and 1), ≤2 → 3, ≤4 → 4; +Inf carries 5 via Count.
-	wantCum := []uint64{2, 3, 4}
-	for i, b := range snaps[0].Buckets {
-		if b.Count != wantCum[i] {
-			t.Errorf("bucket le=%g count = %d, want %d", b.UpperBound, b.Count, wantCum[i])
+	// Only the non-empty buckets appear, cumulatively: an edge value closes
+	// its own bucket (1.125 shares (1, 1.125] with 1.0625), and 100 sits in
+	// (96, 104], an eighth of the octave (64, 128].
+	want := []BucketCount{{0.5, 1}, {1, 2}, {1.125, 4}, {3, 5}, {104, 6}}
+	if !slices.Equal(snaps[0].Buckets, want) {
+		t.Errorf("buckets = %v, want %v", snaps[0].Buckets, want)
+	}
+	if snaps[0].Count != 6 {
+		t.Errorf("snapshot count = %d, want 6", snaps[0].Count)
+	}
+
+	// Boundary cases: the upper edge of the bucket each value lands in, and
+	// values above the range in the overflow bucket.
+	inf := math.Inf(1)
+	for _, tc := range []struct{ v, le float64 }{
+		{0, 0x1p-32}, {math.Copysign(0, -1), 0x1p-32}, {-1, 0x1p-32}, {math.NaN(), 0x1p-32},
+		{math.SmallestNonzeroFloat64, 0x1p-32},
+		{0x1p-32, 0x1p-32}, // the underflow bucket is upper-inclusive too
+		{math.Nextafter(0x1p-32, 1), 0x1p-32 * 1.125},
+		{0.25, 0.25}, {1, 1}, {2, 2}, {1024, 1024}, // powers of two close their bucket
+		{math.Nextafter(1, 2), 1.125},
+		{0x1p32, 0x1p32}, // the last finite bucket
+	} {
+		if got := upperBound(bucketIndex(tc.v)); got != tc.le {
+			t.Errorf("value %g lands under edge %g, want %g", tc.v, got, tc.le)
 		}
 	}
-	if snaps[0].Count != 5 {
-		t.Errorf("snapshot count = %d, want 5", snaps[0].Count)
+	for _, v := range []float64{math.Nextafter(0x1p32, inf), 1e300, inf} {
+		if got := bucketIndex(v); got != numBuckets-1 {
+			t.Errorf("value %g lands in bucket %d, want the overflow bucket %d", v, got, numBuckets-1)
+		}
+	}
+	// Every finite bucket (lo, hi]: edges ascend within the 1.125 ratio, an
+	// edge lands in its own bucket and the next float in the next one.
+	for i := 1; i < numBuckets-1; i++ {
+		lo, hi := upperBound(i-1), upperBound(i)
+		if !(hi > lo && hi <= 1.125*lo) {
+			t.Fatalf("bucket %d = (%g, %g]: ratio %g", i, lo, hi, hi/lo)
+		}
+		if bucketIndex(hi) != i || bucketIndex(math.Nextafter(hi, inf)) != i+1 {
+			t.Fatalf("bucket %d edge %g indexes to %d, next float to %d",
+				i, hi, bucketIndex(hi), bucketIndex(math.Nextafter(hi, inf)))
+		}
+	}
+}
+
+// TestHistogramFamilySharesEdges pins that the series of one histogram
+// family list the same le values, so their buckets sum, as Prometheus
+// `sum by (le)` does, to counts that never decrease.
+func TestHistogramFamilySharesEdges(t *testing.T) {
+	reg := NewRegistry()
+	a := reg.Histogram("soda_stage_seconds", "", USeconds, Label{Key: "stage", Value: "a"})
+	b := reg.Histogram("soda_stage_seconds", "", USeconds, Label{Key: "stage", Value: "b"})
+	reg.Histogram("soda_idle_seconds", "", USeconds).Observe(7) // another family's edges stay out
+	a.Observe(0.25)
+	a.Observe(1)
+	b.Observe(0.5)
+	b.Observe(1e12) // overflow: only in +Inf
+
+	var stage []MetricSnapshot
+	for _, s := range reg.Snapshot() {
+		if s.Name == "soda_stage_seconds" {
+			stage = append(stage, s)
+		}
+	}
+	if len(stage) != 2 {
+		t.Fatalf("got %d stage series, want 2", len(stage))
+	}
+	wantA := []BucketCount{{0.25, 1}, {0.5, 1}, {1, 2}}
+	wantB := []BucketCount{{0.25, 0}, {0.5, 1}, {1, 1}}
+	if !slices.Equal(stage[0].Buckets, wantA) || !slices.Equal(stage[1].Buckets, wantB) {
+		t.Fatalf("buckets a = %v, b = %v; want %v and %v", stage[0].Buckets, stage[1].Buckets, wantA, wantB)
+	}
+	var last uint64
+	for i := range wantA {
+		sum := stage[0].Buckets[i].Count + stage[1].Buckets[i].Count
+		if sum < last {
+			t.Fatalf("summed count fell to %d at le=%g", sum, wantA[i].UpperBound)
+		}
+		last = sum
+	}
+	if stage[1].Count != 2 {
+		t.Errorf("series b count = %d, want 2", stage[1].Count)
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("soda_q_seconds", "q", USeconds, []float64{0.001, 0.01, 0.1, 1})
+	h := reg.Histogram("soda_q_seconds", "q", USeconds)
 
 	if got := h.Quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram quantile = %g, want 0", got)
 	}
 
-	// 90 observations in the ≤0.001 bucket, 9 in ≤0.01, 1 in ≤0.1.
+	// 90 observations of 0.5 ms, 9 of 5 ms and 1 of 50 ms. Their buckets:
+	// 0.0005 in (2^-11, 9·2^-14], 0.005 in (10·2^-11, 11·2^-11], 0.05 in
+	// (12·2^-8, 13·2^-8].
 	for i := 0; i < 90; i++ {
 		h.Observe(0.0005)
 	}
@@ -97,13 +176,13 @@ func TestHistogramQuantile(t *testing.T) {
 		q    float64
 		want float64
 	}{
-		{0.50, 0.001}, // rank 50 of 100 → first bucket
-		{0.90, 0.001}, // rank 90, exactly the first bucket's cumulative count
-		{0.99, 0.01},  // rank 99 → second bucket
-		{0.999, 0.1},  // rank 100 → third bucket
-		{1, 0.1},      // max observed bucket
-		{0, 0},        // out of range
-		{1.5, 0},      // out of range
+		{0.50, 9 * 0x1p-14},  // rank 50 of 100 → first bucket
+		{0.90, 9 * 0x1p-14},  // rank 90, exactly the first bucket's cumulative count
+		{0.99, 11 * 0x1p-11}, // rank 99 → second bucket
+		{0.999, 13 * 0x1p-8}, // rank 100 → third bucket
+		{1, 13 * 0x1p-8},     // max observed bucket
+		{0, 0},               // out of range
+		{1.5, 0},             // out of range
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
@@ -111,38 +190,41 @@ func TestHistogramQuantile(t *testing.T) {
 		}
 	}
 
-	// +Inf observations saturate at the largest finite bound.
-	h2 := reg.Histogram("soda_q2_seconds", "q2", USeconds, []float64{1, 2})
-	h2.Observe(50)
-	if got := h2.Quantile(0.99); got != 2 {
-		t.Errorf("overflow-only Quantile(0.99) = %g, want 2 (largest finite bound)", got)
+	// Overflow observations saturate at the largest finite edge.
+	h2 := reg.Histogram("soda_q2_seconds", "q2", USeconds)
+	h2.Observe(1e12)
+	if got := h2.Quantile(0.99); got != 0x1p32 {
+		t.Errorf("overflow-only Quantile(0.99) = %g, want 2^32 (largest finite edge)", got)
 	}
 }
 
 // TestHistogramQuantileEstimatorTable pins the documented estimator contract
-// — conservative bucket-upper-bound, never interpolating — on the degenerate
-// layouts the doc comment calls out: empty histograms, a single-bucket
-// layout, and observations that land only in the implicit +Inf bucket.
+// — conservative upper edge, never interpolating — on the cases the doc
+// comment calls out: empty histograms, q out of range, exact edges, and
+// observations in the underflow and overflow buckets.
 func TestHistogramQuantileEstimatorTable(t *testing.T) {
 	reg := NewRegistry()
 	cases := []struct {
-		name    string
-		buckets []float64
-		obs     []float64
-		q       float64
-		want    float64
+		name string
+		obs  []float64
+		q    float64
+		want float64
 	}{
-		{"empty histogram", []float64{1, 2}, nil, 0.5, 0},
-		{"empty histogram p99", []float64{1, 2}, nil, 0.99, 0},
-		{"single bucket, value inside", []float64{10}, []float64{0.25}, 0.5, 10},
-		{"single bucket, p100", []float64{10}, []float64{0.25, 9.9}, 1, 10},
-		{"single bucket, overflow only", []float64{10}, []float64{11}, 0.5, 10},
-		{"overflow bucket only", []float64{1, 2, 4}, []float64{100, 200}, 0.99, 4},
-		{"mixed finite and overflow", []float64{1, 2}, []float64{0.5, 0.5, 0.5, 99}, 0.75, 1},
-		{"mixed, quantile in overflow", []float64{1, 2}, []float64{0.5, 99}, 1, 2},
+		{"empty histogram", nil, 0.5, 0},
+		{"empty histogram p99", nil, 0.99, 0},
+		{"q zero", []float64{1}, 0, 0},
+		{"q above one", []float64{1}, 1.5, 0},
+		{"exact edge reports itself", []float64{0.25}, 0.5, 0.25},
+		{"just above an edge reports the next edge", []float64{math.Nextafter(0.25, 1)}, 0.5, 0.28125},
+		{"p100 is the max's edge", []float64{1, 2, 3}, 1, 3},
+		{"zeros report the underflow edge", []float64{0, 0}, 1, 0x1p-32},
+		{"negative reports the underflow edge", []float64{-3}, 0.5, 0x1p-32},
+		{"overflow only saturates at 2^32", []float64{1e10, 1e12}, 0.99, 0x1p32},
+		{"mixed finite and overflow", []float64{0.5, 0.5, 0.5, 1e12}, 0.75, 0.5},
+		{"mixed, quantile in overflow", []float64{0.5, 1e12}, 1, 0x1p32},
 	}
 	for i, tc := range cases {
-		h := reg.Histogram(fmt.Sprintf("soda_qt%d_seconds", i), tc.name, USeconds, tc.buckets)
+		h := reg.Histogram(fmt.Sprintf("soda_qt%d_seconds", i), tc.name, USeconds)
 		for _, v := range tc.obs {
 			h.Observe(v)
 		}
@@ -150,6 +232,81 @@ func TestHistogramQuantileEstimatorTable(t *testing.T) {
 			t.Errorf("%s: Quantile(%g) = %g, want %g", tc.name, tc.q, got, tc.want)
 		}
 	}
+}
+
+// TestHistogramQuantileBound is the documented error bound as a property:
+// over log-uniform samples, both spanning the covered range and packed into
+// a few octaves, every Quantile(q) lies in [x, 1.125·x] for the exact
+// nearest-rank quantile x.
+func TestHistogramQuantileBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	qs := []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
+	for trial := 0; trial < 40; trial++ {
+		// Even trials span (2^-32, 2^32); odd ones span up to four octaves.
+		lo, span := -32.0, 64.0
+		if trial%2 == 1 {
+			span = 4 * rng.Float64()
+			lo = -32 + (64-span)*rng.Float64()
+		}
+		h := &Histogram{}
+		xs := make([]float64, 1+rng.Intn(3000))
+		for i := range xs {
+			xs[i] = math.Exp2(lo + span*rng.Float64())
+			h.Observe(xs[i])
+		}
+		slices.Sort(xs)
+		for _, q := range qs {
+			x := xs[int(math.Ceil(q*float64(len(xs))))-1]
+			if got := h.Quantile(q); got < x || got > 1.125*x {
+				t.Fatalf("trial %d, n=%d: Quantile(%g) = %g, exact nearest-rank %g (ratio %g)",
+					trial, len(xs), q, got, x, got/x)
+			}
+		}
+	}
+}
+
+// FuzzHistogram feeds an arbitrary float64 stream (8 bytes per value) into
+// one histogram: it must not panic, must count every observation, must
+// report quantiles that do not decrease as q grows, and must snapshot
+// cumulative bucket counts that never decrease.
+func FuzzHistogram(f *testing.F) {
+	var seed []byte
+	for _, v := range []float64{0, 1, 0x1p-32, 0x1p32, 3.5e-7, 12, math.NaN(), math.Inf(1), math.Inf(-1), -2, 1e300} {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg := NewRegistry()
+		h := reg.Histogram("soda_fuzz_seconds", "", USeconds)
+		n := uint64(0)
+		for ; len(data) >= 8; data = data[8:] {
+			h.Observe(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			n++
+		}
+		if got := h.Count(); got != n {
+			t.Fatalf("Count = %d after %d observations", got, n)
+		}
+		prev := 0.0
+		for q := 1.0 / 64; q <= 1; q += 1.0 / 64 {
+			got := h.Quantile(q)
+			if got < prev {
+				t.Fatalf("Quantile(%g) = %g below a lower q's %g", q, got, prev)
+			}
+			prev = got
+		}
+		snap := reg.Snapshot()[0]
+		var cum uint64
+		for _, b := range snap.Buckets {
+			if b.Count < cum {
+				t.Fatalf("cumulative count fell to %d at le=%g", b.Count, b.UpperBound)
+			}
+			cum = b.Count
+		}
+		if snap.Count != n || cum > n {
+			t.Fatalf("snapshot count %d, last bucket %d, observed %d", snap.Count, cum, n)
+		}
+	})
 }
 
 func TestRegistryValidationPanics(t *testing.T) {
@@ -162,8 +319,10 @@ func TestRegistryValidationPanics(t *testing.T) {
 		{"unit gauge without suffix", func(r *Registry) { r.Gauge("soda_buffer", "", USeconds) }},
 		{"bad name", func(r *Registry) { r.Gauge("9bad-name", "", None) }},
 		{"bad label key", func(r *Registry) { r.Gauge("soda_g", "", None, Label{Key: "bad-key", Value: "v"}) }},
-		{"empty buckets", func(r *Registry) { r.Histogram("soda_h_seconds", "", USeconds, nil) }},
-		{"unsorted buckets", func(r *Registry) { r.Histogram("soda_h_seconds", "", USeconds, []float64{2, 1}) }},
+		{"unit histogram without suffix", func(r *Registry) { r.Histogram("soda_latency", "", USeconds) }},
+		{"bad histogram label key", func(r *Registry) {
+			r.Histogram("soda_h_seconds", "", USeconds, Label{Key: "le-bad", Value: "v"})
+		}},
 		{"kind clash", func(r *Registry) {
 			r.Counter("soda_x_total", "", None)
 			r.Gauge("soda_x_total", "", None)
@@ -172,9 +331,13 @@ func TestRegistryValidationPanics(t *testing.T) {
 			r.Gauge("soda_y_seconds", "", USeconds)
 			r.Gauge("soda_y_seconds", "", None)
 		}},
-		{"bucket clash", func(r *Registry) {
-			r.Histogram("soda_z_seconds", "", USeconds, []float64{1, 2})
-			r.Histogram("soda_z_seconds", "", USeconds, []float64{1, 3})
+		{"histogram kind clash", func(r *Registry) {
+			r.Gauge("soda_z_seconds", "", USeconds)
+			r.Histogram("soda_z_seconds", "", USeconds)
+		}},
+		{"histogram unit clash", func(r *Registry) {
+			r.Histogram("soda_w_mbps", "", UMbps)
+			r.Histogram("soda_w_mbps", "", None)
 		}},
 	}
 	for _, tc := range cases {
@@ -219,7 +382,7 @@ func TestCheckName(t *testing.T) {
 func TestConcurrentUpdatesAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("soda_n_total", "", None)
-	h := reg.Histogram("soda_v_seconds", "", USeconds, []float64{1, 10})
+	h := reg.Histogram("soda_v_seconds", "", USeconds)
 	var wg sync.WaitGroup
 	const workers, each = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -296,6 +459,35 @@ func TestExpositionRoundTrip(t *testing.T) {
 		}
 		if fam.Samples == 0 {
 			t.Errorf("family %s has no samples", name)
+		}
+	}
+	// The exposition lists only non-empty buckets: a handful of the layout's
+	// 514, with ascending edges, cumulative counts that never decrease, and
+	// +Inf equal to _count.
+	for _, name := range []string{"soda_buffer_level_seconds", "soda_decided_bitrate_mbps", "soda_decide_latency_seconds"} {
+		lastLe, lastCount, lines := math.Inf(-1), 0.0, 0
+		for _, line := range strings.Split(text, "\n") {
+			rest, ok := strings.CutPrefix(line, name+`_bucket{le="`)
+			if !ok {
+				continue
+			}
+			le, count, ok := strings.Cut(rest, `"} `)
+			if !ok {
+				t.Fatalf("malformed bucket line %q", line)
+			}
+			edge, err1 := strconv.ParseFloat(le, 64)
+			n, err2 := strconv.ParseFloat(count, 64)
+			if err1 != nil || err2 != nil || edge <= lastLe || n < lastCount {
+				t.Fatalf("%s: bucket line %q after le=%g count %g", name, line, lastLe, lastCount)
+			}
+			lastLe, lastCount = edge, n
+			lines++
+		}
+		if lines < 2 || lines > 30 || !math.IsInf(lastLe, 1) {
+			t.Errorf("%s: %d bucket lines ending at le=%g, want a few sparse ones ending at +Inf", name, lines, lastLe)
+		}
+		if !strings.Contains(text, fmt.Sprintf("%s_count %g\n", name, lastCount)) {
+			t.Errorf("%s: +Inf bucket %g does not match _count", name, lastCount)
 		}
 	}
 	// Spot-check values survived the trip through the recorder's batching.
