@@ -81,12 +81,15 @@ smoke:
 	$(GO) test -race -run 'TestServerEndpointSmoke' ./cmd/soda-server
 
 # session-race re-runs the control plane's lifecycle paths under the race
-# detector on their own: sharded session-table TTL sweeps, token-bucket
-# admission, inflight shedding, graceful drain, and the conformance proof
-# that idle eviction never changes decisions.
+# detector on their own: sharded session-table TTL sweeps, recency-list
+# reclaim under concurrent churn at capacity (ten times over), token-bucket
+# admission, inflight shedding, graceful drain, the conformance proof that
+# idle eviction never changes decisions, and hostile session-key churn
+# against honest sessions.
 session-race:
 	$(GO) test -race ./internal/sessiontable
-	$(GO) test -race -run 'TestSessionTableConformance|TestSessionChurnSteadyState|TestDecideService' ./internal/httpseg
+	$(GO) test -race -count=10 -run 'TestConcurrentChurnAtCapacity' ./internal/sessiontable
+	$(GO) test -race -run 'TestSessionTableConformance|TestSessionChurnSteadyState|TestHostileSessionKeyChurn|TestDecideService' ./internal/httpseg
 
 # cover fails when the statement coverage of a package listed in
 # cover_baseline.json drops below its committed floor.
@@ -119,12 +122,13 @@ bench-gate:
 # incidents per 1k sessions) recorded in bench_baseline.json.
 loadgen-gate:
 	$(GO) run ./cmd/soda-loadgen -mode open -sessions 50000 -requests 75000 -rps 40000 \
-		-session-memo -1 -baseline bench_baseline.json -out BENCH_pr10_loadgen.json
+		-baseline bench_baseline.json -out BENCH_pr10_loadgen.json
 
 # fuzz is the CI smoke budget; raise -fuzztime locally for a real campaign.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzSessionTable -fuzztime 10s ./internal/sessiontable
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

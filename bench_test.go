@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/flightrec"
 	"repro/internal/httpseg"
 	"repro/internal/predictor"
+	"repro/internal/sessiontable"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracegen"
@@ -1012,9 +1014,8 @@ func BenchmarkFleetSim(b *testing.B) {
 // bench_baseline.json).
 func BenchmarkSessionTableDecide(b *testing.B) {
 	svc, err := httpseg.NewDecideService(video.Prototype(), httpseg.DecideOptions{
-		CacheEntries:       1 << 12,
-		TableQuantum:       0.5,
-		SessionMemoEntries: -1, // the fleet-scale setting
+		CacheEntries: 1 << 12,
+		TableQuantum: 0.5,
 	}, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -1035,5 +1036,50 @@ func BenchmarkSessionTableDecide(b *testing.B) {
 		if res := svc.Decide(&req); res.Status != httpseg.StatusOK {
 			b.Fatalf("decide rejected: %d", res.Status)
 		}
+	}
+}
+
+// BenchmarkSessionTableReclaim measures admission into a full session table:
+// each op creates one session in a full one-shard table whose least recently
+// used entry has expired, so the op reclaims that entry and inserts the new
+// one. The arms differ only in the shard's size, and admission must cost the
+// same at both: soda-bench fails when the 32768-entry arm's ns/op exceeds 4x
+// the 512-entry arm's in the same run (a reclaim that scans the shard
+// measures about 90x). The one allocation per op is the new Session.
+func BenchmarkSessionTableReclaim(b *testing.B) {
+	for _, entries := range []int{512, 32768} {
+		b.Run("entries="+strconv.Itoa(entries), func(b *testing.B) {
+			tb := sessiontable.New(sessiontable.Config{MaxSessions: entries, TTLNanos: 1, Shards: 1})
+			// Op i evicts the session created entries ops earlier, so a ring
+			// of entries+1 keys always hands out a key that is not live.
+			keys := make([]string, entries+1)
+			for i := range keys {
+				keys[i] = "reclaim-" + strconv.Itoa(i)
+			}
+			// Distinct stamps, one nanosecond apart: every idle entry is past
+			// the 1 ns TTL one tick later, and the least recently used entry
+			// is the same by last acquire and by last release.
+			for i := 0; i < entries; i++ {
+				s, err := tb.Acquire(keys[i], int64(i), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tb.Release(s, int64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := int64(entries + i)
+				s, err := tb.Acquire(keys[(entries+i)%len(keys)], now, nil)
+				if err != nil {
+					b.Fatalf("op %d: %v", i, err)
+				}
+				tb.Release(s, now)
+			}
+			b.StopTimer()
+			if st := tb.Stats(); st.EvictedIdle != uint64(b.N) || st.Active != entries {
+				b.Fatalf("stats %+v after %d ops, want one eviction per op and a full table", st, b.N)
+			}
+		})
 	}
 }

@@ -47,11 +47,16 @@
 // wall-time figures from the same runner, so it is portable where raw ns/op
 // is not.
 //
-// Two control-plane gates ride along:
+// Three control-plane gates ride along:
 //
 //   - the full control-plane decide path (BenchmarkSessionTableDecide) must
 //     stay at 0 allocs/op — the steady state that lets one host carry tens
 //     of thousands of sessions.
+//   - admission into a full session table must not grow with the shard:
+//     BenchmarkSessionTableReclaim's 32768-entry arm may cost at most 4x its
+//     512-entry arm's ns/op in the same run, at the baseline's one
+//     allocation per op (the Session). A reclaim that scans the shard
+//     measures about 90x.
 //   - an in-process open-loop load run (internal/loadgen, 50k concurrent
 //     sessions by default) must meet the p99 decide-latency and rejection
 //     thresholds recorded in the baseline's LoadgenOpenLoop entry
@@ -178,9 +183,9 @@ func main() {
 	fleetBenchtime := flag.String("fleet-benchtime", "3x", "iteration budget for the fleet benchmark")
 	maxFleetNsRatio := flag.Float64("max-fleet-ns-ratio", 0,
 		"fleet vs single-session ns/decision ratio gate (0 takes the baseline's FleetSim entry)")
-	sessionPattern := flag.String("session-pattern", "BenchmarkSessionTableDecide$",
-		"control-plane decide benchmark pattern (empty skips the run; its 0 allocs/op floor lives in the baseline)")
-	sessionBenchtime := flag.String("session-benchtime", "20000x", "iteration budget for the control-plane decide benchmark")
+	sessionPattern := flag.String("session-pattern", "BenchmarkSessionTable(Decide|Reclaim)$",
+		"control-plane decide and admission benchmark pattern (empty skips the runs and the reclaim gate; their allocs/op floors live in the baseline)")
+	sessionBenchtime := flag.String("session-benchtime", "20000x", "iteration budget for the control-plane benchmarks")
 	loadgenSessions := flag.Int("loadgen-sessions", 50000, "concurrent sessions for the in-process load run")
 	loadgenRequests := flag.Int("loadgen-requests", 75000, "request budget for the in-process load run (0 skips the run and its gate)")
 	loadgenRPS := flag.Float64("loadgen-rps", 40000, "open-loop arrival rate for the in-process load run")
@@ -286,6 +291,9 @@ func main() {
 	if *fleetPattern != "" {
 		failures = append(failures, gateFleetSim(report, baseline, *maxFleetNsRatio)...)
 	}
+	if *sessionPattern != "" {
+		failures = append(failures, gateReclaimScaling(report)...)
+	}
 	if len(failures) > 0 {
 		sort.Strings(failures)
 		for _, f := range failures {
@@ -307,6 +315,9 @@ func main() {
 	if *tablePattern != "" && *cachePattern != "" && *minTableSpeedup > 0 {
 		fmt.Printf("soda-bench: compiled decision table beats the cached path by >= %.1fx per decision\n", *minTableSpeedup)
 	}
+	if *sessionPattern != "" {
+		fmt.Printf("soda-bench: session admission at capacity within %dx from 512- to 32768-entry shards\n", maxReclaimRatio)
+	}
 	if *fleetPattern != "" {
 		for _, r := range report.Benchmarks {
 			if r.Name == "BenchmarkFleetSim/fleet" {
@@ -326,9 +337,9 @@ const loadgenBaselineName = "LoadgenOpenLoop"
 
 // runLoadgen drives the in-process open-loop load run and gates it against
 // the baseline's LoadgenOpenLoop thresholds (p99 overridable by flag). The
-// fleet-scale configuration is deliberate: per-session memos disabled, the
-// shared cache and compiled tables carrying the hot path, the session cap
-// sized to the run.
+// fleet-scale configuration is deliberate: the shared cache and compiled
+// tables carrying the hot path (a table-backed session runs no memo), the
+// session cap sized to the run.
 func runLoadgen(sessions, requests int, rps, maxP99Override float64, baseline map[string]BaselineEntry) (*loadgen.Report, []string) {
 	thresholds, ok := baseline[loadgenBaselineName]
 	if !ok {
@@ -339,10 +350,9 @@ func runLoadgen(sessions, requests int, rps, maxP99Override float64, baseline ma
 		maxP99 = maxP99Override
 	}
 	svc, err := httpseg.NewDecideService(video.Prototype(), httpseg.DecideOptions{
-		CacheEntries:       1 << 16,
-		TableQuantum:       0.5,
-		MaxSessions:        sessions + sessions/8,
-		SessionMemoEntries: -1,
+		CacheEntries: 1 << 16,
+		TableQuantum: 0.5,
+		MaxSessions:  sessions + sessions/8,
 	}, nil)
 	if err != nil {
 		return nil, []string{fmt.Sprintf("loadgen: building decide service: %v", err)}
@@ -596,6 +606,39 @@ func gateTableSpeedup(rep Report, minSpeedup float64) []string {
 		return []string{fmt.Sprintf(
 			"BenchmarkDecisionTable: table path only %.2fx faster than the cached path (%.0f -> %.1f ns), need >= %.1fx",
 			speedup, cached.NsPerDecision, table.NsPerOp, minSpeedup)}
+	}
+	return nil
+}
+
+// maxReclaimRatio bounds BenchmarkSessionTableReclaim's 32768-entry arm over
+// its 512-entry arm. A reclaim that does not scan the shard measures
+// 1.5–2.6x (the larger map and list miss the caches more often); one that
+// scans it measures about 90x.
+const maxReclaimRatio = 4
+
+// gateReclaimScaling enforces constant-time admission at capacity: creating
+// a session in a full 32768-entry shard (BenchmarkSessionTableReclaim) may
+// cost at most maxReclaimRatio times what it costs in a full 512-entry
+// shard, measured in the same run. Both arms reclaim an expired entry per
+// op, so a reclaim whose cost follows the shard's size fails here.
+func gateReclaimScaling(rep Report) []string {
+	const small, large = "BenchmarkSessionTableReclaim/entries=512", "BenchmarkSessionTableReclaim/entries=32768"
+	var s, l *Result
+	for i := range rep.Benchmarks {
+		switch rep.Benchmarks[i].Name {
+		case small:
+			s = &rep.Benchmarks[i]
+		case large:
+			l = &rep.Benchmarks[i]
+		}
+	}
+	if s == nil || s.NsPerOp == 0 || l == nil || l.NsPerOp == 0 {
+		return []string{"BenchmarkSessionTableReclaim: 512- or 32768-entry ns/op missing from benchmark output"}
+	}
+	if ratio := l.NsPerOp / s.NsPerOp; ratio > maxReclaimRatio {
+		return []string{fmt.Sprintf(
+			"BenchmarkSessionTableReclaim: admission into a full 32768-entry shard costs %.1fx a 512-entry one (%.0f vs %.0f ns/op), budget %dx",
+			ratio, l.NsPerOp, s.NsPerOp, maxReclaimRatio)}
 	}
 	return nil
 }

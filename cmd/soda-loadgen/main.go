@@ -65,7 +65,6 @@ func run(args []string, stdout *os.File) error {
 	sessionTTL := fs.Duration("session-ttl", httpseg.DefaultSessionTTL, "in-process idle-eviction TTL")
 	maxInflight := fs.Int("max-inflight", httpseg.DefaultMaxInflight, "in-process in-flight decide bound")
 	rpsPerClient := fs.Float64("rps-per-client", 0, "in-process per-client rate limit (0 disables)")
-	sessionMemo := fs.Int("session-memo", -1, "per-session solve-memo entries (0 core default, negative disables — the fleet-scale setting)")
 
 	maxP99Ms := fs.Float64("max-p99-ms", 0, "fail when p99 decide latency exceeds this many ms (0 disables)")
 	maxRejectedPct := fs.Float64("max-rejected-pct", -1, "fail when the rejection percentage exceeds this (negative disables)")
@@ -140,13 +139,12 @@ func run(args []string, stdout *os.File) error {
 			return fmt.Errorf("unknown ladder %q", *ladderName)
 		}
 		svc, err := httpseg.NewDecideService(ladder, httpseg.DecideOptions{
-			CacheEntries:       *decideCache,
-			TableQuantum:       *tableQuantum,
-			MaxSessions:        *maxSessions,
-			SessionTTL:         *sessionTTL,
-			MaxInflight:        *maxInflight,
-			RPSPerClient:       *rpsPerClient,
-			SessionMemoEntries: *sessionMemo,
+			CacheEntries: *decideCache,
+			TableQuantum: *tableQuantum,
+			MaxSessions:  *maxSessions,
+			SessionTTL:   *sessionTTL,
+			MaxInflight:  *maxInflight,
+			RPSPerClient: *rpsPerClient,
 		}, nil)
 		if err != nil {
 			return err

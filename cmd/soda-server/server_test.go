@@ -71,8 +71,8 @@ func TestServerEndpointSmoke(t *testing.T) {
 	}
 
 	// Drive two sessions through enough decisions to touch the solver,
-	// the memo, and the shared cache. Each session key must map to one
-	// stable numeric id, distinct across keys.
+	// the decision table, and the shared cache. Each session key must map
+	// to one stable numeric id, distinct across keys.
 	ids := map[string]int{}
 	for i := 0; i < 8; i++ {
 		for _, sess := range []string{"alice", "bob"} {

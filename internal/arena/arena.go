@@ -53,8 +53,11 @@ const (
 	genBits   = 24
 	genMask   = 1<<genBits - 1
 	shardBits = 8
-	maxShards = 1 << shardBits
 )
+
+// MaxShards is the largest shard count New builds: the handle's shard field
+// is 8 bits wide.
+const MaxShards = 1 << shardBits
 
 // Shard returns the shard the handle addresses.
 func (h Handle) Shard() int { return int(h >> (idxBits + genBits)) }
@@ -156,8 +159,8 @@ func New(shards, perShardCap int) *Arena {
 	if shards < 1 {
 		shards = 1
 	}
-	if shards > maxShards {
-		shards = maxShards
+	if shards > MaxShards {
+		shards = MaxShards
 	}
 	if perShardCap <= 0 || perShardCap > shardCapacity {
 		perShardCap = shardCapacity

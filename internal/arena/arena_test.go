@@ -372,7 +372,7 @@ func TestNewClampsArguments(t *testing.T) {
 	if got := New(0, -5).Shards(); got != 1 {
 		t.Fatalf("New(0) shards = %d, want 1", got)
 	}
-	if got := New(1<<10, 0).Shards(); got != maxShards {
-		t.Fatalf("New(1<<10) shards = %d, want %d", got, maxShards)
+	if got := New(1<<10, 0).Shards(); got != MaxShards {
+		t.Fatalf("New(1<<10) shards = %d, want %d", got, MaxShards)
 	}
 }

@@ -64,17 +64,10 @@ type DecideOptions struct {
 	// BurstPerClient is the token-bucket burst capacity; non-positive
 	// defaults to 2x RPSPerClient.
 	BurstPerClient float64
-	// SessionMemoEntries sizes each session controller's private decide
-	// memo: 0 keeps the core default (512 entries, ~16 KB/session), negative
-	// disables the memo entirely — the fleet-scale setting, where the shared
-	// cache and compiled tables carry the hot path and per-session memory is
-	// what limits session count. The memo is a bit-identical cache, so this
-	// knob never changes decisions.
-	SessionMemoEntries int
 	// FlightRecorder, when non-nil, records one latency span per pipeline
-	// stage (ratelimit, inflight, session, arena, decide, respond) into
-	// lock-free seqlock rings and the per-stage latency histograms. Nil
-	// records nothing; either way the steady decide path allocates nothing.
+	// stage (ratelimit, inflight, session, arena, decide, respond) into the
+	// recorder's per-stage span rings and latency histograms. Nil records
+	// nothing; either way the steady decide path allocates nothing.
 	FlightRecorder *flightrec.Recorder
 	// Watchdog, when non-nil, observes every served decision with the QoE-
 	// consistency detectors. Per-session detector state lives in the arena
@@ -121,7 +114,6 @@ type DecideService struct {
 	cache        *core.SolveCache
 	tables       *core.DecisionTables
 	tableQuantum float64
-	memoEntries  int
 	col          *telemetry.Collector
 
 	sessions *sessiontable.Table
@@ -173,7 +165,6 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	s := &DecideService{
 		ladder:       ladder,
 		tableQuantum: opts.TableQuantum,
-		memoEntries:  opts.SessionMemoEntries,
 		col:          col,
 		ttl:          opts.SessionTTL,
 		flight:       opts.FlightRecorder,
@@ -191,8 +182,10 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	// handles are caught by generation counters. Sized past the table's
 	// capacity (shard rounding can admit up to one extra session per table
 	// shard), split across shards so concurrent session creation does not
-	// serialise on one arena lock.
-	arenaShards := runtime.GOMAXPROCS(0)
+	// serialise on one arena lock. The split uses the shard count arena.New
+	// keeps: on a host with more CPUs than arena.MaxShards, dividing by the
+	// CPU count would leave the arena smaller than the table.
+	arenaShards := min(runtime.GOMAXPROCS(0), arena.MaxShards)
 	arenaCap := opts.MaxSessions + 512
 	s.arena = arena.New(arenaShards, (arenaCap+arenaShards-1)/arenaShards)
 	s.sessions = sessiontable.New(sessiontable.Config{
@@ -255,14 +248,17 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 
 // sessionConfig is the controller configuration every decide session runs:
 // the production defaults plus this service's shared cache and table set.
+// Behind compiled tables a session runs with no memo: the table quantizes
+// the inputs, and the memo would only be a bit-identical cache in front of
+// the shared one, costing each session 20 KB. A tables-off service keeps the
+// core default, because there the memo is what quantizes the inputs the
+// shared cache is keyed on.
 func (s *DecideService) sessionConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SharedCache = s.cache
 	cfg.DecisionTable = s.tables
 	cfg.TableQuantum = s.tableQuantum
-	if s.memoEntries > 0 {
-		cfg.SolveMemoSize = s.memoEntries
-	} else if s.memoEntries < 0 {
+	if s.tables != nil {
 		cfg.SolveMemoSize = 0
 	}
 	return cfg
@@ -559,13 +555,15 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	return res
 }
 
-// newSession is the sessiontable create callback: claim an arena slot,
-// initialise its controller in place (a recycled slot reuses its memo
-// backing array — Init flushes it, so no decision state crosses sessions),
-// and prewarm the default-cap cost model so steady-state decides allocate
-// nothing. Decisions on an arena slot are bit-identical to a heap-allocated
-// controller's (abrtest.ArenaConformance); eviction and recreation therefore
-// still cannot change what the solver is asked or answers.
+// newSession is the sessiontable create callback: claim an arena slot and
+// initialise its controller in place (on a tables-off service a recycled
+// slot reuses its memo backing array — Init flushes it, so no decision state
+// crosses sessions). It runs under the table's shard lock, so it builds no
+// cost model: the session's first Decide binds one, once, at the buffer cap
+// the client sent, outside that lock. Decisions on an arena slot are
+// bit-identical to a heap-allocated controller's (abrtest.ArenaConformance);
+// eviction and recreation therefore still cannot change what the solver is
+// asked or answers.
 func (s *DecideService) newSession(sess *sessiontable.Session) error {
 	h, ok := s.arena.AllocAny()
 	if !ok {
@@ -573,7 +571,6 @@ func (s *DecideService) newSession(sess *sessiontable.Session) error {
 	}
 	ctrl, st, _ := s.arena.Session(h)
 	ctrl.Init(s.sessionConfig(), s.ladder)
-	ctrl.Prewarm(units.Seconds(defaultBufferCap))
 	*st = arena.State{PrevRung: int32(abr.NoRung)}
 	sess.Handle = uint64(h)
 	return nil

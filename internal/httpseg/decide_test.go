@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,6 +169,38 @@ func TestDecideServiceCapChangeCounters(t *testing.T) {
 		if ev.Solves == 0 || ev.Solves > 1000 || ev.Nodes > 1e6 {
 			t.Errorf("segment %d recorded %d solves, %d nodes", ev.Segment, ev.Solves, ev.Nodes)
 		}
+	}
+}
+
+// TestDecideServiceMemoOnlyWithoutTables: a session on a service with
+// compiled tables keeps no decide memo (the table quantizes its inputs, and
+// the shared cache answers what the memo would have), while a session on a
+// tables-off service keeps the core default, which quantizes the shared
+// cache's keys.
+func TestDecideServiceMemoOnlyWithoutTables(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		quantum  float64
+		wantMemo bool
+	}{{"tables", 0.5, false}, {"no-tables", 0, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := telemetry.NewCollector(nil, 16)
+			svc, err := NewDecideService(video.Mobile(), DecideOptions{CacheEntries: 1 << 10, TableQuantum: tc.quantum}, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				// 500 Mb/s is off the tables' grid, so a table-backed session
+				// falls back to the path the memo would sit on.
+				decideGet(t, svc, fmt.Sprintf("session=a&buffer=%d&throughput=500", 2+i))
+			}
+			if got := col.MemoLookups.Value() > 0; got != tc.wantMemo {
+				t.Fatalf("memo lookups = %g, want memo in use = %v", col.MemoLookups.Value(), tc.wantMemo)
+			}
+			if got := col.SharedLookups.Value(); got == 0 {
+				t.Fatal("the shared cache saw no lookups")
+			}
+		})
 	}
 }
 
@@ -358,6 +392,133 @@ func TestSessionChurnSteadyState(t *testing.T) {
 	}
 	if got := svc.evictions.Value(); got == 0 {
 		t.Error("eviction counter never moved")
+	}
+}
+
+// TestHostileSessionKeyChurn floods a full session table with fresh keys
+// while honest sessions keep deciding, serially and from a second goroutine.
+// With a 1 h TTL nothing ever expires, so once the table is full every fresh
+// key is refused with StatusRejectedCapacity, and the rejection count is
+// exact. The honest sessions keep their session ids, and their rungs, waits
+// and segments equal those of an isolated service that sees only the honest
+// stream: key churn at capacity can neither evict nor perturb a live session.
+func TestHostileSessionKeyChurn(t *testing.T) {
+	const (
+		honest = 4
+		rounds = 60
+	)
+	// 16 sessions per CPU: the table has one shard per CPU rounded up to a
+	// power of two, so every shard holds at least 8 entries and the honest
+	// sessions fit even if they all hash to one shard.
+	opts := DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5,
+		MaxSessions: 16 * runtime.GOMAXPROCS(0), SessionTTL: time.Hour}
+	honestReq := func(h, round int) *DecideRequest {
+		return &DecideRequest{
+			Session: fmt.Sprintf("honest-%d", h),
+			Buffer:  units.Seconds(float64((round*7+h*3)%19) * 0.9),
+			// Every fifth round's throughput is off the tables' grid, so
+			// the solver path runs too.
+			Throughput: units.Mbps(0.4 + float64((round*5+h)%13)*0.7 + float64(round%5/4)*40),
+			Segment:    -1,
+		}
+	}
+	freshReq := func(n int) *DecideRequest {
+		return &DecideRequest{Session: fmt.Sprintf("fresh-%d", n), Buffer: units.Seconds(5), Throughput: units.Mbps(3), Segment: -1}
+	}
+	for _, concurrent := range []bool{false, true} {
+		name := "serial"
+		if concurrent {
+			name = "concurrent"
+		}
+		t.Run(name, func(t *testing.T) {
+			isolated, err := NewDecideService(video.Mobile(), opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewDecideService(video.Mobile(), opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := svc.SessionStats()
+			capacity := st.Shards * st.PerShardCapacity
+			// 30 fresh keys per entry, spread over the rounds, fill every
+			// shard many times over.
+			flood := (30*capacity + rounds - 1) / rounds
+
+			var sent, admitted, rejected int
+			sendFresh := func(n int, checkFull bool) {
+				full := svc.SessionStats().Active == capacity
+				res := svc.Decide(freshReq(n))
+				sent++
+				switch res.Status {
+				case StatusOK:
+					admitted++
+					if checkFull && full {
+						t.Errorf("fresh key %d admitted into a full table", n)
+					}
+				case StatusRejectedCapacity:
+					rejected++
+				default:
+					t.Errorf("fresh key %d: status %d", n, res.Status)
+				}
+			}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			if concurrent {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for n := 0; n < rounds*flood; n++ {
+						sendFresh(n, false)
+					}
+				}()
+			}
+
+			ids := map[string]int64{}
+			for round := 0; round < rounds; round++ {
+				for h := 0; h < honest; h++ {
+					want := isolated.Decide(honestReq(h, round))
+					got := svc.Decide(honestReq(h, round))
+					key := fmt.Sprintf("honest-%d", h)
+					if got.Status != StatusOK || want.Status != StatusOK {
+						t.Fatalf("round %d %s: status %d (isolated %d)", round, key, got.Status, want.Status)
+					}
+					if id, seen := ids[key]; seen && id != got.SessionID {
+						t.Fatalf("round %d: %s changed session id %d -> %d", round, key, id, got.SessionID)
+					}
+					ids[key] = got.SessionID
+					if got.Rung != want.Rung || got.WaitSeconds != want.WaitSeconds || got.Segment != want.Segment {
+						t.Fatalf("round %d %s: rung %d wait %g segment %d, isolated rung %d wait %g segment %d",
+							round, key, got.Rung, got.WaitSeconds, got.Segment, want.Rung, want.WaitSeconds, want.Segment)
+					}
+				}
+				if round == 0 {
+					close(start) // the honest sessions are admitted; let the flood in
+				}
+				if !concurrent {
+					for i := 0; i < flood; i++ {
+						sendFresh(round*flood+i, true)
+					}
+				}
+			}
+			wg.Wait()
+
+			if sent != rounds*flood {
+				t.Fatalf("sent %d fresh keys, want %d", sent, rounds*flood)
+			}
+			if admitted != capacity-honest {
+				t.Errorf("%d fresh keys admitted, want the %d free entries", admitted, capacity-honest)
+			}
+			if want := float64(rejected); rejected != sent-admitted || svc.rejectedCapacity.Value() != want ||
+				svc.SessionStats().RejectedCapacity != uint64(rejected) {
+				t.Errorf("rejected %d of %d fresh keys; rejected{capacity} = %g, table count %d",
+					rejected, sent, svc.rejectedCapacity.Value(), svc.SessionStats().RejectedCapacity)
+			}
+			if st := svc.SessionStats(); st.Active != capacity || st.EvictedIdle != 0 {
+				t.Errorf("table stats %+v, want full (%d) with no evictions", st, capacity)
+			}
+		})
 	}
 }
 

@@ -12,9 +12,13 @@
 //
 // Concurrency layout follows core.SolveCache: a power-of-two shard count
 // (GOMAXPROCS-derived by default), one mutex per shard, cache-line padding
-// between shards. The steady-state path — Acquire of an existing session,
-// then Release — is allocation-free: a map lookup, two atomic updates, no
-// channel operations under any lock.
+// between shards. Each shard also threads its entries on an intrusive
+// recency list ordered by last Acquire, so admission into a full shard looks
+// at the least recently acquired entries instead of scanning the shard. The
+// steady-state path — Acquire of an existing session, then Release — is
+// allocation-free: a map lookup, a relink of the session to the newest end
+// of the list (a few pointer writes under the shard lock Acquire already
+// holds), two atomic updates, no channel operations under any lock.
 //
 // Clocks are injected: every method that needs time takes a caller-supplied
 // unix-nanosecond timestamp, so TTL boundary behaviour is testable without
@@ -37,7 +41,8 @@ var (
 	// both new and existing sessions so in-flight work can finish.
 	ErrDraining = errors.New("sessiontable: draining")
 	// ErrCapacity is returned when creating a session would exceed the
-	// configured maximum and no idle entry in the home shard can make room.
+	// configured maximum and the home shard's least recently acquired idle
+	// entry cannot make room: it is within its TTL, or every entry is held.
 	ErrCapacity = errors.New("sessiontable: at capacity")
 )
 
@@ -79,6 +84,12 @@ type Session struct {
 	// sessions it observes at zero while holding the shard lock, so a
 	// session can never disappear from under an active holder.
 	refs atomic.Int32
+
+	// older and newer link the session into its home shard's recency list
+	// (older points toward the least recently acquired end). Both are
+	// guarded by the home shard's mu; //soda:guard cannot say so because it
+	// only names a mutex of the same struct.
+	older, newer *Session
 }
 
 // ID returns the session's table-assigned numeric id (stable for the
@@ -112,11 +123,18 @@ type Config struct {
 
 // tableShard is one independently locked partition of the session table. The
 // trailing pad keeps neighbouring shards' mutexes off one cache line.
+//
+// oldest and newest are the ends of the shard's recency list, which holds
+// exactly the sessions in entries, ordered by their last Acquire.
 type tableShard struct {
 	mu sync.Mutex
 	//soda:guard mu
 	entries map[string]*Session
-	_       [64]byte
+	//soda:guard mu
+	oldest *Session
+	//soda:guard mu
+	newest *Session
+	_      [64]byte
 }
 
 // Table is the sharded session table. All methods are safe for concurrent
@@ -203,9 +221,10 @@ func (t *Table) shardFor(key string) *tableShard {
 // arena-backed harness surfaces slot exhaustion this way).
 //
 // Failure modes: ErrDraining once Drain has begun, ErrCapacity when the home
-// shard is full and no idle entry can be reclaimed, plus whatever create
-// returns. On the steady-state path (session exists) Acquire performs no
-// allocation.
+// shard is full and reclaimLocked finds nothing to evict, plus whatever
+// create returns. On the steady-state path (session exists) Acquire performs
+// no allocation; it moves the session to the newest end of the shard's
+// recency list.
 func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*Session, error) {
 	if t.draining.Load() {
 		t.rejectedDraining.Add(1)
@@ -215,6 +234,10 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 	sh.mu.Lock()
 	if s, ok := sh.entries[key]; ok {
 		s.refs.Add(1)
+		if s != sh.newest {
+			sh.unlinkLocked(s)
+			sh.pushNewestLocked(s)
+		}
 		sh.mu.Unlock()
 		return s, nil
 	}
@@ -242,41 +265,83 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 		}
 	}
 	sh.entries[key] = s
+	sh.pushNewestLocked(s)
 	sh.mu.Unlock()
 	t.active.Add(1)
 	t.created.Add(1)
 	return s, nil
 }
 
-// reclaimLocked tries to make room in a full shard by evicting its
-// least-recently-used idle entry whose TTL has expired, returning the victim
-// (nil when nothing is reclaimable). Capacity pressure alone never evicts a
-// live (non-expired) session — admission control, not LRU churn, is the
-// policy at the limit. Callers hold mu, run the OnEvict hook, and account
-// the eviction in the table counters on success.
+// reclaimLocked tries to make room in a full shard by evicting its least
+// recently acquired idle entry, returning the victim (nil when nothing is
+// reclaimable). It walks the recency list from the oldest end, skips
+// entries with holders, and stops at the first idle entry: that entry is
+// evicted if its TTL has expired, and otherwise nothing is. Capacity
+// pressure alone never evicts a held or a live (non-expired) session —
+// admission control, not LRU churn, is the policy at the limit. The cost is
+// O(held + 1), not O(shard).
+//
+// Order by last Acquire can differ from order by last Release only across
+// overlapping holds: when the first idle entry E has not expired, any
+// later idle entry F was acquired after E was, hence released no earlier
+// than E's acquire, so F has been idle past the TTL by less than E's hold
+// lasted. A reclaim the smallest-lastUse rule would grant is therefore
+// delayed by at most one hold. Callers hold mu, run the OnEvict hook, and
+// account the eviction in the table counters on success.
 //
 //soda:locked mu
 func (sh *tableShard) reclaimLocked(ttl, now int64) *Session {
 	if ttl <= 0 {
 		return nil
 	}
-	var oldest *Session
-	for _, s := range sh.entries {
-		if s.refs.Load() != 0 {
-			continue
-		}
-		if now-s.lastUse.Load() < ttl {
-			continue
-		}
-		if oldest == nil || s.lastUse.Load() < oldest.lastUse.Load() {
-			oldest = s
-		}
+	s := sh.oldest
+	for s != nil && s.refs.Load() != 0 {
+		s = s.newer
 	}
-	if oldest == nil {
+	if s == nil || now-s.lastUse.Load() < ttl {
 		return nil
 	}
-	delete(sh.entries, oldest.key)
-	return oldest
+	sh.removeLocked(s)
+	return s
+}
+
+// pushNewestLocked appends an unlinked session at the newest end of the
+// recency list.
+//
+//soda:locked mu
+func (sh *tableShard) pushNewestLocked(s *Session) {
+	s.older, s.newer = sh.newest, nil
+	if sh.newest != nil {
+		sh.newest.newer = s
+	} else {
+		sh.oldest = s
+	}
+	sh.newest = s
+}
+
+// unlinkLocked takes a session out of the recency list.
+//
+//soda:locked mu
+func (sh *tableShard) unlinkLocked(s *Session) {
+	if s.older != nil {
+		s.older.newer = s.newer
+	} else {
+		sh.oldest = s.newer
+	}
+	if s.newer != nil {
+		s.newer.older = s.older
+	} else {
+		sh.newest = s.older
+	}
+	s.older, s.newer = nil, nil
+}
+
+// removeLocked drops a session from the shard: map and recency list.
+//
+//soda:locked mu
+func (sh *tableShard) removeLocked(s *Session) {
+	delete(sh.entries, s.key)
+	sh.unlinkLocked(s)
 }
 
 // Release returns a session acquired with Acquire, stamping its last-use
@@ -297,18 +362,19 @@ func (t *Table) Sweep(now int64) int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for key, s := range sh.entries {
-			if s.refs.Load() != 0 {
-				continue
+		// Walk the whole list: an expired entry can sit behind a live one
+		// (see reclaimLocked), and the list order makes OnEvict's order
+		// deterministic.
+		for s := sh.oldest; s != nil; {
+			next := s.newer
+			if s.refs.Load() == 0 && now-s.lastUse.Load() >= t.ttl {
+				sh.removeLocked(s)
+				if t.onEvict != nil {
+					t.onEvict(s)
+				}
+				evicted++
 			}
-			if now-s.lastUse.Load() < t.ttl {
-				continue
-			}
-			delete(sh.entries, key)
-			if t.onEvict != nil {
-				t.onEvict(s)
-			}
-			evicted++
+			s = next
 		}
 		sh.mu.Unlock()
 	}
