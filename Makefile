@@ -62,16 +62,13 @@ flightrec-conformance:
 	$(GO) test -race ./internal/flightrec
 	$(GO) test -race -run 'TestSodaFlightRec' ./internal/abrtest
 
-# arena-conformance re-runs the struct-of-arrays session arena's contracts
-# under the race detector on their own: the handle-lifecycle suite (free-list
-# reuse, ABA generation staleness, growth at capacity), the proof that
-# arena-backed controllers — including ones on recycled slots — decide
-# bit-identically to heap-backed ones, and the serving-path evict→recreate
-# bit-identity on a recycled slot.
+# arena-conformance re-runs the fleet's struct-of-arrays slab store's
+# contracts under the race detector on their own: concurrent allocation,
+# growth across slabs, capacity, and the proof that controllers Init-ed in
+# slab slots decide bit-identically to heap-backed ones.
 arena-conformance:
 	$(GO) test -race ./internal/arena
 	$(GO) test -race -run 'TestSodaArenaConformance' ./internal/abrtest
-	$(GO) test -race -run 'TestEvictRecreateRecycledSlot' ./internal/httpseg
 
 # smoke boots the soda-server introspection mux against a test manifest,
 # drives /decide sessions, and validates that /metrics serves parseable
@@ -84,12 +81,12 @@ smoke:
 # detector on their own: sharded session-table TTL sweeps, recency-list
 # reclaim under concurrent churn at capacity (ten times over), token-bucket
 # admission, inflight shedding, graceful drain, the conformance proof that
-# idle eviction never changes decisions, and hostile session-key churn
-# against honest sessions.
+# idle eviction never changes decisions, a swept-out session coming back
+# fresh, and hostile session-key churn against honest sessions.
 session-race:
 	$(GO) test -race ./internal/sessiontable
 	$(GO) test -race -count=10 -run 'TestConcurrentChurnAtCapacity' ./internal/sessiontable
-	$(GO) test -race -run 'TestSessionTableConformance|TestSessionChurnSteadyState|TestHostileSessionKeyChurn|TestDecideService' ./internal/httpseg
+	$(GO) test -race -run 'TestSessionTableConformance|TestRecreatedSessionStartsFresh|TestSessionChurnSteadyState|TestHostileSessionKeyChurn|TestDecideService' ./internal/httpseg
 
 # cover fails when the statement coverage of a package listed in
 # cover_baseline.json drops below its committed floor.

@@ -1049,7 +1049,7 @@ func BenchmarkSessionTableDecide(b *testing.B) {
 func BenchmarkSessionTableReclaim(b *testing.B) {
 	for _, entries := range []int{512, 32768} {
 		b.Run("entries="+strconv.Itoa(entries), func(b *testing.B) {
-			tb := sessiontable.New(sessiontable.Config{MaxSessions: entries, TTLNanos: 1, Shards: 1})
+			tb := sessiontable.New[struct{}](sessiontable.Config{MaxSessions: entries, TTLNanos: 1, Shards: 1})
 			// Op i evicts the session created entries ops earlier, so a ring
 			// of entries+1 keys always hands out a key that is not live.
 			keys := make([]string, entries+1)

@@ -188,20 +188,14 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 	}
 }
 
-// ArenaFactory builds a controller whose state lives in an externally owned
-// arena slot. release returns the slot to the arena's free list; the
-// controller must not be used after release.
-type ArenaFactory func(ladder video.Ladder) (ctrl abr.Controller, release func())
-
 // ArenaConformance is the struct-of-arrays purity contract: controllers
-// placed in arena slots must reproduce heap-backed decision sequences
-// bit-for-bit on every registered ladder. The concurrent passes churn slots
-// between racing goroutines under several GOMAXPROCS settings (run with
-// -race to also prove the arena's slot recycling is correctly
-// synchronised); the serial pass frees and reallocates between streams, so
-// every replay after the first runs on a recycled slot and any state the
-// previous tenant left behind shows up as a divergence.
-func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked ArenaFactory) {
+// Init-ed in place in arena slots (arenaBacked builds each one on a fresh
+// slot) must reproduce heap-backed decision sequences bit-for-bit on every
+// registered ladder. The concurrent passes claim slots from racing
+// goroutines under several GOMAXPROCS settings (run with -race to also
+// prove slot allocation is correctly synchronised); the serial pass claims
+// them one stream at a time.
+func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Factory) {
 	t.Helper()
 	for _, nl := range video.NamedLadders() {
 		nl := nl
@@ -231,9 +225,7 @@ func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Aren
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						c, release := arenaBacked(nl.Ladder)
-						got[i] = replay(c, streams[i])
-						release()
+						got[i] = replay(arenaBacked(nl.Ladder), streams[i])
 					}(i)
 				}
 				wg.Wait()
@@ -243,17 +235,15 @@ func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Aren
 			defer runtime.GOMAXPROCS(prev)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				check("churning concurrent", concurrent())
-				check("churning concurrent again", concurrent())
+				check("concurrent", concurrent())
+				check("concurrent again", concurrent())
 			}
 			runtime.GOMAXPROCS(prev)
 			serial := make([][]int, sessions)
 			for i := range streams {
-				c, release := arenaBacked(nl.Ladder)
-				serial[i] = replay(c, streams[i])
-				release()
+				serial[i] = replay(arenaBacked(nl.Ladder), streams[i])
 			}
-			check("recycled serial", serial)
+			check("serial", serial)
 		})
 	}
 }

@@ -82,19 +82,16 @@ func New(cfg Config, ladder video.Ladder) *Controller {
 	return c
 }
 
-// Init (re)initialises the controller in place — the arena path, where
-// controllers live by value inside slab arrays and slots are recycled across
-// sessions. It runs exactly the construction New performs (New is Init on a
-// fresh allocation), so an arena-resident controller is bit-identical to a
-// heap-allocated one by construction; abrtest.ArenaConformance pins this. A
-// recycled slot's memo backing array is reused when the configured size
-// matches, flushed so no decision state crosses sessions. Like New, Init
-// panics on an invalid config.
+// Init initialises the controller in place — the path for controllers held
+// by value, in the fleet's arena slabs and in soda-server's session entries.
+// It runs exactly the construction New performs (New is Init on a fresh
+// allocation), so an in-place controller is bit-identical to a
+// heap-allocated one by construction; abrtest.ArenaConformance pins this.
+// Like New, Init panics on an invalid config.
 func (c *Controller) Init(cfg Config, ladder video.Ladder) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	memo := c.memo
 	*c = Controller{cfg: cfg, ladder: ladder, shared: cfg.SharedCache, tables: cfg.DecisionTable}
 	c.tq = cfg.MemoQuantum
 	if c.tables != nil {
@@ -105,12 +102,7 @@ func (c *Controller) Init(cfg Config, ladder video.Ladder) {
 		for size < cfg.SolveMemoSize {
 			size <<= 1
 		}
-		if len(memo) == size {
-			c.memo = memo
-			c.flushMemo()
-		} else {
-			c.memo = make([]memoEntry, size)
-		}
+		c.memo = make([]memoEntry, size)
 		c.memoMask = uint32(size - 1)
 	}
 }

@@ -230,8 +230,8 @@ func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 // TestPrewarmZeroAllocFirstDecide pins the Prewarm contract: after Prewarm
 // at the session's buffer cap, even the very first Decide is allocation-free
 // — the cost model and solver scratch, Decide's only lazy allocations, are
-// already bound. Fleets and servers rely on this to keep arena-backed decide
-// paths at zero allocs from the first event.
+// already bound. The fleet simulator relies on this to keep its decide path
+// at zero allocs from the first event.
 func TestPrewarmZeroAllocFirstDecide(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SolveMemoSize = 0

@@ -12,9 +12,10 @@
 //   - Zero allocation on the hot path: recording a span is one locked copy
 //     into a pre-allocated per-stage telemetry.Ring, and the watchdog's
 //     detectors are integer state machines embedded in caller-owned memory
-//     (`SessionWatch` lives inside the arena slab). `BenchmarkFlightRecOverhead`
-//     gates the end-to-end cost at ≤5% ns/decision, and the recording
-//     functions are `//soda:noalloc`.
+//     (`SessionWatch` lives in soda-server's session-table entry and in the
+//     fleet's arena slab). `BenchmarkFlightRecOverhead` gates the end-to-end
+//     cost at ≤5% ns/decision, and the recording functions are
+//     `//soda:noalloc`.
 //
 // Spans, incidents and decisions all live in the same overwrite-oldest
 // telemetry.Ring, so a snapshot holds exactly the newest min(written,
@@ -44,7 +45,9 @@ const (
 	StageInflight
 	// StageSession is the session-table acquire (hash, shard lock, refcount).
 	StageSession
-	// StageArena is the arena handle resolution (spine + generation check).
+	// StageArena is taking the session entry's lock, which serialises the
+	// session's decides. Its "arena" label is part of the /metrics and span
+	// wire formats.
 	StageArena
 	// StageDecide is the controller Decide call — table lookup, shared-cache
 	// hit, or solver fallback, whichever the decision took.

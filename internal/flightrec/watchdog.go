@@ -120,9 +120,10 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 }
 
 // SessionWatch is one session's detector state: a switch-history bitmask and
-// per-detector hysteresis flags. It is plain pointer-free data so callers
-// embed it in bulk storage (the arena slab carries one per slot) and a slot
-// recycle resets it with a zeroing store.
+// per-detector hysteresis flags. It is plain pointer-free data, zero for a
+// new session, so callers embed it next to the session's other state:
+// soda-server's session-table entry and the fleet's arena slab each carry
+// one per session.
 type SessionWatch struct {
 	// switches has bit i set if the i-th most recent decision switched rungs.
 	switches uint64

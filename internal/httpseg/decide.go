@@ -2,16 +2,13 @@ package httpseg
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
 	"repro/internal/abr"
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/sessiontable"
@@ -70,8 +67,8 @@ type DecideOptions struct {
 	// nothing; either way the steady decide path allocates nothing.
 	FlightRecorder *flightrec.Recorder
 	// Watchdog, when non-nil, observes every served decision with the QoE-
-	// consistency detectors. Per-session detector state lives in the arena
-	// slot alongside the controller, so observation is allocation-free and
+	// consistency detectors. Per-session detector state lives in the session
+	// entry alongside the controller, so observation is allocation-free and
 	// serialised by the same per-session entry lock as the decide itself.
 	Watchdog *flightrec.Watchdog
 }
@@ -116,8 +113,7 @@ type DecideService struct {
 	tableQuantum float64
 	col          *telemetry.Collector
 
-	sessions *sessiontable.Table
-	arena    *arena.Arena
+	sessions *sessiontable.Table[decideSession]
 	limiter  *sessiontable.Limiter
 	inflight *sessiontable.Semaphore
 	ttl      time.Duration
@@ -144,11 +140,16 @@ type DecideService struct {
 	decideLatency    *telemetry.Histogram
 }
 
-// errArenaFull is returned by the create callback when the session arena has
-// no free slot; the caller maps it onto a capacity rejection. The arena is
-// sized past the table's capacity, so reaching it means the sizing contract
-// broke, not that the host is merely busy.
-var errArenaFull = errors.New("httpseg: session arena exhausted")
+// decideSession is everything the service keeps for one session, held by
+// value in its session-table entry: the controller, the session history the
+// client may leave to the server (previous rung, segment index), and the QoE
+// watchdog's detector state. Eviction drops it with the entry.
+type decideSession struct {
+	ctrl     core.Controller
+	prevRung int32
+	segment  int32
+	watch    flightrec.SessionWatch
+}
 
 // NewDecideService builds the service. col may be nil to run unobserved (the
 // instruments then live on a private, unexported registry). With tables
@@ -175,28 +176,9 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	if opts.SessionTTL < 0 {
 		ttlNanos = 0
 	}
-	// Per-session controller state lives in a struct-of-arrays arena rather
-	// than as individually heap-allocated values: controllers and player
-	// state sit in flat slab arrays (the layout the fleet simulator and the
-	// load generator share), slots recycle through a free list, and stale
-	// handles are caught by generation counters. Sized past the table's
-	// capacity (shard rounding can admit up to one extra session per table
-	// shard), split across shards so concurrent session creation does not
-	// serialise on one arena lock. The split uses the shard count arena.New
-	// keeps: on a host with more CPUs than arena.MaxShards, dividing by the
-	// CPU count would leave the arena smaller than the table.
-	arenaShards := min(runtime.GOMAXPROCS(0), arena.MaxShards)
-	arenaCap := opts.MaxSessions + 512
-	s.arena = arena.New(arenaShards, (arenaCap+arenaShards-1)/arenaShards)
-	s.sessions = sessiontable.New(sessiontable.Config{
+	s.sessions = sessiontable.New[decideSession](sessiontable.Config{
 		MaxSessions: opts.MaxSessions,
 		TTLNanos:    ttlNanos,
-		// Idle sweep or capacity reclaim dropped the session: return its
-		// arena slot to the free list. The table only evicts sessions with
-		// no in-flight holders, so the slot cannot be in use.
-		OnEvict: func(sess *sessiontable.Session) {
-			s.arena.Free(arena.Handle(sess.Handle))
-		},
 	})
 	if opts.RPSPerClient > 0 {
 		s.limiter = sessiontable.NewLimiter(opts.RPSPerClient, opts.BurstPerClient)
@@ -462,55 +444,47 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	// covers I/O or channel operations: parameters were validated before
 	// admission, and reply encoding plus telemetry recording happen after
 	// the unlock. The solver itself is sub-microsecond, so the critical
-	// section stays short; distinct sessions proceed in parallel.
+	// section stays short; distinct sessions proceed in parallel. The
+	// StageArena span times taking the lock.
 	entry.Mu.Lock()
-	ctrl, st, ok := s.arena.Session(arena.Handle(entry.Handle))
 	if rec != nil {
 		t1 := rec.Now()
-		rec.Record(flightrec.StageArena, int32(entry.ID()), fr0, t1-fr0, ok)
+		rec.Record(flightrec.StageArena, int32(entry.ID()), fr0, t1-fr0, true)
 		fr0 = t1
 	}
-	if !ok {
-		// Unreachable by the lifecycle contract: the table's refcount keeps
-		// the slot from being evicted (and therefore freed) under a holder,
-		// and the generation check would only fail on a stale handle.
-		entry.Mu.Unlock()
-		s.sessions.Release(entry, time.Now().UnixNano())
-		s.rejectedCapacity.Inc()
-		return DecideResult{Status: StatusRejectedCapacity, RetryAfter: time.Second}
-	}
+	sess := &entry.Value
 	if req.Segment >= 0 {
-		st.Segment = int32(req.Segment)
+		sess.segment = int32(req.Segment)
 	}
 	if req.HavePrev {
-		st.PrevRung = int32(req.Prev)
+		sess.prevRung = int32(req.Prev)
 	}
 	omega := req.Throughput
 	ctx := &abr.Context{
 		Buffer:         req.Buffer,
 		BufferCap:      bufferCap,
-		PrevRung:       int(st.PrevRung),
+		PrevRung:       int(sess.prevRung),
 		Ladder:         s.ladder,
-		SegmentIndex:   int(st.Segment),
+		SegmentIndex:   int(sess.segment),
 		TotalSegments:  1 << 20, // an open-ended live stream
 		LastThroughput: omega,
 		Predict:        func(units.Seconds) units.Mbps { return omega },
 	}
 
-	before := ctrl.SolveStats()
+	before := sess.ctrl.SolveStats()
 	t0 := time.Now()
-	decision := ctrl.Decide(ctx)
+	decision := sess.ctrl.Decide(ctx)
 	elapsed := time.Since(t0)
 	if rec != nil {
 		rec.Record(flightrec.StageDecide, int32(entry.ID()), fr0, rec.Now()-fr0, true)
 	}
 
-	res := DecideResult{SessionID: entry.ID(), Segment: int(st.Segment), Rung: decision.Rung}
+	res := DecideResult{SessionID: entry.ID(), Segment: int(sess.segment), Rung: decision.Rung}
 	ev := telemetry.DecisionEvent{
 		Session:      int32(entry.ID()),
-		Segment:      st.Segment,
+		Segment:      sess.segment,
 		Rung:         int16(decision.Rung),
-		PrevRung:     int16(st.PrevRung),
+		PrevRung:     int16(sess.prevRung),
 		AtSeconds:    units.Seconds(float64(now-s.epochNanos) / 1e9),
 		Buffer:       req.Buffer,
 		Throughput:   omega,
@@ -526,18 +500,16 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 		res.BitrateMbps = float64(s.ladder.Mbps(rung))
 		ev.Rung = int16(rung)
 		ev.Bitrate = s.ladder.Mbps(rung)
-		st.PrevRung = int32(rung)
-		st.Segment++
+		sess.prevRung = int32(rung)
+		sess.segment++
 	}
 	if s.watchdog != nil {
-		// Detector state lives in the session's arena slot; the entry lock
-		// already serialises this session, so Observe races nothing.
-		if watch, ok := s.arena.Watch(arena.Handle(entry.Handle)); ok {
-			s.watchdog.Observe(watch, int32(entry.ID()), ev.AtSeconds, req.Buffer,
-				ev.Rung, ev.PrevRung)
-		}
+		// Detector state lives in the session entry; the entry lock already
+		// serialises this session, so Observe races nothing.
+		s.watchdog.Observe(&sess.watch, int32(entry.ID()), ev.AtSeconds, req.Buffer,
+			ev.Rung, ev.PrevRung)
 	}
-	d := ctrl.SolveStats().Delta(before)
+	d := sess.ctrl.SolveStats().Delta(before)
 	entry.Mu.Unlock()
 	s.sessions.Release(entry, time.Now().UnixNano())
 
@@ -555,25 +527,15 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	return res
 }
 
-// newSession is the sessiontable create callback: claim an arena slot and
-// initialise its controller in place (on a tables-off service a recycled
-// slot reuses its memo backing array — Init flushes it, so no decision state
-// crosses sessions). It runs under the table's shard lock, so it builds no
-// cost model: the session's first Decide binds one, once, at the buffer cap
-// the client sent, outside that lock. Decisions on an arena slot are
-// bit-identical to a heap-allocated controller's (abrtest.ArenaConformance);
-// eviction and recreation therefore still cannot change what the solver is
-// asked or answers.
-func (s *DecideService) newSession(sess *sessiontable.Session) error {
-	h, ok := s.arena.AllocAny()
-	if !ok {
-		return errArenaFull
-	}
-	ctrl, st, _ := s.arena.Session(h)
-	ctrl.Init(s.sessionConfig(), s.ladder)
-	*st = arena.State{PrevRung: int32(abr.NoRung)}
-	sess.Handle = uint64(h)
-	return nil
+// newSession is the sessiontable create callback: initialise the fresh
+// entry's controller in place, with no previous rung. It runs under the
+// table's shard lock, so it builds no cost model: the session's first Decide
+// binds one, once, at the buffer cap the client sent, outside that lock.
+// Init on a zero controller is exactly what core.New does, so a recreated
+// session decides like a fresh one.
+func (s *DecideService) newSession(sess *sessiontable.Session[decideSession]) {
+	sess.Value.ctrl.Init(s.sessionConfig(), s.ladder)
+	sess.Value.prevRung = int32(abr.NoRung)
 }
 
 // decideReply is the JSON response of one /decide call.

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -269,90 +268,48 @@ func TestSessionTableConformance(t *testing.T) {
 	}
 }
 
-// TestEvictRecreateRecycledSlot pins the arena half of the lifecycle
-// contract. Eviction frees the session's arena slot; a later admission pops
-// that slot off the shard free list and recreates a controller in place
-// (same index, bumped generation). The recreated session must decide
-// bit-identically to a long-lived reference service — nothing of the
-// previous tenant may survive slot recycling.
-func TestEvictRecreateRecycledSlot(t *testing.T) {
-	reference, err := NewDecideService(video.Mobile(), DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5}, nil)
+// TestRecreatedSessionStartsFresh: a session that left its history to the
+// server (no prev= or segment=) and was swept out comes back as a new
+// session — a new id, segment 0, and the rung and wait a fresh service gives
+// the same request. Nothing of the evicted session's controller, previous
+// rung or segment index survives into its successor.
+func TestRecreatedSessionStartsFresh(t *testing.T) {
+	opts := DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5, SessionTTL: time.Minute}
+	svc, err := NewDecideService(video.Mobile(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churny, err := NewDecideService(video.Mobile(), DecideOptions{
-		CacheEntries: 1 << 10, TableQuantum: 0.5,
-		MaxSessions: 2, SessionTTL: time.Nanosecond,
-	}, nil)
+	var old decideReply
+	for i := 0; i < 6; i++ {
+		old = decideGet(t, svc, "session=a&buffer=18&throughput=40")
+	}
+	if old.Segment == 0 || old.Rung <= 0 {
+		t.Fatalf("session a built no history: segment %d, rung %d", old.Segment, old.Rung)
+	}
+	if n := svc.SweepSessions(time.Now().Add(time.Hour)); n != 1 {
+		t.Fatalf("sweep evicted %d sessions, want 1", n)
+	}
+
+	const probe = "session=a&buffer=4&throughput=3"
+	got := decideGet(t, svc, probe)
+	fresh, err := NewDecideService(video.Mobile(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// handleOf reads the arena handle of an existing session (the key must be
-	// live: a nil create on a missing key would admit a handle-less session).
-	handleOf := func(key string) arena.Handle {
-		t.Helper()
-		s, err := churny.sessions.Acquire(key, time.Now().UnixNano(), nil)
-		if err != nil {
-			t.Fatalf("resolving %q: %v", key, err)
-		}
-		h := arena.Handle(s.Handle)
-		churny.sessions.Release(s, time.Now().UnixNano())
-		return h
+	want := decideGet(t, fresh, probe)
+	if got.Session == old.Session {
+		t.Errorf("recreated session kept id %d", got.Session)
 	}
-
-	type slot struct {
-		shard int
-		idx   uint32
+	if got.Segment != 0 || got.Rung != want.Rung || got.WaitSeconds != want.WaitSeconds {
+		t.Errorf("recreated session: segment %d rung %d wait %g, fresh service: segment %d rung %d wait %g",
+			got.Segment, got.Rung, got.WaitSeconds, want.Segment, want.Rung, want.WaitSeconds)
 	}
-	gens := map[slot]uint32{}
-	recycled := 0
-	prev := -1
-	segment := 0
-	// Enough churn cycles that AllocAny's round-robin cursor revisits every
-	// shard several times, guaranteeing free-list pops of recycled slots.
-	iters := 16 * churny.arena.Shards()
-	if iters < 64 {
-		iters = 64
-	}
-	for i := 0; i < iters; i++ {
-		buffer := float64(i%23) * 0.9
-		throughput := 0.3 + float64((i*7)%31)*0.5
-		key := fmt.Sprintf("r%d", i) // fresh key every request on both services
-		req := func() *DecideRequest {
-			return &DecideRequest{
-				Session:    key,
-				Buffer:     units.Seconds(buffer),
-				Throughput: units.Mbps(throughput),
-				Segment:    segment,
-				Prev:       prev,
-				HavePrev:   true,
-			}
-		}
-		a := reference.Decide(req())
-		b := churny.Decide(req())
-		if a.Status != StatusOK || b.Status != StatusOK {
-			t.Fatalf("step %d: status %d vs %d", i, a.Status, b.Status)
-		}
-		if a.Rung != b.Rung || a.WaitSeconds != b.WaitSeconds {
-			t.Fatalf("step %d (buffer=%.1f throughput=%.1f prev=%d): reference rung %d (wait %g) != recycled rung %d (wait %g)",
-				i, buffer, throughput, prev, a.Rung, a.WaitSeconds, b.Rung, b.WaitSeconds)
-		}
-		h := handleOf(key)
-		s := slot{h.Shard(), h.Index()}
-		if g, seen := gens[s]; seen && g != h.Generation() {
-			recycled++
-		}
-		gens[s] = h.Generation()
-		if a.Rung >= 0 {
-			prev = a.Rung
-			segment++
-		}
-		// Evict between requests so each admission reclaims a freed slot.
-		churny.SweepSessions(time.Now().Add(time.Second))
-	}
-	if recycled == 0 {
-		t.Fatal("no session was ever recreated on a recycled arena slot — the run exercised nothing")
+	// The probe must be able to tell: the evicted session's history, passed
+	// explicitly, changes the answer.
+	stale := decideGet(t, fresh, fmt.Sprintf("session=b&buffer=4&throughput=3&prev=%d&segment=%d", old.Rung, old.Segment+1))
+	if stale.Rung == want.Rung && stale.WaitSeconds == want.WaitSeconds {
+		t.Fatalf("probe decides rung %d wait %g with or without the old history; it cannot detect a leak",
+			want.Rung, want.WaitSeconds)
 	}
 }
 

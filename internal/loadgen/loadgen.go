@@ -20,10 +20,9 @@
 // a simulated buffer, which feeds back into the next request, and buffer
 // underflow is charged as stall time. Sessions share a bounded pool of traces
 // round-robin so 50k sessions do not need 50k trace syntheses, and their
-// player state lives in an internal/arena slab — the same struct-of-arrays
-// layout soda-server and the fleet simulator use — rather than one heap
+// player and watchdog state live in flat per-run slices rather than one heap
 // object per session. Both loops run on fixed worker pools: session count
-// scales the arena, not the goroutine count.
+// scales the slices, not the goroutine count.
 //
 // Targets are pluggable: InProc drives a DecideService directly (no HTTP,
 // the configuration the allocation and p99 gates use), HTTPTarget drives a
@@ -106,8 +105,8 @@ type Config struct {
 	// consistency detectors, from the client's side of the wire: the virtual
 	// player's buffer trajectory and rung history feed the same detectors the
 	// server and fleet simulator run. Incident totals land in the report
-	// (and its per-1k-sessions gate field). Detector state lives in the
-	// runner's arena slots, so observation allocates nothing per decide.
+	// (and its per-1k-sessions gate field). Detector state lives in a flat
+	// per-session slice, so observation allocates nothing per decide.
 	Watchdog *flightrec.Watchdog
 }
 
@@ -151,21 +150,20 @@ func (c Config) validate() error {
 	return nil
 }
 
-// runner is the per-run state shared by the worker pool. Virtual-session
-// player state lives in the arena (arena.State.Buffer/Trace/Cursor); the
-// runner keeps only the parallel per-session slices the arena does not own:
-// the wire key and the lock serialising a session's in-flight decide with
-// its state update. In the closed loop each worker owns a fixed residue
-// class of session indices, so those locks are uncontended there; the open
-// loop dispatches arrivals to arbitrary workers and relies on them.
+// runner is the per-run state shared by the worker pool. Each virtual
+// session is one index into parallel slices: its player state
+// (arena.State.Buffer/Trace/Cursor), its wire key, the lock serialising its
+// in-flight decide with its state update, and its watchdog state. In the
+// closed loop each worker owns a fixed residue class of session indices, so
+// those locks are uncontended there; the open loop dispatches arrivals to
+// arbitrary workers and relies on them.
 type runner struct {
 	cfg     Config
 	target  Target
-	arena   *arena.Arena
-	states  []*arena.State
+	states  []arena.State
 	keys    []string
 	locks   []sync.Mutex
-	watches []*flightrec.SessionWatch
+	watches []flightrec.SessionWatch
 	pool    [][]units.Mbps
 	latency *telemetry.Histogram
 	epoch   time.Time
@@ -232,8 +230,8 @@ func Run(cfg Config, target Target) (Report, error) {
 		rep.ServerEvictions = stats.EvictedIdle
 		rep.ServerSessions = stats.Active
 	}
-	for _, st := range r.states {
-		rep.StallSeconds += float64(st.Stall)
+	for i := range r.states {
+		rep.StallSeconds += float64(r.states[i].Stall)
 	}
 	if cfg.Watchdog != nil {
 		rep.QoEIncidents = cfg.Watchdog.Total()
@@ -242,11 +240,8 @@ func Run(cfg Config, target Target) (Report, error) {
 	return rep, nil
 }
 
-// buildSessions synthesizes the shared trace pool and allocates one arena
-// slot per virtual session. Sessions are spread across arena shards by
-// index residue, which lines up with the closed loop's worker ownership:
-// worker w walks sessions i ≡ w (mod workers), so each worker stays inside
-// one shard's slabs.
+// buildSessions synthesizes the shared trace pool and lays out every virtual
+// session's state.
 func (r *runner) buildSessions() error {
 	pool := make([][]units.Mbps, r.cfg.TracePool)
 	for i := range pool {
@@ -263,38 +258,17 @@ func (r *runner) buildSessions() error {
 	}
 	r.pool = pool
 
-	shards := r.cfg.Workers
-	if shards > r.cfg.Sessions {
-		shards = r.cfg.Sessions
-	}
-	perShard := (r.cfg.Sessions + shards - 1) / shards
-	r.arena = arena.New(shards, perShard)
-	r.states = make([]*arena.State, r.cfg.Sessions)
+	r.states = make([]arena.State, r.cfg.Sessions)
 	r.keys = make([]string, r.cfg.Sessions)
 	r.locks = make([]sync.Mutex, r.cfg.Sessions)
 	if r.cfg.Watchdog != nil {
-		r.watches = make([]*flightrec.SessionWatch, r.cfg.Sessions)
+		r.watches = make([]flightrec.SessionWatch, r.cfg.Sessions)
 	}
 	for i := range r.states {
-		h, ok := r.arena.Alloc(i % shards)
-		if !ok {
-			return fmt.Errorf("loadgen: arena shard %d exhausted at session %d", i%shards, i)
-		}
-		st, _ := r.arena.State(h)
 		// Stagger cursors so pool-sharing sessions do not move in lockstep
 		// through identical throughput samples.
-		*st = arena.State{Trace: int32(i % len(pool)), Cursor: int32(i / len(pool)), PrevRung: int32(abr.NoRung)}
-		r.states[i] = st
+		r.states[i] = arena.State{Trace: int32(i % len(pool)), Cursor: int32(i / len(pool)), PrevRung: int32(abr.NoRung)}
 		r.keys[i] = fmt.Sprintf("lg-%d", i)
-		if r.cfg.Watchdog != nil {
-			// Detector state rides in the same arena slot as the player
-			// state, resolved once here like the fleet simulator does.
-			watch, ok := r.arena.Watch(h)
-			if !ok {
-				return fmt.Errorf("loadgen: watch slot stale at session %d", i)
-			}
-			r.watches[i] = watch
-		}
 	}
 	return nil
 }
@@ -306,7 +280,7 @@ func (r *runner) step(i int, start time.Time) {
 	r.locks[i].Lock()
 	defer r.locks[i].Unlock()
 
-	st := r.states[i]
+	st := &r.states[i]
 	samples := r.pool[st.Trace]
 	throughput := samples[int(st.Cursor)%len(samples)]
 	st.Cursor++
@@ -332,7 +306,7 @@ func (r *runner) step(i int, start time.Time) {
 		if r.watches != nil {
 			// Observe with the client-side view: the buffer reported in the
 			// request and the rung the server answered with.
-			r.cfg.Watchdog.Observe(r.watches[i], int32(i),
+			r.cfg.Watchdog.Observe(&r.watches[i], int32(i),
 				units.Seconds(time.Since(r.epoch).Seconds()), req.Buffer,
 				int16(res.Rung), int16(prev))
 		}

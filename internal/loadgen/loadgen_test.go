@@ -95,6 +95,30 @@ func TestClosedLoopThinkTime(t *testing.T) {
 	}
 }
 
+// TestRunManyWorkers: a closed loop on more than 256 workers — more than
+// any shard-count clamp a session store might apply — still serves every
+// session it was asked to run.
+func TestRunManyWorkers(t *testing.T) {
+	svc := newService(t, httpseg.DecideOptions{})
+	rep, err := Run(Config{
+		Mode:     ClosedLoop,
+		Sessions: 600,
+		Requests: 1200,
+		Workers:  300,
+		Seed:     4,
+	}, &InProc{Svc: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 1200 || rep.OK != 1200 {
+		t.Errorf("requests/ok = %d/%d, want 1200/1200 (rejected %d, errors %d)",
+			rep.Requests, rep.OK, rep.Rejected(), rep.Errors)
+	}
+	if rep.ServerSessions != 600 {
+		t.Errorf("server sessions = %d, want 600", rep.ServerSessions)
+	}
+}
+
 func TestOpenLoopInProc(t *testing.T) {
 	svc := newService(t, httpseg.DecideOptions{})
 	rep, err := Run(Config{

@@ -3,14 +3,17 @@ package sessiontable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// checkLists walks every shard's recency list against its map (see listed)
-// and checks that the shards together hold Len() sessions.
-func checkLists(t testing.TB, tb *Table) {
+// checkLists walks every shard's recency list against its map (see listed),
+// checks that the shards together hold Len() sessions, and checks that the
+// lifecycle counters balance: every session created is either evicted or
+// still active.
+func checkLists(t testing.TB, tb *Table[int64]) {
 	t.Helper()
 	total := 0
 	for i := range tb.shards {
@@ -23,16 +26,33 @@ func checkLists(t testing.TB, tb *Table) {
 	if total != tb.Len() {
 		t.Errorf("shards hold %d entries, Len() = %d", total, tb.Len())
 	}
+	if st := tb.Stats(); st.Created != st.EvictedIdle+uint64(st.Active) {
+		t.Errorf("created %d != evicted %d + active %d", st.Created, st.EvictedIdle, st.Active)
+	}
+}
+
+// listedKeys returns a shard's recency list as keys, oldest first.
+func listedKeys(t testing.TB, sh *tableShard[int64]) []string {
+	t.Helper()
+	list, err := listed(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(list))
+	for i, s := range list {
+		keys[i] = s.key
+	}
+	return keys
 }
 
 // listed returns a shard's recency list, oldest first, and an error unless
 // the list is linked consistently in both directions and holds exactly the
 // map's entries.
-func listed(sh *tableShard) ([]*Session, error) {
+func listed(sh *tableShard[int64]) ([]*Session[int64], error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var list []*Session
-	var prev *Session
+	var list []*Session[int64]
+	var prev *Session[int64]
 	for s := sh.oldest; s != nil; s = s.newer {
 		if s.older != prev {
 			return list, fmt.Errorf("entry %q: older link does not point at its predecessor", s.key)
@@ -56,7 +76,9 @@ func listed(sh *tableShard) ([]*Session, error) {
 
 // TestReclaimOrder pins which entry admission into a full shard reclaims:
 // the least recently acquired idle entry, and only when its TTL has expired.
-// Times are in seconds of the injected clock; the TTL is 10 s.
+// After every step the shard's recency list must hold exactly the expected
+// keys, least recently acquired first. Times are in seconds of the injected
+// clock; the TTL is 10 s.
 func TestReclaimOrder(t *testing.T) {
 	type step struct {
 		acquire bool // false releases the key's hold
@@ -119,27 +141,36 @@ func TestReclaimOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var evicted []string
-			tb := New(Config{MaxSessions: tc.capacity, TTLNanos: 10 * second, Shards: 1,
-				OnEvict: func(s *Session) { evicted = append(evicted, s.Key()) }})
-			held := map[string]*Session{}
-			for _, st := range tc.steps {
+			tb := New[int64](Config{MaxSessions: tc.capacity, TTLNanos: 10 * second, Shards: 1})
+			sh := &tb.shards[0]
+			held := map[string]*Session[int64]{}
+			var order []string // expected recency list, least recently acquired first
+			for i, st := range tc.steps {
 				if st.acquire {
 					held[st.key] = mustAcquire(t, tb, st.key, st.at*second)
+					order = append(slices.DeleteFunc(order, func(k string) bool { return k == st.key }), st.key)
 				} else {
 					tb.Release(held[st.key], st.at*second)
 				}
+				if got := listedKeys(t, sh); !slices.Equal(got, order) {
+					t.Fatalf("step %d: list %v, want %v", i, got, order)
+				}
+				checkLists(t, tb)
 			}
 			s, err := tb.Acquire("new", tc.admitAt*second, nil)
 			switch {
 			case tc.want == "" && !errors.Is(err, ErrCapacity):
 				t.Fatalf("Acquire = %v, want ErrCapacity", err)
-			case tc.want == "" && len(evicted) != 0:
-				t.Fatalf("rejected admission evicted %v", evicted)
 			case tc.want != "" && err != nil:
 				t.Fatalf("Acquire = %v, want reclaim of %q", err, tc.want)
-			case tc.want != "" && (len(evicted) != 1 || evicted[0] != tc.want):
-				t.Fatalf("reclaimed %v, want [%s]", evicted, tc.want)
+			case tc.want != "":
+				order = append(slices.DeleteFunc(order, func(k string) bool { return k == tc.want }), "new")
+			}
+			if got := listedKeys(t, sh); !slices.Equal(got, order) {
+				t.Fatalf("after admission: list %v, want %v", got, order)
+			}
+			if st := tb.Stats(); (tc.want != "") != (st.EvictedIdle == 1) || st.EvictedIdle > 1 {
+				t.Fatalf("admission evicted %d entries, want reclaim of %q", st.EvictedIdle, tc.want)
 			}
 			if s != nil {
 				tb.Release(s, tc.admitAt*second)
@@ -149,12 +180,12 @@ func TestReclaimOrder(t *testing.T) {
 	}
 }
 
-// TestListTracksMap: every path that removes an entry — the idle sweep, an
-// in-line reclaim followed by a failing create callback — leaves each
-// shard's list and map holding the same entries.
+// TestListTracksMap: every path that removes an entry — the idle sweep and
+// the in-line reclaim — leaves each shard's list and map holding the same
+// entries.
 func TestListTracksMap(t *testing.T) {
 	const ttl = 100 * second
-	tb := New(Config{MaxSessions: 8, TTLNanos: ttl, Shards: 2})
+	tb := New[int64](Config{MaxSessions: 8, TTLNanos: ttl, Shards: 2})
 	// Admit one key per second until both 4-entry shards are full; a key
 	// whose shard is already full is refused (nothing has expired yet).
 	last := int64(0)
@@ -178,51 +209,46 @@ func TestListTracksMap(t *testing.T) {
 	}
 	checkLists(t, tb)
 
-	// Refill, let everything expire, then admit with a failing create: the
-	// first failed admission into each full shard reclaims one entry and
-	// inserts nothing; later ones find room and reclaim nothing.
+	// Refill, then admit fresh keys one TTL apart: every entry has expired
+	// by the next admission, so each admission into a full shard reclaims
+	// one entry and inserts the new one, the table stays full, and each
+	// admission counts one eviction.
 	for i := 100; tb.Len() < 8; i++ {
 		if s, err := tb.Acquire(fmt.Sprintf("k%d", i), now, nil); err == nil {
 			tb.Release(s, now)
 		}
 	}
 	evicted := tb.Stats().EvictedIdle
-	boom := errors.New("no slots")
-	for i := 200; i < 232; i++ {
-		if _, err := tb.Acquire(fmt.Sprintf("k%d", i), now+ttl, func(*Session) error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("Acquire with failing create = %v, want the create error", err)
+	for i := 1; i <= 32; i++ {
+		at := now + int64(i)*ttl
+		s, err := tb.Acquire(fmt.Sprintf("fresh%d", i), at, nil)
+		if err != nil {
+			t.Fatalf("Acquire into a full, expired shard = %v, want a reclaim", err)
 		}
+		tb.Release(s, at)
 		checkLists(t, tb)
 	}
-	st := tb.Stats()
-	if st.Active != 6 || st.EvictedIdle != evicted+2 {
-		t.Fatalf("stats %+v after failed admissions, want 6 active and 2 more evictions (one per shard)", st)
-	}
-	if st.Created != st.EvictedIdle+uint64(st.Active) {
-		t.Fatalf("stats %+v: created != evicted + active", st)
+	if st := tb.Stats(); st.Active != 8 || st.EvictedIdle != evicted+32 {
+		t.Fatalf("stats %+v after reclaiming admissions, want 8 active and 32 more evictions", st)
 	}
 }
 
 // TestConcurrentChurnAtCapacity drives a full table from several goroutines
 // — honest sessions re-acquired over and over, fresh keys forcing reclaims —
 // while a sweeper runs alongside, then checks the lifecycle invariants:
-// nothing held was evicted, every eviction ran the hook once, the counters
-// balance, and each shard's list matches its map. Run it under -race with a
-// high -count.
+// nothing held was evicted (while a worker holds a session, its shard still
+// maps the key to it), the counters balance, each shard's list matches its
+// map, and the table holds only keys the workers acquired. Run it under
+// -race with a high -count.
 func TestConcurrentChurnAtCapacity(t *testing.T) {
 	const (
 		workers = 4
 		ops     = 3000
 		ttl     = 64 // nanoseconds of the shared injected clock
 	)
-	var clock, hooked atomic.Int64
-	var heldEvictions atomic.Int64
-	tb := New(Config{MaxSessions: 32, TTLNanos: ttl, Shards: 4, OnEvict: func(s *Session) {
-		hooked.Add(1)
-		if s.refs.Load() != 0 {
-			heldEvictions.Add(1)
-		}
-	}})
+	var clock, heldEvictions atomic.Int64
+	var keys sync.Map // every key a worker acquired
+	tb := New[int64](Config{MaxSessions: 32, TTLNanos: ttl, Shards: 4})
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	var sweeps sync.WaitGroup
@@ -255,8 +281,15 @@ func TestConcurrentChurnAtCapacity(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
+				keys.Store(key, true)
 				s.Mu.Lock()
-				s.Value = i
+				s.Value = int64(i)
+				sh := tb.shardFor(key)
+				sh.mu.Lock()
+				if sh.entries[key] != s {
+					heldEvictions.Add(1)
+				}
+				sh.mu.Unlock()
 				s.Mu.Unlock()
 				tb.Release(s, clock.Add(1))
 			}
@@ -269,15 +302,15 @@ func TestConcurrentChurnAtCapacity(t *testing.T) {
 	if n := heldEvictions.Load(); n != 0 {
 		t.Errorf("%d held sessions evicted", n)
 	}
-	st := tb.Stats()
-	if uint64(hooked.Load()) != st.EvictedIdle {
-		t.Errorf("OnEvict ran %d times for %d evictions", hooked.Load(), st.EvictedIdle)
-	}
-	if st.Created != st.EvictedIdle+uint64(st.Active) {
-		t.Errorf("created %d != evicted %d + active %d", st.Created, st.EvictedIdle, st.Active)
-	}
-	if st.EvictedIdle == 0 {
+	if st := tb.Stats(); st.EvictedIdle == 0 {
 		t.Error("the run evicted nothing: it exercised no reclaim")
 	}
 	checkLists(t, tb)
+	for i := range tb.shards {
+		for _, key := range listedKeys(t, &tb.shards[i]) {
+			if _, ok := keys.Load(key); !ok {
+				t.Errorf("shard %d holds %q, which no worker acquired", i, key)
+			}
+		}
+	}
 }

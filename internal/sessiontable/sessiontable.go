@@ -1,13 +1,15 @@
-// Package sessiontable is the fleet-scale session control plane shared by
-// soda-server's /decide surface and the load generator: a sharded session
-// table with idle (TTL) eviction, token-bucket per-client admission control,
-// and a bounded in-flight semaphore for backpressure.
+// Package sessiontable is the session control plane behind soda-server's
+// /decide surface: a sharded session table with idle (TTL) eviction,
+// token-bucket per-client admission control, and a bounded in-flight
+// semaphore for backpressure.
 //
 // The package owns session *lifecycle* only — creation, lookup, last-use
 // tracking, idle eviction, capacity admission, drain — never the decision
-// inputs. A session's value (the controller and its per-session state) is
-// opaque to the table, so evicting and recreating a session can change
-// nothing about what the solver is asked: that is the SessionTableConformance
+// inputs. A session's value (the controller and its per-session state) is a
+// type parameter the table never looks into: it lives inside the table's
+// entry, so a session is one allocation, and eviction drops it with the
+// entry. Evicting and recreating a session can therefore change nothing
+// about what the solver is asked: that is the SessionTableConformance
 // contract pinned in internal/httpseg.
 //
 // Concurrency layout follows core.SolveCache: a power-of-two shard count
@@ -51,24 +53,18 @@ var (
 // GB — beyond any single-host configuration worth supporting).
 const maxTableSessions = 1 << 26
 
-// Session is one tracked session. The table owns the bookkeeping fields;
-// Value belongs to the holder between Acquire and Release and is typed `any`
-// so the table stays decoupled from the controller packages.
+// Session is one tracked session: the table's bookkeeping plus the
+// harness's per-session state V, held by value so the entry is the session's
+// only allocation. The table owns the bookkeeping fields; Value belongs to
+// the holder between Acquire and Release.
 //
 // Mu serialises the holder's per-session work (the decide critical section).
 // The table itself never takes Mu: refcounting, not locking, is what keeps
 // the sweep from evicting a session mid-decision.
-type Session struct {
-	// Value is the harness's per-session state, set once by the create
+type Session[V any] struct {
+	// Value is the harness's per-session state, initialised by the create
 	// callback passed to Acquire and never touched by the table again.
-	Value any
-
-	// Handle is the harness's arena slot reference (an internal/arena handle
-	// in uint64 form; 0 when the harness keeps no arena). Like Value it is
-	// set by the create callback and opaque to the table — it exists so the
-	// Config.OnEvict hook can release the slot when the table drops the
-	// session, without the table depending on the arena package.
-	Handle uint64
+	Value V
 
 	// Mu is the holder's per-session critical-section lock.
 	Mu sync.Mutex
@@ -89,15 +85,15 @@ type Session struct {
 	// (older points toward the least recently acquired end). Both are
 	// guarded by the home shard's mu; //soda:guard cannot say so because it
 	// only names a mutex of the same struct.
-	older, newer *Session
+	older, newer *Session[V]
 }
 
 // ID returns the session's table-assigned numeric id (stable for the
 // session's lifetime; a recreated session gets a fresh id).
-func (s *Session) ID() int64 { return s.id }
+func (s *Session[V]) ID() int64 { return s.id }
 
 // Key returns the session key the entry is stored under.
-func (s *Session) Key() string { return s.key }
+func (s *Session[V]) Key() string { return s.key }
 
 // Config parameterises a Table.
 type Config struct {
@@ -113,12 +109,6 @@ type Config struct {
 	// Shards overrides the shard count (rounded up to a power of two,
 	// capped at 256); non-positive derives it from GOMAXPROCS.
 	Shards int
-	// OnEvict, when non-nil, runs once for every session the table drops —
-	// idle sweep or capacity reclaim — after the entry has left the map. It
-	// is the hook an arena-backed harness uses to free the session's slot
-	// (Session.Handle). It runs under the home shard's lock, so it must not
-	// call back into the table or block.
-	OnEvict func(*Session)
 }
 
 // tableShard is one independently locked partition of the session table. The
@@ -126,22 +116,22 @@ type Config struct {
 //
 // oldest and newest are the ends of the shard's recency list, which holds
 // exactly the sessions in entries, ordered by their last Acquire.
-type tableShard struct {
+type tableShard[V any] struct {
 	mu sync.Mutex
 	//soda:guard mu
-	entries map[string]*Session
+	entries map[string]*Session[V]
 	//soda:guard mu
-	oldest *Session
+	oldest *Session[V]
 	//soda:guard mu
-	newest *Session
+	newest *Session[V]
 	_      [64]byte
 }
 
-// Table is the sharded session table. All methods are safe for concurrent
-// use. The table launches no goroutines and reads no clocks; the harness
-// drives the sweep.
-type Table struct {
-	shards   []tableShard
+// Table is the sharded session table over per-session state V. All methods
+// are safe for concurrent use. The table launches no goroutines and reads no
+// clocks; the harness drives the sweep.
+type Table[V any] struct {
+	shards   []tableShard[V]
 	mask     uint64
 	perShard int
 
@@ -155,13 +145,12 @@ type Table struct {
 	rejectedCapacity atomic.Uint64
 	rejectedDraining atomic.Uint64
 
-	ttl     int64
-	onEvict func(*Session)
+	ttl int64
 }
 
 // New builds a session table. It panics on a non-positive or absurd
 // capacity, matching core.NewSolveCache's contract.
-func New(cfg Config) *Table {
+func New[V any](cfg Config) *Table[V] {
 	if cfg.MaxSessions <= 0 {
 		panic(fmt.Sprintf("sessiontable: non-positive capacity %d", cfg.MaxSessions))
 	}
@@ -180,22 +169,21 @@ func New(cfg Config) *Table {
 		shardCount <<= 1
 	}
 	perShard := (cfg.MaxSessions + shardCount - 1) / shardCount
-	t := &Table{
-		shards:   make([]tableShard, shardCount),
+	t := &Table[V]{
+		shards:   make([]tableShard[V], shardCount),
 		mask:     uint64(shardCount - 1),
 		perShard: perShard,
 		ttl:      cfg.TTLNanos,
-		onEvict:  cfg.OnEvict,
 	}
 	for i := range t.shards {
-		t.shards[i].entries = make(map[string]*Session, perShard/4+1)
+		t.shards[i].entries = make(map[string]*Session[V], perShard/4+1)
 	}
 	return t
 }
 
 // shardFor maps a session key onto its home shard (FNV-1a, like the solve
 // cache's key hash — cheap and allocation-free).
-func (t *Table) shardFor(key string) *tableShard {
+func (t *Table[V]) shardFor(key string) *tableShard[V] {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -213,19 +201,17 @@ func (t *Table) shardFor(key string) *tableShard {
 // every successful Acquire with exactly one Release. now is the caller's
 // unix-nano timestamp (used as the creation's initial last-use time).
 //
-// The create callback receives the fresh Session (its ID and Key already
-// assigned) and populates Value and/or Handle; it runs under the home
-// shard's lock, so it must not call back into the table or block. A non-nil
-// error from create aborts the admission: nothing is inserted, the rejection
-// is counted against capacity, and the error is returned as-is (an
-// arena-backed harness surfaces slot exhaustion this way).
+// The create callback, when non-nil, receives the fresh Session (its ID and
+// Key already assigned, Value zero) and initialises Value in place; it runs
+// under the home shard's lock, so it must not call back into the table or
+// block.
 //
-// Failure modes: ErrDraining once Drain has begun, ErrCapacity when the home
-// shard is full and reclaimLocked finds nothing to evict, plus whatever
-// create returns. On the steady-state path (session exists) Acquire performs
-// no allocation; it moves the session to the newest end of the shard's
-// recency list.
-func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*Session, error) {
+// Failure modes: ErrDraining once Drain has begun, and ErrCapacity when the
+// home shard is full and reclaimLocked finds nothing to evict. A creation
+// allocates exactly one object, the entry with its Value; on the
+// steady-state path (session exists) Acquire performs no allocation and
+// moves the session to the newest end of the shard's recency list.
+func (t *Table[V]) Acquire(key string, now int64, create func(s *Session[V])) (*Session[V], error) {
 	if t.draining.Load() {
 		t.rejectedDraining.Add(1)
 		return nil, ErrDraining
@@ -242,27 +228,19 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 		return s, nil
 	}
 	if len(sh.entries) >= t.perShard {
-		victim := sh.reclaimLocked(t.ttl, now)
-		if victim == nil {
+		if !sh.reclaimLocked(t.ttl, now) {
 			sh.mu.Unlock()
 			t.rejectedCapacity.Add(1)
 			return nil, ErrCapacity
 		}
-		if t.onEvict != nil {
-			t.onEvict(victim)
-		}
 		t.active.Add(-1)
 		t.evictedIdle.Add(1)
 	}
-	s := &Session{key: key, id: t.nextID.Add(1) - 1}
+	s := &Session[V]{key: key, id: t.nextID.Add(1) - 1}
 	s.lastUse.Store(now)
 	s.refs.Store(1)
 	if create != nil {
-		if err := create(s); err != nil {
-			sh.mu.Unlock()
-			t.rejectedCapacity.Add(1)
-			return nil, err
-		}
+		create(s)
 	}
 	sh.entries[key] = s
 	sh.pushNewestLocked(s)
@@ -273,8 +251,7 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 }
 
 // reclaimLocked tries to make room in a full shard by evicting its least
-// recently acquired idle entry, returning the victim (nil when nothing is
-// reclaimable). It walks the recency list from the oldest end, skips
+// recently acquired idle entry, reporting whether it evicted one. It walks the recency list from the oldest end, skips
 // entries with holders, and stops at the first idle entry: that entry is
 // evicted if its TTL has expired, and otherwise nothing is. Capacity
 // pressure alone never evicts a held or a live (non-expired) session —
@@ -286,30 +263,30 @@ func (t *Table) Acquire(key string, now int64, create func(s *Session) error) (*
 // later idle entry F was acquired after E was, hence released no earlier
 // than E's acquire, so F has been idle past the TTL by less than E's hold
 // lasted. A reclaim the smallest-lastUse rule would grant is therefore
-// delayed by at most one hold. Callers hold mu, run the OnEvict hook, and
-// account the eviction in the table counters on success.
+// delayed by at most one hold. Callers hold mu and account the eviction in
+// the table counters on success.
 //
 //soda:locked mu
-func (sh *tableShard) reclaimLocked(ttl, now int64) *Session {
+func (sh *tableShard[V]) reclaimLocked(ttl, now int64) bool {
 	if ttl <= 0 {
-		return nil
+		return false
 	}
 	s := sh.oldest
 	for s != nil && s.refs.Load() != 0 {
 		s = s.newer
 	}
 	if s == nil || now-s.lastUse.Load() < ttl {
-		return nil
+		return false
 	}
 	sh.removeLocked(s)
-	return s
+	return true
 }
 
 // pushNewestLocked appends an unlinked session at the newest end of the
 // recency list.
 //
 //soda:locked mu
-func (sh *tableShard) pushNewestLocked(s *Session) {
+func (sh *tableShard[V]) pushNewestLocked(s *Session[V]) {
 	s.older, s.newer = sh.newest, nil
 	if sh.newest != nil {
 		sh.newest.newer = s
@@ -322,7 +299,7 @@ func (sh *tableShard) pushNewestLocked(s *Session) {
 // unlinkLocked takes a session out of the recency list.
 //
 //soda:locked mu
-func (sh *tableShard) unlinkLocked(s *Session) {
+func (sh *tableShard[V]) unlinkLocked(s *Session[V]) {
 	if s.older != nil {
 		s.older.newer = s.newer
 	} else {
@@ -339,14 +316,14 @@ func (sh *tableShard) unlinkLocked(s *Session) {
 // removeLocked drops a session from the shard: map and recency list.
 //
 //soda:locked mu
-func (sh *tableShard) removeLocked(s *Session) {
+func (sh *tableShard[V]) removeLocked(s *Session[V]) {
 	delete(sh.entries, s.key)
 	sh.unlinkLocked(s)
 }
 
 // Release returns a session acquired with Acquire, stamping its last-use
 // time. Allocation-free.
-func (t *Table) Release(s *Session, now int64) {
+func (t *Table[V]) Release(s *Session[V], now int64) {
 	s.lastUse.Store(now)
 	s.refs.Add(-1)
 }
@@ -354,7 +331,7 @@ func (t *Table) Release(s *Session, now int64) {
 // Sweep evicts every session idle longer than the TTL as of now and returns
 // the eviction count. Sessions with in-flight holders are skipped (their
 // last-use stamp is stale while they work). A zero-TTL table never evicts.
-func (t *Table) Sweep(now int64) int {
+func (t *Table[V]) Sweep(now int64) int {
 	if t.ttl <= 0 {
 		return 0
 	}
@@ -363,15 +340,11 @@ func (t *Table) Sweep(now int64) int {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		// Walk the whole list: an expired entry can sit behind a live one
-		// (see reclaimLocked), and the list order makes OnEvict's order
-		// deterministic.
+		// (see reclaimLocked).
 		for s := sh.oldest; s != nil; {
 			next := s.newer
 			if s.refs.Load() == 0 && now-s.lastUse.Load() >= t.ttl {
 				sh.removeLocked(s)
-				if t.onEvict != nil {
-					t.onEvict(s)
-				}
 				evicted++
 			}
 			s = next
@@ -389,16 +362,16 @@ func (t *Table) Sweep(now int64) int {
 // It returns the live session count at the moment admission stopped — the
 // "drained session count" the server reports on SIGTERM. In-flight holders
 // are unaffected; the harness waits for them via its in-flight semaphore.
-func (t *Table) Drain() int {
+func (t *Table[V]) Drain() int {
 	t.draining.Store(true)
 	return int(t.active.Load())
 }
 
 // Draining reports whether Drain has been called.
-func (t *Table) Draining() bool { return t.draining.Load() }
+func (t *Table[V]) Draining() bool { return t.draining.Load() }
 
 // Len returns the live session count.
-func (t *Table) Len() int { return int(t.active.Load()) }
+func (t *Table[V]) Len() int { return int(t.active.Load()) }
 
 // Stats is a point-in-time snapshot of the table's lifecycle counters.
 type Stats struct {
@@ -412,7 +385,7 @@ type Stats struct {
 }
 
 // Stats snapshots the lifecycle counters.
-func (t *Table) Stats() Stats {
+func (t *Table[V]) Stats() Stats {
 	return Stats{
 		Active:           int(t.active.Load()),
 		Shards:           len(t.shards),

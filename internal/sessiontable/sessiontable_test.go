@@ -10,9 +10,9 @@ import (
 
 const second = int64(1e9) // one second of the injected nanosecond clock
 
-func mustAcquire(t *testing.T, tb *Table, key string, now int64) *Session {
+func mustAcquire(t *testing.T, tb *Table[int64], key string, now int64) *Session[int64] {
 	t.Helper()
-	s, err := tb.Acquire(key, now, func(s *Session) error { s.Value = s.ID(); return nil })
+	s, err := tb.Acquire(key, now, func(s *Session[int64]) { s.Value = s.ID() })
 	if err != nil {
 		t.Fatalf("Acquire(%q): %v", key, err)
 	}
@@ -20,7 +20,7 @@ func mustAcquire(t *testing.T, tb *Table, key string, now int64) *Session {
 }
 
 func TestTableAcquireStableIdentity(t *testing.T) {
-	tb := New(Config{MaxSessions: 64, TTLNanos: 10 * second})
+	tb := New[int64](Config{MaxSessions: 64, TTLNanos: 10 * second})
 	a := mustAcquire(t, tb, "alice", 0)
 	tb.Release(a, 0)
 	b := mustAcquire(t, tb, "bob", 0)
@@ -45,10 +45,10 @@ func TestTableAcquireStableIdentity(t *testing.T) {
 }
 
 func TestTableCreateValue(t *testing.T) {
-	tb := New(Config{MaxSessions: 8})
+	tb := New[int64](Config{MaxSessions: 8})
 	s := mustAcquire(t, tb, "k", 0)
-	if got, ok := s.Value.(int64); !ok || got != s.ID() {
-		t.Fatalf("create callback value = %v, want session id %d", s.Value, s.ID())
+	if s.Value != s.ID() {
+		t.Fatalf("create callback value = %d, want session id %d", s.Value, s.ID())
 	}
 	tb.Release(s, 0)
 }
@@ -73,7 +73,7 @@ func TestTTLSweepBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := New(Config{MaxSessions: 8, TTLNanos: tc.ttl})
+			tb := New[int64](Config{MaxSessions: 8, TTLNanos: tc.ttl})
 			s := mustAcquire(t, tb, "k", 0)
 			tb.Release(s, tc.releasedAt)
 			if got := tb.Sweep(tc.sweepAt); got != tc.wantEvicted {
@@ -93,7 +93,7 @@ func TestTTLSweepBoundaries(t *testing.T) {
 // TestSweepSkipsHeldSessions: an in-flight session is never evicted, no
 // matter how stale its last-use stamp looks.
 func TestSweepSkipsHeldSessions(t *testing.T) {
-	tb := New(Config{MaxSessions: 8, TTLNanos: second})
+	tb := New[int64](Config{MaxSessions: 8, TTLNanos: second})
 	s := mustAcquire(t, tb, "busy", 0)
 	if got := tb.Sweep(100 * second); got != 0 {
 		t.Fatalf("sweep evicted %d held sessions", got)
@@ -108,7 +108,7 @@ func TestSweepSkipsHeldSessions(t *testing.T) {
 }
 
 func TestTableCapacityRejects(t *testing.T) {
-	tb := New(Config{MaxSessions: 4, TTLNanos: 10 * second, Shards: 1})
+	tb := New[int64](Config{MaxSessions: 4, TTLNanos: 10 * second, Shards: 1})
 	for i := 0; i < 4; i++ {
 		s := mustAcquire(t, tb, fmt.Sprintf("s%d", i), 0)
 		tb.Release(s, 0)
@@ -137,73 +137,8 @@ func TestTableCapacityRejects(t *testing.T) {
 	}
 }
 
-// TestOnEvictHook pins the arena-integration contract: every eviction —
-// in-line capacity reclaim and idle sweep alike — runs the hook with the
-// dropped session, whose Handle identifies the arena slot to free.
-func TestOnEvictHook(t *testing.T) {
-	var freed []uint64
-	tb := New(Config{MaxSessions: 4, TTLNanos: 10 * second, Shards: 1,
-		OnEvict: func(s *Session) { freed = append(freed, s.Handle) }})
-	for i := 0; i < 4; i++ {
-		s, err := tb.Acquire(fmt.Sprintf("s%d", i), 0, func(s *Session) error {
-			s.Handle = uint64(s.ID()) + 1
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Distinct last-use stamps make the LRU reclaim order deterministic.
-		tb.Release(s, int64(i))
-	}
-	// The shard is full and every entry is idle past the TTL: admitting a
-	// fifth session reclaims the least-recently-used entry through the hook.
-	s, err := tb.Acquire("s4", 20*second, func(s *Session) error { s.Handle = 99; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Release(s, 20*second)
-	if len(freed) != 1 || freed[0] != 1 {
-		t.Fatalf("capacity reclaim freed handles %v, want [1]", freed)
-	}
-	// The idle sweep drops s1..s3 (s4 is fresh) and reports each to the hook.
-	if n := tb.Sweep(20 * second); n != 3 {
-		t.Fatalf("sweep evicted %d, want 3", n)
-	}
-	if len(freed) != 4 {
-		t.Fatalf("hook saw %d evictions, want 4: %v", len(freed), freed)
-	}
-	seen := map[uint64]bool{}
-	for _, h := range freed {
-		seen[h] = true
-	}
-	for _, want := range []uint64{1, 2, 3, 4} {
-		if !seen[want] {
-			t.Fatalf("handle %d never reached the hook: %v", want, freed)
-		}
-	}
-}
-
-// TestAcquireCreateError pins the aborted-admission path: a failing create
-// callback (the arena out of slots) inserts nothing, counts as a capacity
-// rejection, surfaces its own error, and leaves the key admissible.
-func TestAcquireCreateError(t *testing.T) {
-	tb := New(Config{MaxSessions: 4})
-	boom := errors.New("no slots")
-	if _, err := tb.Acquire("k", 0, func(*Session) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Acquire with failing create = %v, want the create error", err)
-	}
-	if got := tb.Len(); got != 0 {
-		t.Fatalf("failed create left %d live sessions", got)
-	}
-	if st := tb.Stats(); st.RejectedCapacity != 1 || st.Created != 0 {
-		t.Fatalf("stats after failed create = %+v, want 1 capacity rejection, 0 created", st)
-	}
-	s := mustAcquire(t, tb, "k", 0)
-	tb.Release(s, 0)
-}
-
 func TestTableDrainStopsAdmission(t *testing.T) {
-	tb := New(Config{MaxSessions: 8, TTLNanos: 10 * second})
+	tb := New[int64](Config{MaxSessions: 8, TTLNanos: 10 * second})
 	s := mustAcquire(t, tb, "a", 0)
 	tb.Release(s, 0)
 	if tb.Draining() {
@@ -227,7 +162,7 @@ func TestTableDrainStopsAdmission(t *testing.T) {
 // in-flight holder untouched; the semaphore observes the work until the
 // holder finishes, then DrainWait returns.
 func TestDrainWhileDeciding(t *testing.T) {
-	tb := New(Config{MaxSessions: 8, TTLNanos: 10 * second})
+	tb := New[int64](Config{MaxSessions: 8, TTLNanos: 10 * second})
 	sem := NewSemaphore(2)
 	if !sem.TryAcquire() {
 		t.Fatal("fresh semaphore rejected")
@@ -261,7 +196,7 @@ func TestDrainWhileDeciding(t *testing.T) {
 // by the capacity and old keys are really gone.
 func TestChurnSteadyState(t *testing.T) {
 	const capacity = 128
-	tb := New(Config{MaxSessions: capacity, TTLNanos: 10 * second})
+	tb := New[int64](Config{MaxSessions: capacity, TTLNanos: 10 * second})
 	now := int64(0)
 	for i := 0; i < 10_000; i++ {
 		now += second / 10
@@ -288,7 +223,7 @@ func TestChurnSteadyState(t *testing.T) {
 }
 
 func TestTableConcurrentAcquire(t *testing.T) {
-	tb := New(Config{MaxSessions: 1 << 12, TTLNanos: int64(time.Minute)})
+	tb := New[int64](Config{MaxSessions: 1 << 12, TTLNanos: int64(time.Minute)})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -302,7 +237,7 @@ func TestTableConcurrentAcquire(t *testing.T) {
 					return
 				}
 				s.Mu.Lock()
-				s.Value = g // the per-session lock serialises holders
+				s.Value = int64(g) // the per-session lock serialises holders
 				s.Mu.Unlock()
 				tb.Release(s, int64(i))
 			}
@@ -322,11 +257,11 @@ func TestTableValidation(t *testing.T) {
 					t.Errorf("New(MaxSessions=%d) did not panic", bad)
 				}
 			}()
-			New(Config{MaxSessions: bad})
+			New[int64](Config{MaxSessions: bad})
 		}()
 	}
 	// Shard rounding: the per-shard capacity covers the total.
-	tb := New(Config{MaxSessions: 100, Shards: 3})
+	tb := New[int64](Config{MaxSessions: 100, Shards: 3})
 	st := tb.Stats()
 	if st.Shards != 4 {
 		t.Fatalf("Shards = %d, want rounded to 4", st.Shards)

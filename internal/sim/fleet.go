@@ -62,9 +62,9 @@ type FleetConfig struct {
 	// quantize up to the next tick boundary.
 	TickSeconds units.Seconds
 	// Telemetry, when non-nil, receives one DecisionEvent per decision via
-	// per-session pooled recorders bound into the cohort's arena slots.
-	// Nil (the benchmark configuration) records nothing and keeps the
-	// steady path allocation-free.
+	// per-session pooled recorders, one per session on its worker. Nil (the
+	// benchmark configuration) records nothing and keeps the steady path
+	// allocation-free.
 	Telemetry *telemetry.Collector
 	// Watchdog, when non-nil, observes every decision with the QoE-
 	// consistency detectors. Per-session detector state lives in the
@@ -188,9 +188,9 @@ type constPredictor struct{ omega units.Mbps }
 func (p *constPredictor) predict(units.Seconds) units.Mbps { return p.omega }
 
 // fleetWorker owns one arena shard of sessions and drives their wheel.
-// Controller and state pointers are resolved from the arena once at setup —
-// the shard-ownership contract makes them stable for the cohort's lifetime —
-// so the per-decision path is array indexing, not handle validation.
+// Controller and state pointers come from the arena once at setup — slots
+// are never freed, so they are stable for the cohort's lifetime — and the
+// per-decision path is array indexing.
 type fleetWorker struct {
 	f       *Fleet
 	shard   int
@@ -251,9 +251,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.Workers > cfg.Sessions {
 		cfg.Workers = cfg.Sessions
-	}
-	if cfg.Workers > 256 {
-		cfg.Workers = 256 // the arena's shard-addressing bound
 	}
 	if cfg.BufferCap <= 0 {
 		cfg.BufferCap = units.Seconds(20)
@@ -334,13 +331,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		for local := 0; local < n; local++ {
 			global := next + local
-			h, ok := f.arena.Alloc(wi)
+			ctrl, st, watch, ok := f.arena.Alloc(wi)
 			if !ok {
 				return nil, fmt.Errorf("sim: fleet arena exhausted at session %d", global)
-			}
-			ctrl, st, ok := f.arena.Session(h)
-			if !ok {
-				return nil, fmt.Errorf("sim: fleet handle stale at session %d", global)
 			}
 			ctrl.Init(ctrlCfg, cfg.Ladder)
 			// Bind the cost model, table and solver scratch now: these are
@@ -358,18 +351,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			w.ctrls[local] = ctrl
 			w.states[local] = st
 			if cfg.Telemetry != nil {
-				rec := cfg.Telemetry.StartSession(global)
-				f.arena.SetRecorder(h, rec)
-				w.recs[local] = rec
+				w.recs[local] = cfg.Telemetry.StartSession(global)
 			}
 			if cfg.Watchdog != nil {
-				// Detector state lives in the arena slot, resolved once
-				// here under the same shard-ownership contract as ctrls
-				// and states.
-				watch, ok := f.arena.Watch(h)
-				if !ok {
-					return nil, fmt.Errorf("sim: fleet watch slot stale at session %d", global)
-				}
+				// Detector state lives in the arena slot, under the same
+				// shard-ownership contract as ctrls and states.
 				w.watches[local] = watch
 			}
 			w.wheel.schedule(w.states, uint32(local), 1+uint32(global)%ticksPerSegment)

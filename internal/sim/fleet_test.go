@@ -52,8 +52,8 @@ func TestFleetAdvancesEverySession(t *testing.T) {
 	if rep.SimSeconds != units.Seconds(60) {
 		t.Fatalf("sim clock = %v, want 60 s", rep.SimSeconds)
 	}
-	if rep.Arena.Live != 300 {
-		t.Fatalf("arena live = %d, want 300: %s", rep.Arena.Live, rep.Arena)
+	if rep.Arena.HighWater != 300 {
+		t.Fatalf("arena high water = %d, want 300: %s", rep.Arena.HighWater, rep.Arena)
 	}
 	// Over a minute of simulated time every session must have downloaded
 	// many segments (steady cadence is roughly one per segment duration).
@@ -242,9 +242,7 @@ func TestWheelLongHorizons(t *testing.T) {
 	const n = 5
 	states := make([]*arena.State, n)
 	for i := range states {
-		h, _ := a.Alloc(0)
-		_, st, _ := a.Session(h)
-		states[i] = st
+		_, states[i], _, _ = a.Alloc(0)
 	}
 	var w wheel
 	w.init()
