@@ -99,7 +99,8 @@ bench:
 # bench-gate runs the BenchmarkSolver* suite plus the shared solve-cache,
 # decision-table, telemetry, flight-recorder, session-table and
 # fleet-simulator benchmarks with fixed iteration budgets and writes
-# BENCH_pr10.json. It fails if nodes/solve regresses more than 10% against
+# bench-out/bench.json (gitignored, so a local run never rewrites a committed
+# report). It fails if nodes/solve regresses more than 10% against
 # the committed bench_baseline.json, if allocs/op regresses at all (the
 # telemetry, flight-recorder, decision-table, session decide and fleet event
 # hot paths are pinned at 0), if the dataset-scale shared cache stops cutting
@@ -111,15 +112,17 @@ bench:
 # entry, or if the fleet simulator drops below the FleetSim entry's session
 # floor or ns/decision ratio against the single-session path.
 bench-gate:
-	$(GO) run ./cmd/soda-bench -out BENCH_pr10.json
+	$(GO) run ./cmd/soda-bench -out bench-out/bench.json
 
 # loadgen-gate is the standalone loadgen smoke + p99 gate: open-loop Poisson
 # arrivals against an in-process DecideService at fleet scale, gated on the
 # LoadgenOpenLoop thresholds (p99 decide latency, rejection rate, QoE
-# incidents per 1k sessions) recorded in bench_baseline.json.
+# incidents per 1k sessions) recorded in bench_baseline.json. The report goes
+# to the gitignored bench-out/loadgen.json.
 loadgen-gate:
+	mkdir -p bench-out
 	$(GO) run ./cmd/soda-loadgen -mode open -sessions 50000 -requests 75000 -rps 40000 \
-		-baseline bench_baseline.json -out BENCH_pr10_loadgen.json
+		-baseline bench_baseline.json -out bench-out/loadgen.json
 
 # fuzz is the CI smoke budget; raise -fuzztime locally for a real campaign.
 fuzz:

@@ -267,8 +267,8 @@ func BenchmarkTheoremMonotoneApprox(b *testing.B) {
 
 // BenchmarkSolverMonotonic measures Algorithm 1's per-decision cost — the
 // paper's deployability argument (about 200 sequences max in practice).
-// Reported metrics expose the branch-and-bound work counters: nodes (stepCost
-// evaluations) and memo hit rate per decision.
+// The reported metric exposes the branch-and-bound work counter: nodes
+// (stepCost evaluations) per solve.
 func BenchmarkSolverMonotonic(b *testing.B) {
 	ctrl := core.New(core.DefaultConfig(), video.YouTube4K())
 	ctx := benchCtx()
@@ -279,16 +279,13 @@ func BenchmarkSolverMonotonic(b *testing.B) {
 	}
 	b.StopTimer()
 	st := ctrl.SolveStats()
-	if st.MemoLookups > 0 {
-		b.ReportMetric(float64(st.MemoHits)/float64(st.MemoLookups), "memo-hit-rate")
-	}
 	if st.Solves > 0 {
 		b.ReportMetric(float64(st.Nodes)/float64(st.Solves), "nodes/solve")
 	}
 }
 
 // BenchmarkSolverPruned isolates the branch-and-bound solver (CostModel.Solve,
-// no Decide-level memo) across ladders and horizons, with pruning on and off.
+// no Decide wrapper) across ladders and horizons, with pruning on and off.
 // The nodes/op metric is the headline: pruning must cut evaluated nodes at
 // least 3x at K>=5 while committing identical decisions (asserted by
 // TestPruningNodeReduction and FuzzSolverEquivalence).
@@ -331,12 +328,11 @@ func BenchmarkSolverPruned(b *testing.B) {
 }
 
 // BenchmarkSolverBruteForce measures the exponential reference solver on the
-// same decision, quantifying the two-orders-of-magnitude gap. The decide-level
-// memo is disabled so repeated iterations measure the solve, not the cache.
+// same decision, quantifying the two-orders-of-magnitude gap. There is no
+// shared cache, so repeated iterations measure the solve.
 func BenchmarkSolverBruteForce(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.UseBruteForce = true
-	cfg.SolveMemoSize = 0
 	ctrl := core.New(cfg, video.YouTube4K())
 	ctx := benchCtx()
 	b.ResetTimer()
@@ -441,16 +437,13 @@ func BenchmarkSharedCacheParallel(b *testing.B) {
 	b.ReportMetric(float64(st.Conflicts-warmSt.Conflicts), "shared-conflicts")
 }
 
-// BenchmarkDecisionTable compares the warm cached decision path (per-session
-// memo plus the fleet solve cache, the dataset steady state) against the
-// compiled decision-table path at the same fleetQuantum, over the same
-// pre-warmed context stream and controller-pool setup as
-// BenchmarkSharedCacheParallel. Controllers Reset at every session boundary
-// (the stream's 300-segment period), as the dataset fleet does: each cached
-// session restarts memo-cold and pays the state-key hash plus a shard
-// lookup on most decisions, while the table arm quantizes and reads one
-// int8 from a flat array regardless of session age. Reset flushes the memo
-// in place, so both timed loops stay allocation-free. soda-bench gates the
+// BenchmarkDecisionTable compares the warm cached decision path (the fleet
+// solve cache alone, the dataset steady state) against the compiled
+// decision-table path at the same fleetQuantum, over the same pre-warmed
+// context stream and controller-pool setup as BenchmarkSharedCacheParallel.
+// Every cached decision pays the state-key hash plus a shard lookup, while
+// the table arm quantizes and reads one int8 from a flat array; both timed
+// loops are allocation-free. soda-bench gates the
 // ns/op ratio (table must be at least -min-table-speedup times faster) and
 // both arms at 0 allocs/op; internal/abrtest.TableConformance separately
 // proves the two paths decide bit-identically.
@@ -494,9 +487,6 @@ func BenchmarkDecisionTable(b *testing.B) {
 				defer func() { pool <- ctrl }()
 				i := 0
 				for pb.Next() {
-					if i%300 == 0 {
-						ctrl.Reset() // session boundary: next session starts memo-cold
-					}
 					ctrl.Decide(ctxs[i&streamMask])
 					i++
 				}
@@ -535,7 +525,7 @@ func (t *datasetSolveTally) hook(_ int, ctrl abr.Controller, res sim.Result) {
 	t.mu.Unlock()
 }
 
-// fleetQuantum is the memo quantization the dataset benchmark fleet runs at:
+// fleetQuantum is the planning quantum the dataset benchmark fleet runs at:
 // 0.5 s of buffer and 0.5 Mb/s of prediction. The default 0.01 quantum keys
 // states so finely that sessions rarely land on each other's entries (the
 // shared cache still helps, but only ~6% at default Scale); a fleet that
@@ -955,7 +945,6 @@ func BenchmarkFleetSim(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := core.DefaultConfig()
-			cfg.SolveMemoSize = 0
 			cfg.DecisionTable = tables
 			cfg.TableQuantum = fleetQuantum
 			res, err := sim.Run(tr, sim.Config{

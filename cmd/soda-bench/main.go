@@ -1,10 +1,11 @@
 // Command soda-bench is the benchmark regression gate. It runs the
 // BenchmarkSolver* benchmarks with a fixed iteration budget, runs the shared
 // solve-cache and telemetry benchmarks with their own budgets, writes the
-// parsed results as JSON, and fails when a deterministic performance
-// property regresses:
+// parsed results as JSON (by default to bench-out/bench.json, a gitignored
+// directory it creates, so a local run never rewrites a committed report),
+// and fails when a deterministic performance property regresses:
 //
-//	go run ./cmd/soda-bench -out BENCH_pr10.json
+//	go run ./cmd/soda-bench
 //
 // Five benchmark gates are enforced:
 //
@@ -76,6 +77,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -191,7 +193,7 @@ func main() {
 	loadgenRPS := flag.Float64("loadgen-rps", 40000, "open-loop arrival rate for the in-process load run")
 	maxP99DecideMs := flag.Float64("max-p99-decide-ms", 0,
 		"p99 decide-latency gate for the load run in ms (0 takes the baseline's LoadgenOpenLoop entry)")
-	out := flag.String("out", "BENCH_pr10.json", "output JSON path")
+	out := flag.String("out", "bench-out/bench.json", "output JSON path (its directory is created)")
 	baselinePath := flag.String("baseline", "bench_baseline.json", "committed gated-metric baseline")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed relative nodes/solve regression")
 	flag.Parse()
@@ -268,6 +270,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "soda-bench: %v\n", err)
 		os.Exit(2)
 	}
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "soda-bench: %v\n", err)
+		os.Exit(2)
+	}
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "soda-bench: %v\n", err)
 		os.Exit(2)
@@ -338,8 +344,7 @@ const loadgenBaselineName = "LoadgenOpenLoop"
 // runLoadgen drives the in-process open-loop load run and gates it against
 // the baseline's LoadgenOpenLoop thresholds (p99 overridable by flag). The
 // fleet-scale configuration is deliberate: the shared cache and compiled
-// tables carrying the hot path (a table-backed session runs no memo), the
-// session cap sized to the run.
+// tables carrying the hot path, the session cap sized to the run.
 func runLoadgen(sessions, requests int, rps, maxP99Override float64, baseline map[string]BaselineEntry) (*loadgen.Report, []string) {
 	thresholds, ok := baseline[loadgenBaselineName]
 	if !ok {

@@ -106,7 +106,7 @@ func run(ladderName, dataset, traceFile, controllers string, sessions int, sessi
 
 // runFleet advances a cohort on sim.Fleet and prints its progress counters
 // and throughput. The controller configuration is the fleet default
-// (production config, per-session memo off, compiled tables at quantum 0.5)
+// (production config with compiled tables at quantum 0.5)
 // — the same one BenchmarkFleetSim gates. The QoE-consistency watchdog is
 // always attached; traceExport ("" disables) additionally records the
 // decision ring and writes it as Chrome trace-event JSON after the run.

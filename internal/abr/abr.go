@@ -132,13 +132,23 @@ func Register(name string, f Factory) {
 
 // New constructs a registered controller by name.
 func New(name string, ladder video.Ladder) (Controller, error) {
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(ladder), nil
+}
+
+// Lookup returns the factory registered under name, for harnesses that
+// build many sessions of one controller.
+func Lookup(name string) (Factory, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("abr: unknown controller %q (registered: %v)", name, Names())
 	}
-	return f(ladder), nil
+	return f, nil
 }
 
 // Names returns the sorted registered controller names.

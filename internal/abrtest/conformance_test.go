@@ -112,7 +112,7 @@ func TestSodaArenaConformance(t *testing.T) {
 // quantum, so both factories must solve at the same step.
 const tableQuantum = 0.5
 
-// sodaAtQuantum builds a table-free SODA solving at the given memo quantum.
+// sodaAtQuantum builds a table-free SODA planning at the given quantum.
 func sodaAtQuantum(quantum float64) Factory {
 	return func(ladder video.Ladder) abr.Controller {
 		cfg := core.DefaultConfig()

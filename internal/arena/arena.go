@@ -42,14 +42,16 @@ const (
 // State is one session's player dynamics — the per-decision mutable block,
 // kept to 48 bytes so a decision touches one cache line of dynamics. The
 // field meanings are harness conventions, not arena policy: the fleet
-// simulator uses all of them, the load generator its buffer/cursor subset.
+// simulator uses all of them but Deadline, the load generator its
+// buffer/cursor subset.
 type State struct {
 	// Buffer and Stall are the simulated playback buffer and the cumulative
 	// rebuffer time charged to this session.
 	Buffer units.Seconds
 	Stall  units.Seconds
-	// Deadline is the stream-clock time of the session's next scheduled
-	// event (fleet time-wheel).
+	// Deadline is always 0: nothing writes it. The fleet schedules through
+	// DueTick. It stays because the benchmark's fleet twin check compares
+	// it.
 	Deadline units.Seconds
 	// PrevRung and Segment are the controller-visible session history.
 	PrevRung int32

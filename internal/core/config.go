@@ -70,34 +70,34 @@ type Config struct {
 	// committed decisions are identical either way (the bound is admissible);
 	// the knob exists so ablations can isolate the pruning win.
 	DisablePruning bool
-	// SolveMemoSize is the entry count of the per-controller decision memo, a
-	// direct-mapped cache keyed on the quantized (buffer, ω̂, prevRung,
-	// horizon, maxRung) planning state. It is consulted by Decide only —
-	// CostModel solves are always exact — and flushed on Reset and on buffer
-	// cap changes. 0 disables memoization. Rounded up to a power of two.
+	// Deprecated: SolveMemoSize is ignored. The per-controller decide memo
+	// it sized is gone: a hit returned exactly what the shared cache or the
+	// solver returns at the same quantized state. It stays while the
+	// benchmark module still assigns it.
 	SolveMemoSize int
-	// MemoQuantum is the quantization step applied to the continuous memo key
-	// components: buffer seconds and predicted Mb/s are rounded to the
-	// nearest multiple before lookup, and the planning problem is solved at
-	// the quantized state so the cached decision is a pure function of the
-	// key (see DESIGN.md §5b). 0 keys on exact floats, which virtually never
-	// recur on real buffer trajectories and so disables reuse in practice.
+	// MemoQuantum is the planning quantum: Decide rounds the buffer level
+	// (seconds) and the throughput prediction (Mb/s) to the nearest multiple
+	// of it and solves the planning problem at the rounded state, so every
+	// decision is a pure function of the quantized key the shared cache and
+	// the tables are indexed by (see DESIGN.md §5a). 0 plans at the exact
+	// floats, which virtually never recur on real buffer trajectories, so
+	// the shared cache then rarely hits.
 	MemoQuantum float64
 	// SharedCache optionally connects the controller to a fleet-wide solve
-	// cache (see NewSolveCache), consulted between the per-controller memo
-	// and the solver. The cache is keyed on the exact (possibly quantized)
-	// state handed to the solver plus a model fingerprint, so decisions are
+	// cache (see NewSolveCache), consulted after a table miss and before the
+	// solver. The cache is keyed on the exact (possibly quantized) state
+	// handed to the solver plus a model fingerprint, so decisions are
 	// bit-identical with or without it — the shared-cache conformance
 	// contract in internal/abrtest pins this. The same cache may be shared
 	// by any number of controllers, including controllers with different
-	// configurations (the fingerprint keeps them apart) and across sessions
-	// (unlike the memo it is not flushed by Reset). nil disables sharing.
+	// configurations (the fingerprint keeps them apart) and across sessions.
+	// nil disables sharing.
 	SharedCache *SolveCache
 	// DecisionTable optionally connects the controller to a fleet-wide set of
 	// compiled decision tables (see NewDecisionTables), consulted before the
-	// memo and the shared cache. A table precomputes the committed decision
-	// for every quantized (buffer, predicted throughput, previous rung) state
-	// inside its domain; states outside it — session-tail horizons, buffers or
+	// shared cache. A table precomputes the committed decision for every
+	// quantized (buffer, predicted throughput, previous rung) state inside
+	// its domain; states outside it — session-tail horizons, buffers or
 	// predictions off the grid, non-finite predictor outputs — fall back to
 	// the ordinary solve path, never clamping into the table. Decisions are
 	// bit-identical with the table on or off (the TableConformance contract
@@ -106,7 +106,7 @@ type Config struct {
 	// the model fingerprint, the quantum, the steady-state horizon and the
 	// §5.1 cap mode. nil disables tables.
 	DecisionTable *DecisionTables
-	// TableQuantum overrides MemoQuantum as the quantization step of a
+	// TableQuantum overrides MemoQuantum as the planning quantum of a
 	// table-backed controller. Tables quantize both grid axes at this step,
 	// so it trades table size and compile time against decision granularity;
 	// the fleet experiments use 0.5 (0.5 s × 0.5 Mb/s cells). 0 means "use
@@ -137,7 +137,6 @@ func DefaultConfig() Config {
 		Epsilon:           0.2,
 		Distortion:        DistortionLog,
 		CapToThroughput:   true,
-		SolveMemoSize:     512,
 		MemoQuantum:       0.01,
 	}
 }
@@ -164,12 +163,6 @@ func (c Config) Validate() error {
 	}
 	if c.Distortion != DistortionInverse && c.Distortion != DistortionLog {
 		return fmt.Errorf("core: unknown distortion %d", int(c.Distortion))
-	}
-	if c.SolveMemoSize < 0 {
-		return fmt.Errorf("core: negative solve memo size %d", c.SolveMemoSize)
-	}
-	if c.SolveMemoSize > 1<<20 {
-		return fmt.Errorf("core: solve memo size %d exceeds 2^20", c.SolveMemoSize)
 	}
 	if c.MemoQuantum < 0 {
 		return fmt.Errorf("core: negative memo quantum %v", c.MemoQuantum)

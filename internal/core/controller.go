@@ -19,20 +19,10 @@ type Controller struct {
 	capFor  units.Seconds
 	scratch [1]units.Mbps // constant-prediction slice, reused across decisions
 
-	// memo is the Decide-level decision cache: a direct-mapped, fixed-size
-	// table keyed on the quantized planning state, valid across consecutive
-	// receding-horizon ticks (the buffer moves slowly relative to the
-	// quantum in steady state) and flushed on Reset and buffer cap changes.
-	// nil when Config.SolveMemoSize is 0.
-	memo        []memoEntry
-	memoMask    uint32
-	memoLookups uint64
-	memoHits    uint64
-
 	// shared is the optional fleet-wide solve cache (Config.SharedCache),
-	// consulted after a local memo miss. fp is the model fingerprint that
-	// scopes this controller's shared-cache keys; it is recomputed alongside
-	// the cost model because it covers the buffer cap.
+	// consulted after a table miss. fp is the model fingerprint that scopes
+	// this controller's shared-cache keys; it is recomputed alongside the
+	// cost model because it covers the buffer cap.
 	shared        *SolveCache
 	fp            uint64
 	sharedLookups uint64
@@ -41,26 +31,14 @@ type Controller struct {
 	// tables is the optional fleet-wide compiled-table set
 	// (Config.DecisionTable); table is the compiled table bound for the
 	// current buffer cap, re-bound alongside the cost model. tq is the
-	// quantization step in effect (TableQuantum when a table is attached,
-	// MemoQuantum otherwise).
+	// planning quantum Decide rounds its inputs to (TableQuantum when a
+	// table is attached, MemoQuantum otherwise; 0 plans at exact floats).
 	tables         *DecisionTables
 	table          *decisionTable
 	tq             float64
 	tableLookups   uint64
 	tableHits      uint64
 	tableFallbacks uint64
-}
-
-// memoEntry is one direct-mapped cache slot. The full (quantized) key is
-// stored so hash collisions are detected and treated as misses.
-type memoEntry struct {
-	qx      units.Seconds
-	qw      units.Mbps
-	prev    int32
-	k       int32
-	maxRung int32
-	rung    int32
-	used    bool
 }
 
 func init() {
@@ -97,14 +75,6 @@ func (c *Controller) Init(cfg Config, ladder video.Ladder) {
 	if c.tables != nil {
 		c.tq = cfg.tableQuantum()
 	}
-	if cfg.SolveMemoSize > 0 {
-		size := 1
-		for size < cfg.SolveMemoSize {
-			size <<= 1
-		}
-		c.memo = make([]memoEntry, size)
-		c.memoMask = uint32(size - 1)
-	}
 }
 
 // Prewarm eagerly binds everything Decide would otherwise build lazily on
@@ -129,39 +99,30 @@ func (c *Controller) Prewarm(bufferCap units.Seconds) {
 // Name implements abr.Controller.
 func (c *Controller) Name() string { return "soda" }
 
-// Reset implements abr.Controller. SODA keeps no cross-decision state beyond
-// the previous rung (supplied in the context) and the decision memo, which
-// must not leak across sessions and is flushed here.
-func (c *Controller) Reset() {
-	c.flushMemo()
-}
-
-func (c *Controller) flushMemo() {
-	for i := range c.memo {
-		c.memo[i] = memoEntry{}
-	}
-}
+// Reset implements abr.Controller. It does nothing: a decision is a pure
+// function of its context and the configuration, and what a controller keeps
+// between decisions — the cost model and table bound for the current buffer
+// cap, and the work counters — never changes one.
+func (c *Controller) Reset() {}
 
 // SolveStats reports the solver work counters of the active cost model plus
-// this controller's memo traffic. Counters accumulate across Decide calls
-// until ResetSolveStats.
+// this controller's table and shared-cache traffic. Counters accumulate
+// across Decide calls until ResetSolveStats.
 func (c *Controller) SolveStats() SolveStats {
 	var s SolveStats
 	if c.model != nil {
 		s = c.model.stats
 	}
-	s.MemoLookups, s.MemoHits = c.memoLookups, c.memoHits
 	s.SharedLookups, s.SharedHits = c.sharedLookups, c.sharedHits
 	s.TableLookups, s.TableHits, s.TableFallbacks = c.tableLookups, c.tableHits, c.tableFallbacks
 	return s
 }
 
-// ResetSolveStats zeroes the solver and memo work counters.
+// ResetSolveStats zeroes the solver, table and shared-cache work counters.
 func (c *Controller) ResetSolveStats() {
 	if c.model != nil {
 		c.model.ResetSolveStats()
 	}
-	c.memoLookups, c.memoHits = 0, 0
 	c.sharedLookups, c.sharedHits = 0, 0
 	c.tableLookups, c.tableHits, c.tableFallbacks = 0, 0, 0
 }
@@ -173,18 +134,6 @@ func quantize[T ~float64](x T, step float64) T {
 		return x
 	}
 	return T(math.Round(float64(x)/step) * step)
-}
-
-// memoHash mixes the key fields into a table index (SplitMix64 finalizer).
-func memoHash(qx units.Seconds, qw units.Mbps, prev, k, maxRung int) uint32 {
-	z := math.Float64bits(float64(qx))*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019
-	z ^= math.Float64bits(float64(qw)) + (z << 6) + (z >> 2)
-	z ^= uint64(prev+1) + (z << 6) + (z >> 2)
-	z ^= uint64(k) + (z << 6) + (z >> 2)
-	z ^= uint64(maxRung) + (z << 6) + (z >> 2)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return uint32(z>>32) ^ uint32(z)
 }
 
 // horizon returns the effective K for this decision: the configured horizon,
@@ -217,9 +166,6 @@ func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
 		c.model = newCostModel(c.cfg, c.ladder, bufferCap)
 		c.model.stats = stats
 		c.capFor = bufferCap
-		// The memo key does not include the buffer cap (it is fixed per
-		// session in every harness), so a cap change invalidates the cache.
-		c.flushMemo()
 		if c.shared != nil || c.tables != nil {
 			// The shared-cache key and the table identity must include the
 			// cap, and do so through the fingerprint — which therefore tracks
@@ -248,16 +194,12 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		return abr.Wait(over)
 	}
 
+	// Plan at the state rounded to the quantum, so every decision is a pure
+	// function of the table and shared-cache key: hits and misses agree by
+	// construction, and replaying a context stream is order-independent.
 	k := c.horizon(ctx)
-	omega := ctx.PredictSafe(m.dt.Scale(float64(k)))
-	x0 := ctx.Buffer
-	if c.memo != nil || c.table != nil {
-		// Solve at the quantized state so the cached (or compiled) decision
-		// is a pure function of the memo/table key: hits and misses agree by
-		// construction, and replaying a context stream is order-independent.
-		omega = quantize(omega, c.tq)
-		x0 = quantize(x0, c.tq)
-	}
+	omega := quantize(ctx.PredictSafe(m.dt.Scale(float64(k))), c.tq)
+	x0 := quantize(ctx.Buffer, c.tq)
 	c.scratch[0] = omega
 	omegas := c.scratch[:]
 
@@ -279,7 +221,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// Compiled-table fast path: for in-domain states the committed decision
 	// was precomputed by the identical solver path at this exact quantized
 	// state, so the lookup is the whole decision. Out-of-domain states fall
-	// through to the memo/shared-cache/solver pipeline on the same quantized
+	// through to the shared-cache/solver pipeline on the same quantized
 	// values — the fallback is literally the table-free path.
 	if c.table != nil {
 		c.tableLookups++
@@ -290,24 +232,9 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		c.tableFallbacks++
 	}
 
-	var entry *memoEntry
-	if c.memo != nil {
-		c.memoLookups++
-		h := memoHash(x0, omega, ctx.PrevRung, k, maxRung)
-		entry = &c.memo[h&c.memoMask]
-		if entry.used && entry.qx == x0 && entry.qw == omega &&
-			entry.prev == int32(ctx.PrevRung) && entry.k == int32(k) &&
-			entry.maxRung == int32(maxRung) {
-			c.memoHits++
-			return abr.Decision{Rung: int(entry.rung)}
-		}
-	}
-
-	// After a local memo miss, consult the fleet-wide cache. The key holds
-	// exactly the values the solver below would receive, so a hit returns
-	// precisely what a miss would compute — decisions are bit-identical with
-	// the shared cache on or off. A hit also back-fills the local memo slot,
-	// keeping subsequent ticks of this session off the shared mutexes.
+	// Then the fleet-wide cache. The key holds exactly the values the solver
+	// below would receive, so a hit returns precisely what a miss would
+	// compute — decisions are bit-identical with the shared cache on or off.
 	var key cacheKey
 	if c.shared != nil {
 		key = cacheKey{
@@ -317,25 +244,11 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		c.sharedLookups++
 		if r, ok := c.shared.get(key); ok {
 			c.sharedHits++
-			if entry != nil {
-				*entry = memoEntry{
-					qx: x0, qw: omega,
-					prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
-					rung: r, used: true,
-				}
-			}
 			return abr.Decision{Rung: int(r)}
 		}
 	}
 
 	rung := solveFirstRung(m, c.cfg.UseBruteForce, omegas, x0, ctx.PrevRung, k, maxRung)
-	if entry != nil {
-		*entry = memoEntry{
-			qx: x0, qw: omega,
-			prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
-			rung: int32(rung), used: true,
-		}
-	}
 	if c.shared != nil {
 		c.shared.put(key, int32(rung))
 	}

@@ -32,7 +32,7 @@ import (
 // throughput in [0, 2x the ladder's top rung] at its quantum, for the
 // steady-state horizon only. Any state outside that box — session-tail
 // horizons, out-of-range or non-finite predictions — falls through to the
-// ordinary memo/shared-cache/solver path untouched; states are never clamped
+// ordinary shared-cache/solver path untouched; states are never clamped
 // into the table. Oversized geometries (absurd buffer caps at a fine
 // quantum) and bindings past the table budget compile to a permanent
 // fallback-only stub instead of failing, so a hostile buffer cap cannot

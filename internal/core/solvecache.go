@@ -23,9 +23,10 @@ import (
 // Layout: a power-of-two number of shards (GOMAXPROCS-derived by default),
 // each a fixed-size open-addressing table guarded by its own mutex. Keys
 // carry a model fingerprint (ladder, segment duration, buffer cap, cost
-// weights, solver selection) alongside the quantized memo key, so distinct
-// configurations can never alias; every hit re-compares the full key, so a
-// hash or slot collision degrades to a miss, never to a wrong decision.
+// weights, solver selection) alongside the quantized planning state, so
+// distinct configurations can never alias; every hit re-compares the full
+// key, so a hash or slot collision degrades to a miss, never to a wrong
+// decision.
 // Lookups and inserts are allocation-free; the only allocations happen in
 // NewSolveCache and Stats.
 //
@@ -138,8 +139,7 @@ func NewSolveCacheSharded(capacity, shards int) *SolveCache {
 	return c
 }
 
-// mix64 is the SplitMix64 finalizer, the same mixer the per-controller memo
-// hash uses.
+// mix64 is the SplitMix64 finalizer.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -222,8 +222,7 @@ func (c *SolveCache) put(k cacheKey, rung int32) {
 	sh.mu.Unlock()
 }
 
-// Reset empties the cache and zeroes its statistics. Unlike a controller's
-// Reset (which flushes the per-session memo between sessions), a shared cache
+// Reset empties the cache and zeroes its statistics. A shared cache
 // deliberately survives session boundaries; Reset exists for harnesses that
 // reuse one cache across otherwise-independent experiments.
 func (c *SolveCache) Reset() {
@@ -304,9 +303,10 @@ func (c *SolveCache) Stats() CacheStats {
 // committed decision: the ladder's bitrates and segment duration, the buffer
 // cap (it sets both xmax and the derived target), the cost weights and
 // distortion choice, and which solver runs. Two controllers share cache
-// entries exactly when their fingerprints match; memo sizing knobs are
-// deliberately excluded because they shape which states occur, not what the
-// solver returns for a state.
+// entries exactly when their fingerprints match. The planning quantum
+// (MemoQuantum) is deliberately excluded because it shapes which states
+// occur, not what the solver returns for a state; the deprecated
+// SolveMemoSize changes nothing at all.
 func modelFingerprint(cfg Config, ladder video.Ladder, bufferCap units.Seconds) uint64 {
 	h := uint64(0xd6e8feb86659fd93)
 	mixFloat := func(f float64) { h = mix64(h ^ math.Float64bits(f)) }

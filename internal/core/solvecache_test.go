@@ -141,9 +141,10 @@ func TestModelFingerprintSeparatesConfigurations(t *testing.T) {
 		seen[d.fp] = d.name
 	}
 
-	// Memo sizing knobs shape which states occur, not what the solver
-	// returns for a state, so they must NOT change the fingerprint — two
-	// fleets differing only in local memo tuning share cache entries.
+	// The planning quantum shapes which states occur, not what the solver
+	// returns for a state, and the deprecated SolveMemoSize does nothing, so
+	// neither may change the fingerprint — two fleets differing only in
+	// them share cache entries.
 	same := []Config{
 		withCfg(base, func(c *Config) { c.SolveMemoSize = 0 }),
 		withCfg(base, func(c *Config) { c.SolveMemoSize = 4096 }),
@@ -151,7 +152,7 @@ func TestModelFingerprintSeparatesConfigurations(t *testing.T) {
 	}
 	for i, cfg := range same {
 		if got := modelFingerprint(cfg, ladder, cap20); got != fp {
-			t.Errorf("memo variant %d changed the fingerprint", i)
+			t.Errorf("quantum/memo-size variant %d changed the fingerprint", i)
 		}
 	}
 }
@@ -163,7 +164,7 @@ func withCfg(c Config, mutate func(*Config)) Config {
 
 // TestSharedCacheCrossSessionReuse replays one deterministic context stream
 // through two consecutive controller instances sharing a cache: the second
-// session must satisfy all of its post-memo lookups from the shared cache
+// session must satisfy all of its lookups from the shared cache
 // (zero new solves), decide identically to an uncached controller, and the
 // traffic must surface through SolveStats.
 func TestSharedCacheCrossSessionReuse(t *testing.T) {

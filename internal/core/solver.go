@@ -35,20 +35,20 @@ type SolveStats struct {
 	// Pruned is the number of expansions discarded by the admissible bound
 	// before their subtree was explored.
 	Pruned uint64
-	// MemoLookups / MemoHits count Decide-level memo traffic. They are only
-	// populated by Controller.SolveStats; CostModel itself never memoizes.
+	// Deprecated: MemoLookups and MemoHits are always 0; the decide memo
+	// they counted is gone. They stay while the benchmark module reads them.
 	MemoLookups uint64
 	MemoHits    uint64
 	// SharedLookups / SharedHits count this controller's traffic against the
-	// fleet-wide Config.SharedCache (consulted after a local memo miss). Like
-	// the memo counters they are populated by Controller.SolveStats only.
+	// fleet-wide Config.SharedCache (consulted after a table miss). They are
+	// populated by Controller.SolveStats only.
 	SharedLookups uint64
 	SharedHits    uint64
 	// TableLookups / TableHits / TableFallbacks count this controller's
-	// traffic against the fleet-wide Config.DecisionTable (consulted before
-	// the memo). A fallback is a lookup outside the table's domain that fell
-	// through to the solve pipeline; lookups = hits + fallbacks. Populated by
-	// Controller.SolveStats only.
+	// traffic against the fleet-wide Config.DecisionTable (consulted first).
+	// A fallback is a lookup outside the table's domain that fell through to
+	// the shared cache and the solver; lookups = hits + fallbacks. Populated
+	// by Controller.SolveStats only.
 	TableLookups   uint64
 	TableHits      uint64
 	TableFallbacks uint64
@@ -61,8 +61,6 @@ func (s *SolveStats) Add(o SolveStats) {
 	s.Nodes += o.Nodes
 	s.Leaves += o.Leaves
 	s.Pruned += o.Pruned
-	s.MemoLookups += o.MemoLookups
-	s.MemoHits += o.MemoHits
 	s.SharedLookups += o.SharedLookups
 	s.SharedHits += o.SharedHits
 	s.TableLookups += o.TableLookups
@@ -79,8 +77,6 @@ func (s SolveStats) Delta(o SolveStats) SolveStats {
 		Nodes:          s.Nodes - o.Nodes,
 		Leaves:         s.Leaves - o.Leaves,
 		Pruned:         s.Pruned - o.Pruned,
-		MemoLookups:    s.MemoLookups - o.MemoLookups,
-		MemoHits:       s.MemoHits - o.MemoHits,
 		SharedLookups:  s.SharedLookups - o.SharedLookups,
 		SharedHits:     s.SharedHits - o.SharedHits,
 		TableLookups:   s.TableLookups - o.TableLookups,
@@ -335,8 +331,9 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 // Solve runs the production monotone solver on one planning problem and
 // reports the committed first rung, its objective, and whether any monotone
 // plan was feasible. It is the exported entry point for benchmarks and
-// downstream tools; the controller's Decide wraps it with the §5.1 cap,
-// horizon fallback, and the decision memo.
+// downstream tools; the controller's Decide wraps it with input
+// quantization, the §5.1 cap, the horizon fallback, and the table and
+// shared-cache lookups.
 func (m *CostModel) Solve(omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) (rung int, obj float64, ok bool) {
 	res := m.searchMonotonic(omegas, x0, prevRung, k, maxRung)
 	return res.rung, res.obj, res.rung >= 0

@@ -96,8 +96,6 @@ func TestSolverConfigKnobsValidate(t *testing.T) {
 		return c
 	}
 	bad := []Config{
-		mut(func(c *Config) { c.SolveMemoSize = -1 }),
-		mut(func(c *Config) { c.SolveMemoSize = 1<<20 + 1 }),
 		mut(func(c *Config) { c.MemoQuantum = -0.5 }),
 	}
 	for i, c := range bad {
@@ -106,8 +104,8 @@ func TestSolverConfigKnobsValidate(t *testing.T) {
 		}
 	}
 	good := []Config{
-		mut(func(c *Config) { c.SolveMemoSize = 0 }), // memo disabled
-		mut(func(c *Config) { c.MemoQuantum = 0 }),   // exact-float keys
+		mut(func(c *Config) { c.SolveMemoSize = 0 }), // deprecated, ignored
+		mut(func(c *Config) { c.MemoQuantum = 0 }),   // exact planning
 		mut(func(c *Config) { c.DisablePruning = true }),
 	}
 	for i, c := range good {
@@ -183,8 +181,7 @@ func TestSolveStatsMonotoneAcrossCapChange(t *testing.T) {
 	c := New(DefaultConfig(), ladder)
 	var prev SolveStats
 	for i, capSeconds := range []float64{30, 30, 30, 20, 20, 30} {
-		// A fresh throughput every step misses the memo, so every decision
-		// solves.
+		// A fresh throughput every step, so every decision solves.
 		omega := units.Mbps(17.3 + 0.37*float64(i))
 		c.Decide(&abr.Context{
 			Buffer:    units.Seconds(8),
@@ -194,7 +191,7 @@ func TestSolveStatsMonotoneAcrossCapChange(t *testing.T) {
 			Predict:   func(units.Seconds) units.Mbps { return omega },
 		})
 		st := c.SolveStats()
-		if st.Solves <= prev.Solves || st.Nodes <= prev.Nodes || st.MemoLookups <= prev.MemoLookups {
+		if st.Solves <= prev.Solves || st.Nodes <= prev.Nodes {
 			t.Fatalf("step %d (cap %g s): counters went from %+v to %+v", i, capSeconds, prev, st)
 		}
 		prev = st
@@ -204,26 +201,20 @@ func TestSolveStatsMonotoneAcrossCapChange(t *testing.T) {
 // TestDecideSteadyStateZeroAlloc pins the allocation-free steady-state solve
 // path at K=5: after warmup, Decide must not allocate.
 func TestDecideSteadyStateZeroAlloc(t *testing.T) {
-	for _, memo := range []bool{true, false} {
-		cfg := DefaultConfig()
-		if !memo {
-			cfg.SolveMemoSize = 0
-		}
-		c := New(cfg, video.YouTube4K())
-		ctx := &abr.Context{
-			Buffer:    units.Seconds(11),
-			BufferCap: units.Seconds(20),
-			PrevRung:  3,
-			Ladder:    video.YouTube4K(),
-			Predict:   func(units.Seconds) units.Mbps { return units.Mbps(30) },
-		}
-		c.Decide(ctx) // warmup: grows the solver scratch once
-		allocs := testing.AllocsPerRun(200, func() {
-			c.Decide(ctx)
-		})
-		if allocs != 0 {
-			t.Errorf("memo=%v: Decide allocates %.1f times per op in steady state", memo, allocs)
-		}
+	c := New(DefaultConfig(), video.YouTube4K())
+	ctx := &abr.Context{
+		Buffer:    units.Seconds(11),
+		BufferCap: units.Seconds(20),
+		PrevRung:  3,
+		Ladder:    video.YouTube4K(),
+		Predict:   func(units.Seconds) units.Mbps { return units.Mbps(30) },
+	}
+	c.Decide(ctx) // warmup: grows the solver scratch once
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Decide(ctx)
+	})
+	if allocs != 0 {
+		t.Errorf("Decide allocates %.1f times per op in steady state", allocs)
 	}
 }
 
@@ -234,7 +225,6 @@ func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 // at zero allocs from the first event.
 func TestPrewarmZeroAllocFirstDecide(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SolveMemoSize = 0
 	c := New(cfg, video.YouTube4K())
 	c.Prewarm(units.Seconds(20))
 	ctx := &abr.Context{
@@ -267,85 +257,190 @@ func TestPrewarmZeroAllocFirstDecide(t *testing.T) {
 	}
 }
 
-// TestDecideMemo checks the Decide-level memo: hits on repeated quantized
-// states, identical decisions with and without the memo on a realistic
-// trajectory, and a flush on Reset and on buffer cap changes.
+// TestDecideMemo checks what a session's repeated decisions rest on now that
+// Decide keeps no memo of its own: states within one quantum coalesce into
+// shared-cache hits with no further solve and the exact planner's rung at the
+// rounded state, Reset changes nothing, and a buffer cap change is a new
+// planning problem that the old cap's cache entries never answer.
 func TestDecideMemo(t *testing.T) {
 	ladder := video.YouTube4K()
 	cfg := DefaultConfig()
-	memoed := New(cfg, ladder)
-	exactCfg := cfg
-	exactCfg.SolveMemoSize = 0
-	exact := New(exactCfg, ladder)
+	cfg.SharedCache = NewSolveCache(1 << 10)
+	c := New(cfg, ladder)
+	exactCfg := DefaultConfig()
+	exactCfg.MemoQuantum = 0
 
-	ctx := func(buf, omega float64, prev int) *abr.Context {
+	ctx := func(buf, omega, capSeconds float64) *abr.Context {
 		return &abr.Context{
-			Buffer: units.Seconds(buf), BufferCap: units.Seconds(20), PrevRung: prev, Ladder: ladder,
+			Buffer: units.Seconds(buf), BufferCap: units.Seconds(capSeconds), PrevRung: 4, Ladder: ladder,
 			Predict: func(units.Seconds) units.Mbps { return units.Mbps(omega) },
 		}
 	}
+	q := cfg.MemoQuantum
+	want := New(exactCfg, ladder).Decide(ctx(float64(quantize(units.Seconds(10), q)), float64(quantize(units.Mbps(24), q)), 20))
 
-	// A jittery but slowly-moving trajectory: buffers and predictions within
-	// a quantum of each other must coalesce into memo hits.
+	// A jittery trajectory whose buffers and predictions all round to the
+	// same state: one solve, then every decision is a shared-cache hit.
 	rng := newSplitMix(99)
+	var first SolveStats
 	for i := 0; i < 400; i++ {
-		buf := 10 + rng.float()*0.004 // all quantize to 10.00
+		buf := 10 + rng.float()*0.004 // all round to 10.00
 		omega := 24 + rng.float()*0.004
-		a := memoed.Decide(ctx(buf, omega, 4))
-		b := exact.Decide(ctx(buf, omega, 4))
-		if a.Rung != b.Rung {
-			t.Fatalf("step %d: memoized rung %d != exact %d", i, a.Rung, b.Rung)
+		if got := c.Decide(ctx(buf, omega, 20)); got != want {
+			t.Fatalf("step %d: rung %+v, exact planner at the rounded state %+v", i, got, want)
+		}
+		if i == 0 {
+			first = c.SolveStats()
 		}
 	}
-	st := memoed.SolveStats()
-	if st.MemoLookups == 0 {
-		t.Fatal("memo never consulted")
+	st := c.SolveStats()
+	if first.Solves != 1 || st.Solves != first.Solves {
+		t.Errorf("solves %d after the first decision and %d after 400; near-identical states should coalesce",
+			first.Solves, st.Solves)
 	}
-	if st.MemoHits < st.MemoLookups-8 {
-		t.Errorf("memo hits %d of %d lookups; near-identical states should coalesce",
-			st.MemoHits, st.MemoLookups)
-	}
-
-	// Reset flushes: the first post-Reset decision must miss.
-	before := memoed.SolveStats().MemoHits
-	memoed.Reset()
-	memoed.Decide(ctx(10.001, 24.001, 4))
-	after := memoed.SolveStats()
-	if after.MemoHits != before {
-		t.Error("memo survived Reset")
+	if st.SharedLookups != 400 || st.SharedHits != 399 {
+		t.Errorf("shared cache %d hits of %d lookups, want 399 of 400", st.SharedHits, st.SharedLookups)
 	}
 
-	// A buffer cap change invalidates the cache too.
-	memoed.Decide(ctx(10.001, 24.001, 4)) // hit at cap 20
-	hits := memoed.SolveStats().MemoHits
-	d := memoed.Decide(&abr.Context{
-		Buffer: units.Seconds(10), BufferCap: units.Seconds(40), PrevRung: 4, Ladder: ladder,
-		Predict: func(units.Seconds) units.Mbps { return units.Mbps(24) },
-	})
-	if d.Rung < 0 || d.Rung >= ladder.Len() {
-		t.Fatalf("cap-change decision %+v", d)
+	// Reset is a no-op: the same state is still a hit with the same rung.
+	c.Reset()
+	if got := c.Decide(ctx(10.001, 24.001, 20)); got != want {
+		t.Fatalf("after Reset: rung %+v, want %+v", got, want)
 	}
-	if got := memoed.SolveStats().MemoHits; got != hits {
-		t.Error("memo survived a buffer cap change")
+	afterReset := c.SolveStats()
+	if afterReset.Solves != st.Solves || afterReset.SharedHits != st.SharedHits+1 {
+		t.Errorf("Reset changed the decide path: stats %+v, then %+v", st, afterReset)
+	}
+
+	// A buffer cap change keys a different problem: a miss and a fresh
+	// solve, deciding as a controller that only ever saw the new cap.
+	got := c.Decide(ctx(10, 24, 40))
+	if fresh := New(cfg, ladder).Decide(ctx(10, 24, 40)); got != fresh {
+		t.Fatalf("cap-change decision %+v, fresh controller at cap 40 %+v", got, fresh)
+	}
+	capChange := c.SolveStats()
+	if capChange.SharedHits != afterReset.SharedHits || capChange.Solves != afterReset.Solves+1 {
+		t.Errorf("a cap change was answered from the old cap's entries: stats %+v, then %+v", afterReset, capChange)
 	}
 }
 
 // TestMemoQuantumZeroExactKeys checks the documented MemoQuantum=0 behaviour:
-// exact-float keys still hit on exactly repeated states.
+// planning keys are the exact floats, so an exactly repeated state is a
+// shared-cache hit while a state a hair away is its own key and is solved —
+// where the default quantum would coalesce the two.
 func TestMemoQuantumZeroExactKeys(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemoQuantum = 0
-	c := New(cfg, video.Mobile())
-	ctx := &abr.Context{
-		Buffer: units.Seconds(9.125), BufferCap: units.Seconds(20), PrevRung: 2, Ladder: video.Mobile(),
-		Predict: func(units.Seconds) units.Mbps { return units.Mbps(6.5) },
+	ctx := func(buf float64) *abr.Context {
+		return &abr.Context{
+			Buffer: units.Seconds(buf), BufferCap: units.Seconds(20), PrevRung: 2, Ladder: video.Mobile(),
+			Predict: func(units.Seconds) units.Mbps { return units.Mbps(6.5) },
+		}
 	}
-	first := c.Decide(ctx)
-	second := c.Decide(ctx)
-	if first.Rung != second.Rung {
-		t.Fatalf("decisions differ on identical state: %d vs %d", first.Rung, second.Rung)
+	for _, q := range []float64{0, DefaultConfig().MemoQuantum} {
+		cfg := DefaultConfig()
+		cfg.MemoQuantum = q
+		cfg.SharedCache = NewSolveCache(64)
+		c := New(cfg, video.Mobile())
+		first := c.Decide(ctx(9.123))
+		second := c.Decide(ctx(9.123))
+		if first != second {
+			t.Fatalf("q=%g: decisions differ on identical state: %+v vs %+v", q, first, second)
+		}
+		st := c.SolveStats()
+		if st.Solves != 1 || st.SharedHits != 1 {
+			t.Fatalf("q=%g: repeated state took %d solves and %d shared hits, want 1 and 1", q, st.Solves, st.SharedHits)
+		}
+		c.Decide(ctx(9.123 + 1e-9))
+		near := c.SolveStats()
+		if exact := q == 0; exact != (near.Solves == st.Solves+1 && near.SharedHits == st.SharedHits) {
+			t.Errorf("q=%g: a state 1e-9 away took %d solves and %d shared hits (from %d and %d); exact keys only at q=0",
+				q, near.Solves, near.SharedHits, st.Solves, st.SharedHits)
+		}
 	}
-	if st := c.SolveStats(); st.MemoHits == 0 {
-		t.Errorf("exact-key memo never hit on repeated state: %+v", st)
+}
+
+// jitteryTrajectory is a session-like context stream: every fourth step the
+// buffer and the throughput prediction take a random step, and in between
+// they only jitter by under 0.005, so nearby states recur. The previous rung
+// is fed back from decide. Buffers stay at least a segment below the 20 s
+// cap, so no context is a wait.
+func jitteryTrajectory(ladder video.Ladder, steps int, decide func(*abr.Context) abr.Decision) []int {
+	rng := newSplitMix(99)
+	buf, omega, prev := 9.0, 24.0, abr.NoRung
+	rungs := make([]int, 0, steps)
+	for i := 0; i < steps; i++ {
+		if i%4 == 0 {
+			buf = math.Min(math.Max(buf+(rng.float()-0.5)*3, 0), 16)
+			omega = math.Min(math.Max(omega+(rng.float()-0.5)*12, 1), 80)
+		}
+		w := units.Mbps(omega + rng.float()*0.004)
+		d := decide(&abr.Context{
+			Buffer: units.Seconds(buf + rng.float()*0.004), BufferCap: units.Seconds(20),
+			PrevRung: prev, Ladder: ladder, SegmentIndex: i, TotalSegments: steps,
+			Predict: func(units.Seconds) units.Mbps { return w },
+		})
+		rungs = append(rungs, d.Rung)
+		prev = d.Rung
+	}
+	return rungs
+}
+
+// TestDecidePlansAtQuantum pins the one quantization rule: a controller at
+// quantum q decides every context exactly as an exact planner (MemoQuantum
+// 0) decides the same context with its buffer and prediction pre-rounded to
+// q. At the coarsest quantum some raw decisions must differ from the exact
+// planner's, so a Decide that skipped the rounding would fail here.
+func TestDecidePlansAtQuantum(t *testing.T) {
+	ladder := video.YouTube4K()
+	exactCfg := DefaultConfig()
+	exactCfg.MemoQuantum = 0
+	for _, q := range []float64{0.01, 0.5, 2} {
+		cfg := DefaultConfig()
+		cfg.MemoQuantum = q
+		quantized, exact, raw := New(cfg, ladder), New(exactCfg, ladder), New(exactCfg, ladder)
+		differ := 0
+		jitteryTrajectory(ladder, 600, func(ctx *abr.Context) abr.Decision {
+			got := quantized.Decide(ctx)
+			rounded := *ctx
+			rounded.Buffer = quantize(ctx.Buffer, q)
+			w := quantize(ctx.PredictSafe(units.Seconds(0)), q)
+			rounded.Predict = func(units.Seconds) units.Mbps { return w }
+			if want := exact.Decide(&rounded); got != want {
+				t.Fatalf("q=%g segment %d: rung %+v, exact planner at the rounded state %+v", q, ctx.SegmentIndex, got, want)
+			}
+			if got != raw.Decide(ctx) {
+				differ++
+			}
+			return got
+		})
+		t.Logf("q=%g: %d of 600 decisions differ from exact planning on the raw state", q, differ)
+		if q == 2 && differ == 0 {
+			t.Error("quantum 2 never changed a decision; the trajectory cannot see quantization")
+		}
+	}
+}
+
+// TestSolveMemoSizeInert pins that the deprecated SolveMemoSize does
+// nothing: controllers differing only in it decide identically and do
+// identical solver work over one trajectory.
+func TestSolveMemoSizeInert(t *testing.T) {
+	ladder := video.YouTube4K()
+	var wantRungs []int
+	var wantStats SolveStats
+	for i, size := range []int{0, 1, 512, 1 << 20} {
+		cfg := DefaultConfig()
+		cfg.SolveMemoSize = size
+		c := New(cfg, ladder)
+		rungs := jitteryTrajectory(ladder, 600, c.Decide)
+		st := c.SolveStats()
+		if i == 0 {
+			wantRungs, wantStats = rungs, st
+			continue
+		}
+		if !equalInts(rungs, wantRungs) {
+			t.Errorf("SolveMemoSize %d changed decisions", size)
+		}
+		if st != wantStats {
+			t.Errorf("SolveMemoSize %d: stats %+v, want %+v", size, st, wantStats)
+		}
 	}
 }

@@ -230,19 +230,11 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 
 // sessionConfig is the controller configuration every decide session runs:
 // the production defaults plus this service's shared cache and table set.
-// Behind compiled tables a session runs with no memo: the table quantizes
-// the inputs, and the memo would only be a bit-identical cache in front of
-// the shared one, costing each session 20 KB. A tables-off service keeps the
-// core default, because there the memo is what quantizes the inputs the
-// shared cache is keyed on.
 func (s *DecideService) sessionConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SharedCache = s.cache
 	cfg.DecisionTable = s.tables
 	cfg.TableQuantum = s.tableQuantum
-	if s.tables != nil {
-		cfg.SolveMemoSize = 0
-	}
 	return cfg
 }
 
@@ -514,12 +506,10 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	s.sessions.Release(entry, time.Now().UnixNano())
 
 	ev.Solves, ev.Nodes = uint32(d.Solves), uint32(d.Nodes)
-	ev.MemoHits, ev.SharedHits = uint32(d.MemoHits), uint32(d.SharedHits)
-	ev.TableHits = uint32(d.TableHits)
+	ev.SharedHits, ev.TableHits = uint32(d.SharedHits), uint32(d.TableHits)
 	s.col.RecordDecision(ev)
 	s.col.RecordSolverStats(telemetry.SolverStats{
 		Solves: d.Solves, Nodes: d.Nodes,
-		MemoLookups: d.MemoLookups, MemoHits: d.MemoHits,
 		SharedLookups: d.SharedLookups, SharedHits: d.SharedHits,
 		TableLookups: d.TableLookups, TableHits: d.TableHits,
 		TableFallbacks: d.TableFallbacks,
@@ -583,9 +573,12 @@ func (s *DecideService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Throughput = units.Mbps(throughput)
 	if v := q.Get("cap"); v != "" {
+		// A cap below one segment leaves no room to download anything: the
+		// session would wait forever. sim.Run and sim.NewFleet reject it too.
 		bufferCap, err := parseNonNegative(v)
-		if err != nil || bufferCap <= 0 {
-			http.Error(w, "cap must be a positive number", http.StatusBadRequest)
+		if err != nil || units.Seconds(bufferCap) < s.ladder.SegmentSeconds {
+			http.Error(w, fmt.Sprintf("cap must be at least one segment (%g s)", float64(s.ladder.SegmentSeconds)),
+				http.StatusBadRequest)
 			return
 		}
 		req.BufferCap = units.Seconds(bufferCap)

@@ -90,29 +90,41 @@ func TestDecideServiceSessions(t *testing.T) {
 }
 
 func TestDecideServiceValidation(t *testing.T) {
+	for _, opts := range []DecideOptions{{}, {TableQuantum: 0.5}} {
+		svc, err := NewDecideService(video.Mobile(), opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range []string{
+			"",                                           // missing session
+			"session=a",                                  // missing buffer/throughput
+			"session=a&buffer=-1&throughput=5",           // negative buffer
+			"session=a&buffer=5&throughput=bogus",        // non-numeric
+			"session=a&buffer=5&throughput=5&cap=0",      // non-positive cap
+			"session=a&buffer=5&throughput=5&cap=1",      // cap below one 2 s segment
+			"session=a&buffer=0&throughput=5&cap=0.001",  // likewise
+			"session=a&buffer=5&throughput=5&prev=99",    // prev out of range
+			"session=a&buffer=5&throughput=5&segment=-1", // negative segment
+		} {
+			rw := httptest.NewRecorder()
+			svc.ServeHTTP(rw, httptest.NewRequest("GET", "/decide?"+query, nil))
+			if rw.Code != 400 {
+				t.Errorf("tables %v: GET /decide?%s = %d, want 400", opts.TableQuantum > 0, query, rw.Code)
+			}
+		}
+		rw := httptest.NewRecorder()
+		svc.ServeHTTP(rw, httptest.NewRequest("POST", "/decide?session=a&buffer=5&throughput=5", nil))
+		if rw.Code != 405 {
+			t.Errorf("POST = %d, want 405", rw.Code)
+		}
+	}
+	// One segment exactly is the smallest cap that can download.
 	svc, err := NewDecideService(video.Mobile(), DecideOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, query := range []string{
-		"",                                      // missing session
-		"session=a",                             // missing buffer/throughput
-		"session=a&buffer=-1&throughput=5",      // negative buffer
-		"session=a&buffer=5&throughput=bogus",   // non-numeric
-		"session=a&buffer=5&throughput=5&cap=0", // non-positive cap
-		"session=a&buffer=5&throughput=5&prev=99",    // prev out of range
-		"session=a&buffer=5&throughput=5&segment=-1", // negative segment
-	} {
-		rw := httptest.NewRecorder()
-		svc.ServeHTTP(rw, httptest.NewRequest("GET", "/decide?"+query, nil))
-		if rw.Code != 400 {
-			t.Errorf("GET /decide?%s = %d, want 400", query, rw.Code)
-		}
-	}
-	rw := httptest.NewRecorder()
-	svc.ServeHTTP(rw, httptest.NewRequest("POST", "/decide?session=a&buffer=5&throughput=5", nil))
-	if rw.Code != 405 {
-		t.Errorf("POST = %d, want 405", rw.Code)
+	if reply := decideGet(t, svc, "session=a&buffer=0&throughput=5&cap=2"); reply.Rung < 0 {
+		t.Errorf("cap of one segment: %+v, want a download", reply)
 	}
 }
 
@@ -171,33 +183,44 @@ func TestDecideServiceCapChangeCounters(t *testing.T) {
 	}
 }
 
-// TestDecideServiceMemoOnlyWithoutTables: a session on a service with
-// compiled tables keeps no decide memo (the table quantizes its inputs, and
-// the shared cache answers what the memo would have), while a session on a
-// tables-off service keeps the core default, which quantizes the shared
-// cache's keys.
-func TestDecideServiceMemoOnlyWithoutTables(t *testing.T) {
+// TestDecideServiceSharedCacheWithinQuantum: every session plans at its
+// quantum — the core default's MemoQuantum with tables off, the table
+// quantum with them on — so a second session whose state lies within one
+// quantum of the first's asks the shared cache for the same key and is
+// answered there without a solve, while a state a quantum away still solves.
+func TestDecideServiceSharedCacheWithinQuantum(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		quantum  float64
-		wantMemo bool
-	}{{"tables", 0.5, false}, {"no-tables", 0, true}} {
+		name             string
+		quantum          float64
+		first, near, far string
+	}{
+		{"no-tables", 0, "buffer=7.001&throughput=11.002", "buffer=7.003&throughput=10.998", "buffer=7.02&throughput=11.002"},
+		// 500 Mb/s is off the tables' grid, so every lookup falls back.
+		{"tables", 0.5, "buffer=7.01&throughput=500.1", "buffer=7.2&throughput=499.8", "buffer=7.3&throughput=500.1"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			col := telemetry.NewCollector(nil, 16)
 			svc, err := NewDecideService(video.Mobile(), DecideOptions{CacheEntries: 1 << 10, TableQuantum: tc.quantum}, col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 8; i++ {
-				// 500 Mb/s is off the tables' grid, so a table-backed session
-				// falls back to the path the memo would sit on.
-				decideGet(t, svc, fmt.Sprintf("session=a&buffer=%d&throughput=500", 2+i))
-			}
-			if got := col.MemoLookups.Value() > 0; got != tc.wantMemo {
-				t.Fatalf("memo lookups = %g, want memo in use = %v", col.MemoLookups.Value(), tc.wantMemo)
-			}
-			if got := col.SharedLookups.Value(); got == 0 {
-				t.Fatal("the shared cache saw no lookups")
+			first := decideGet(t, svc, "session=a&"+tc.first)
+			for _, step := range []struct {
+				query  string
+				solves bool
+			}{{"session=b&" + tc.near, false}, {"session=c&" + tc.far, true}} {
+				solves, hits := col.Solves.Value(), col.SharedHits.Value()
+				reply := decideGet(t, svc, step.query)
+				solved := col.Solves.Value() > solves
+				if solved != step.solves {
+					t.Errorf("%s: solved = %v, want %v", step.query, solved, step.solves)
+				}
+				if hit := col.SharedHits.Value() == hits+1; hit == solved {
+					t.Errorf("%s: shared hits %g -> %g with solved = %v", step.query, hits, col.SharedHits.Value(), solved)
+				}
+				if !step.solves && reply.Rung != first.Rung {
+					t.Errorf("%s: rung %d, want the first session's %d", step.query, reply.Rung, first.Rung)
+				}
 			}
 		})
 	}

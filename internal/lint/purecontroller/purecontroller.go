@@ -22,11 +22,11 @@
 //   - I/O (the os, net, net/http and syscall packages, and fmt printing to
 //     stdout/stderr).
 //
-// Receiver-field mutation is allowed: controllers legitimately carry memo
-// tables and error windows across decisions (core's decide-level memo,
-// RobustMPC's error history). Determinism requires a pure function of the
-// session's observation history, which receiver state preserves and global
-// state does not.
+// Receiver-field mutation is allowed: controllers legitimately carry caches
+// and error windows across decisions (core's lazily built cost model and work
+// counters, RobustMPC's error history). Determinism requires a pure function
+// of the session's observation history, which receiver state preserves and
+// global state does not.
 package purecontroller
 
 import (

@@ -118,18 +118,6 @@ func (c Config) normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = 16
 	}
-	if c.Profile.Name == "" {
-		c.Profile = tracegen.Puffer()
-	}
-	if c.SessionLength <= 0 {
-		c.SessionLength = units.Seconds(120)
-	}
-	if c.TracePool <= 0 || c.TracePool > c.Sessions {
-		c.TracePool = c.Sessions
-	}
-	if c.TracePool > 256 {
-		c.TracePool = 256
-	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = units.Seconds(20)
 	}
@@ -243,18 +231,9 @@ func Run(cfg Config, target Target) (Report, error) {
 // buildSessions synthesizes the shared trace pool and lays out every virtual
 // session's state.
 func (r *runner) buildSessions() error {
-	pool := make([][]units.Mbps, r.cfg.TracePool)
-	for i := range pool {
-		tr, err := r.cfg.Profile.Session(r.cfg.SessionLength, r.cfg.Seed, i)
-		if err != nil {
-			return fmt.Errorf("loadgen: synthesizing trace %d: %w", i, err)
-		}
-		samples := tr.Samples()
-		mbps := make([]units.Mbps, len(samples))
-		for j, s := range samples {
-			mbps[j] = s.Mbps
-		}
-		pool[i] = mbps
+	pool, err := sim.TracePool(r.cfg.Profile, r.cfg.Sessions, r.cfg.TracePool, r.cfg.SessionLength, r.cfg.Seed)
+	if err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
 	r.pool = pool
 

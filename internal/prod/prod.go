@@ -14,8 +14,6 @@ package prod
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 
 	"repro/internal/abr"
 	"repro/internal/core"
@@ -113,8 +111,8 @@ type Config struct {
 	// cache). Tables change where decisions come from, not what they are —
 	// in-domain states read the compiled map, everything else solves — so the
 	// A/B outcome at a given quantum is a function of the quantum alone.
-	// 0 disables tables and keeps the arm on the exact MemoQuantum path the
-	// Figure 13 goldens were recorded with.
+	// 0 disables tables and keeps the arm planning at MemoQuantum, the path
+	// the Figure 13 goldens were recorded with.
 	TableQuantum float64
 	// Seed makes the experiment reproducible.
 	Seed uint64
@@ -280,86 +278,45 @@ func armTables(cfg Config, controller string) *core.DecisionTables {
 	return core.NewDecisionTables()
 }
 
-// newArmController builds a fresh per-session controller for the arm,
-// attaching the shared solve cache and table set when they apply. The
-// augmented construction is the registry's "soda" configuration plus the
-// fleet state, so the two paths decide identically (tables additionally
-// move the arm to TableQuantum).
-func newArmController(controller string, ladder video.Ladder, cache *core.SolveCache, tables *core.DecisionTables, tableQuantum float64) (abr.Controller, error) {
+// armFactory resolves the arm's controller once, attaching the shared solve
+// cache and table set when they apply. The augmented construction is the
+// registry's "soda" configuration plus the fleet state, so the two paths
+// decide identically (tables additionally move the arm to TableQuantum).
+func armFactory(controller string, cache *core.SolveCache, tables *core.DecisionTables, tableQuantum float64) (abr.Factory, error) {
 	if cache != nil || tables != nil {
 		ccfg := core.DefaultConfig()
 		ccfg.SharedCache = cache
 		ccfg.DecisionTable = tables
 		ccfg.TableQuantum = tableQuantum
-		return core.New(ccfg, ladder), nil
+		return func(ladder video.Ladder) abr.Controller { return core.New(ccfg, ladder) }, nil
 	}
-	return abr.New(controller, ladder)
+	return abr.Lookup(controller)
 }
 
-// runArm simulates every session of the dataset under one controller and
-// aggregates the arm statistics. Sessions run in parallel; the engagement
-// draw is deterministic per (seed, session).
+// runArm simulates every session of the dataset under one controller on
+// sim.RunMany and aggregates the arm statistics in session order. The
+// engagement draw is deterministic per (seed, session).
 func runArm(cfg Config, controller string, ladder video.Ladder, ds *tracegen.Dataset, model engagement.Model, seed uint64, cache *core.SolveCache, tables *core.DecisionTables) (ArmStats, error) {
-	n := len(ds.Sessions)
-	type out struct {
-		viewing   units.Minutes
-		bitrate   units.Mbps
-		rebuf, sw float64
-		err       error
+	newCtrl, err := armFactory(controller, cache, tables, cfg.TableQuantum)
+	if err != nil {
+		return ArmStats{}, err
 	}
-	results := make([]out, n)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	results, err := sim.RunMany(ds.Sessions, func() (abr.Controller, predictor.Predictor) {
+		return newCtrl(ladder), predictor.NewSlidingWindow(units.Seconds(12))
+	}, sim.Config{Ladder: ladder, BufferCap: cfg.BufferCap, SessionSeconds: cfg.SessionLength})
+	if err != nil {
+		return ArmStats{}, err
 	}
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
+	stats := ArmStats{Controller: controller, Sessions: len(results)}
+	for i, res := range results {
+		m := res.Metrics
+		rng := rand.New(rand.NewPCG(seed, uint64(i)))
+		stats.Viewing += model.SampleViewingMinutes(m.SwitchRate, m.RebufferRatio, cfg.StreamLength, rng)
+		stats.MeanBitrate += meanBitrate(ladder, res.Rungs)
+		stats.RebufferRatio += m.RebufferRatio
+		stats.SwitchRate += m.SwitchRate
 	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ctrl, err := newArmController(controller, ladder, cache, tables, cfg.TableQuantum)
-				if err != nil {
-					results[i].err = err
-					continue
-				}
-				res, err := sim.Run(ds.Sessions[i], sim.Config{
-					Ladder:         ladder,
-					BufferCap:      cfg.BufferCap,
-					SessionSeconds: cfg.SessionLength,
-					Controller:     ctrl,
-					Predictor:      predictor.NewSlidingWindow(units.Seconds(12)),
-				})
-				if err != nil {
-					results[i].err = err
-					continue
-				}
-				m := res.Metrics
-				rng := rand.New(rand.NewPCG(seed, uint64(i)))
-				results[i].viewing = model.SampleViewingMinutes(m.SwitchRate, m.RebufferRatio, cfg.StreamLength, rng)
-				results[i].bitrate = meanBitrate(ladder, res.Rungs)
-				results[i].rebuf = m.RebufferRatio
-				results[i].sw = m.SwitchRate
-			}
-		}()
-	}
-	wg.Wait()
-	stats := ArmStats{Controller: controller, Sessions: n}
-	for i := range results {
-		if results[i].err != nil {
-			return ArmStats{}, results[i].err
-		}
-		stats.Viewing += results[i].viewing
-		stats.MeanBitrate += results[i].bitrate
-		stats.RebufferRatio += results[i].rebuf
-		stats.SwitchRate += results[i].sw
-	}
-	f := float64(n)
+	f := float64(len(results))
 	stats.Viewing = units.Minutes(float64(stats.Viewing) / f)
 	stats.MeanBitrate = units.Mbps(float64(stats.MeanBitrate) / f)
 	stats.RebufferRatio /= f

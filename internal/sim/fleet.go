@@ -42,9 +42,8 @@ type FleetConfig struct {
 	// BufferCap is the player buffer cap (default 20 s).
 	BufferCap units.Seconds
 	// Controller configures every session's controller. Nil gets the fleet
-	// defaults: production config, per-session memo disabled (the shared
-	// decision tables carry the hot path; per-session memory is what limits
-	// cohort size), compiled tables at quantum 0.5.
+	// defaults: the production config with compiled tables at quantum 0.5,
+	// shared by the whole cohort.
 	Controller *core.Config
 	// Profile calibrates the per-session throughput process; the zero value
 	// means tracegen.Puffer().
@@ -229,10 +228,38 @@ type Fleet struct {
 // cohorts; exported through NewFleet's nil-Controller behaviour.
 func fleetControllerConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.SolveMemoSize = 0
 	cfg.DecisionTable = core.NewDecisionTables()
 	cfg.TableQuantum = 0.5
 	return cfg
+}
+
+// TracePool synthesizes the throughput traces a cohort of sessions shares
+// round-robin, as per-sample Mb/s. Zero arguments take the defaults the
+// fleet and the load generator share: the Puffer profile, 120 s traces, and
+// min(sessions, 256) traces (never more than 256).
+func TracePool(profile tracegen.Profile, sessions, traces int, length units.Seconds, seed uint64) ([][]units.Mbps, error) {
+	if profile.Name == "" {
+		profile = tracegen.Puffer()
+	}
+	if length <= 0 {
+		length = units.Seconds(120)
+	}
+	if traces <= 0 || traces > sessions {
+		traces = sessions
+	}
+	pool := make([][]units.Mbps, min(traces, 256))
+	for i := range pool {
+		tr, err := profile.Session(length, seed, i)
+		if err != nil {
+			return nil, fmt.Errorf("sim: synthesizing trace %d: %w", i, err)
+		}
+		samples := tr.Samples()
+		pool[i] = make([]units.Mbps, len(samples))
+		for j, s := range samples {
+			pool[i][j] = s.Mbps
+		}
+	}
+	return pool, nil
 }
 
 // NewFleet builds the cohort: synthesizes the trace pool, carves the arena
@@ -259,18 +286,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("sim: fleet buffer cap %v below one segment (%v s)",
 			cfg.BufferCap, cfg.Ladder.SegmentSeconds)
 	}
-	if cfg.Profile.Name == "" {
-		cfg.Profile = tracegen.Puffer()
-	}
-	if cfg.SessionLength <= 0 {
-		cfg.SessionLength = units.Seconds(120)
-	}
-	if cfg.TracePool <= 0 || cfg.TracePool > cfg.Sessions {
-		cfg.TracePool = cfg.Sessions
-	}
-	if cfg.TracePool > 256 {
-		cfg.TracePool = 256
-	}
 	if cfg.TickSeconds <= 0 {
 		cfg.TickSeconds = units.Seconds(0.01)
 	}
@@ -282,20 +297,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("sim: fleet controller config: %w", err)
 	}
 
-	f := &Fleet{cfg: cfg}
-	f.pool = make([][]units.Mbps, cfg.TracePool)
-	for i := range f.pool {
-		tr, err := cfg.Profile.Session(cfg.SessionLength, cfg.Seed, i)
-		if err != nil {
-			return nil, fmt.Errorf("sim: synthesizing fleet trace %d: %w", i, err)
-		}
-		samples := tr.Samples()
-		mbps := make([]units.Mbps, len(samples))
-		for j, s := range samples {
-			mbps[j] = s.Mbps
-		}
-		f.pool[i] = mbps
+	pool, err := TracePool(cfg.Profile, cfg.Sessions, cfg.TracePool, cfg.SessionLength, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
+	f := &Fleet{cfg: cfg, pool: pool}
 
 	perShard := (cfg.Sessions + cfg.Workers - 1) / cfg.Workers
 	f.arena = arena.New(cfg.Workers, perShard)

@@ -287,7 +287,6 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			if soda != nil {
 				s := soda.SolveStats()
 				ev.Solves, ev.Nodes = uint32(s.Solves-stats.Solves), uint32(s.Nodes-stats.Nodes)
-				ev.MemoHits = uint32(s.MemoHits - stats.MemoHits)
 				ev.SharedHits = uint32(s.SharedHits - stats.SharedHits)
 				ev.TableHits = uint32(s.TableHits - stats.TableHits)
 				stats = s
@@ -402,7 +401,6 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 func solverStats(s core.SolveStats) telemetry.SolverStats {
 	return telemetry.SolverStats{
 		Solves: s.Solves, Nodes: s.Nodes,
-		MemoLookups: s.MemoLookups, MemoHits: s.MemoHits,
 		SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
 		TableLookups: s.TableLookups, TableHits: s.TableHits,
 		TableFallbacks: s.TableFallbacks,

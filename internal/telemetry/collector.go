@@ -14,8 +14,6 @@ import (
 type SolverStats struct {
 	Solves         uint64
 	Nodes          uint64
-	MemoLookups    uint64
-	MemoHits       uint64
 	SharedLookups  uint64
 	SharedHits     uint64
 	TableLookups   uint64
@@ -49,8 +47,11 @@ type Collector struct {
 	RebufferSeconds *Counter
 
 	// Solver-work counters, flushed from SolveStats deltas.
-	Solves         *Counter
-	Nodes          *Counter
+	Solves *Counter
+	Nodes  *Counter
+	// Deprecated: MemoLookups and MemoHits always read 0; the decide memo
+	// they counted is gone. Their families stay registered so /metrics does
+	// not change, and the benchmark module still reads them.
 	MemoLookups    *Counter
 	MemoHits       *Counter
 	SharedLookups  *Counter
@@ -124,8 +125,6 @@ func (c *Collector) RecordSolverStats(s SolverStats) {
 	}
 	addCounter(c.Solves, s.Solves)
 	addCounter(c.Nodes, s.Nodes)
-	addCounter(c.MemoLookups, s.MemoLookups)
-	addCounter(c.MemoHits, s.MemoHits)
 	addCounter(c.SharedLookups, s.SharedLookups)
 	addCounter(c.SharedHits, s.SharedHits)
 	addCounter(c.TableLookups, s.TableLookups)

@@ -41,12 +41,11 @@ type DecisionEvent struct {
 	Bitrate units.Mbps `json:"bitrate_mbps,omitempty"`
 	// WaitSeconds is the idle duration of a wait decision.
 	WaitSeconds units.Seconds `json:"wait_s,omitempty"`
-	// Solves/Nodes/MemoHits/SharedHits are the solver-work deltas this
-	// decision cost, snapshotted from SolveStats after Decide returned
-	// (zero for controllers that expose no stats).
+	// Solves/Nodes/SharedHits are the solver-work deltas this decision
+	// cost, snapshotted from SolveStats after Decide returned (zero for
+	// controllers that expose no stats).
 	Solves     uint32 `json:"solves,omitempty"`
 	Nodes      uint32 `json:"nodes,omitempty"`
-	MemoHits   uint32 `json:"memo_hits,omitempty"`
 	SharedHits uint32 `json:"shared_hits,omitempty"`
 	// TableHits counts compiled decision-table hits this decision cost (1 on
 	// a table-served decision, 0 on a fallback or for untabled controllers).

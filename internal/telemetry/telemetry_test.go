@@ -423,7 +423,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 		rec.RecordDecision(&ev)
 	}
 	rec.RecordDecision(&DecisionEvent{Segment: 40, Rung: -1, PrevRung: 4, Buffer: units.Seconds(0.1), WaitSeconds: units.Seconds(0.5)})
-	rec.Finish(SolverStats{Solves: 41, Nodes: 500, MemoLookups: 41, MemoHits: 3, SharedLookups: 41, SharedHits: 7},
+	rec.Finish(SolverStats{Solves: 41, Nodes: 500, SharedLookups: 41, SharedHits: 7},
 		40, units.Seconds(1.25))
 
 	var buf bytes.Buffer
