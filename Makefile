@@ -4,11 +4,11 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all ci lint test test-shuffle benchmark-module conformance flightrec-conformance arena-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
+.PHONY: all ci lint test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
 
 all: lint test
 
-ci: lint build buildrelease build386 test test-shuffle benchmark-module conformance flightrec-conformance arena-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
+ci: lint build buildrelease build386 test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
 
 build:
 	$(GO) build ./...
@@ -46,10 +46,11 @@ test-shuffle:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# conformance re-runs the shared solve-cache, decision-table, telemetry and
-# arena bit-identity contracts under the race detector on their own, so a
-# cache, table, telemetry or arena regression fails with a named step even
-# though `make test` also covers them as part of the full suite.
+# conformance re-runs the shared solve-cache, decision-table, telemetry,
+# in-place controller (TestSodaArena) and flight-recorder bit-identity
+# contracts under the race detector on their own, so a regression in one
+# fails with a named step even though `make test` also covers them as part
+# of the full suite.
 conformance:
 	$(GO) test -race -run 'TestSodaSharedCache|TestSodaDecisionTable|TestSodaTelemetry|TestSodaArena|TestSodaFlightRec' ./internal/abrtest
 
@@ -61,14 +62,6 @@ conformance:
 flightrec-conformance:
 	$(GO) test -race ./internal/flightrec
 	$(GO) test -race -run 'TestSodaFlightRec' ./internal/abrtest
-
-# arena-conformance re-runs the fleet's struct-of-arrays slab store's
-# contracts under the race detector on their own: concurrent allocation,
-# growth across slabs, capacity, and the proof that controllers Init-ed in
-# slab slots decide bit-identically to heap-backed ones.
-arena-conformance:
-	$(GO) test -race ./internal/arena
-	$(GO) test -race -run 'TestSodaArenaConformance' ./internal/abrtest
 
 # smoke boots the soda-server introspection mux against a test manifest,
 # drives /decide sessions, and validates that /metrics serves parseable
@@ -107,10 +100,9 @@ bench:
 # solver invocations by at least 2x, if attaching telemetry or the QoE
 # watchdog costs more than 5% ns/decision at dataset scale, if the compiled
 # decision table stops beating the cached path by at least 5x per decision,
-# if the embedded open-loop loadgen run breaches the p99 decide-latency,
-# rejection or QoE-incident thresholds in the baseline's LoadgenOpenLoop
-# entry, or if the fleet simulator drops below the FleetSim entry's session
-# floor or ns/decision ratio against the single-session path.
+# or if the fleet simulator drops below the FleetSim entry's session floor or
+# ns/decision ratio against the single-session path. The LoadgenOpenLoop
+# thresholds gate loadgen-gate's run alone.
 bench-gate:
 	$(GO) run ./cmd/soda-bench -out bench-out/bench.json
 

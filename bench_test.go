@@ -921,9 +921,9 @@ func BenchmarkOracleGap(b *testing.B) {
 
 // --- Fleet-scale simulation -----------------------------------------------
 
-// BenchmarkFleetSim drives the struct-of-arrays fleet simulator at host
-// scale: 100k concurrent virtual players held in internal/arena slabs,
-// advanced by per-worker hierarchical time-wheels over segment-completion
+// BenchmarkFleetSim drives the fleet simulator at host scale: 100k
+// concurrent virtual players held in per-worker session slices, advanced by
+// per-worker hierarchical time-wheels over segment-completion
 // events, every decision running the real controller on the compiled-table
 // path. The "single" arm runs the reference single-session simulator
 // (sim.Run) at the same controller configuration and reports its ns/decision

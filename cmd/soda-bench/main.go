@@ -48,7 +48,7 @@
 // wall-time figures from the same runner, so it is portable where raw ns/op
 // is not.
 //
-// Three control-plane gates ride along:
+// Two control-plane gates ride along:
 //
 //   - the full control-plane decide path (BenchmarkSessionTableDecide) must
 //     stay at 0 allocs/op — the steady state that lets one host carry tens
@@ -58,17 +58,13 @@
 //     512-entry arm's ns/op in the same run, at the baseline's one
 //     allocation per op (the Session). A reclaim that scans the shard
 //     measures about 90x.
-//   - an in-process open-loop load run (internal/loadgen, 50k concurrent
-//     sessions by default) must meet the p99 decide-latency and rejection
-//     thresholds recorded in the baseline's LoadgenOpenLoop entry
-//     (-max-p99-decide-ms overrides the p99 threshold; -loadgen-requests 0
-//     skips the run).
 //
 // The baseline (bench_baseline.json) maps benchmark name to its gated
 // {nodes_per_solve, allocs_per_op}. A baseline entry that no longer appears
 // in the benchmark output fails the gate: a silently vanished benchmark must
-// not read as a pass. The special LoadgenOpenLoop entry instead carries
-// {max_p99_decide_ms, max_rejected_pct} and gates the load run.
+// not read as a pass. The special LoadgenOpenLoop entry is not a benchmark:
+// it holds the open-loop load gate's thresholds, which soda-loadgen
+// -baseline applies.
 package main
 
 import (
@@ -82,11 +78,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/flightrec"
-	"repro/internal/httpseg"
-	"repro/internal/loadgen"
-	"repro/internal/video"
 )
 
 // Result is the aggregated measurement of one benchmark across -count runs.
@@ -131,24 +122,17 @@ type Report struct {
 	FleetPattern       string   `json:"fleet_pattern,omitempty"`
 	FleetBenchtime     string   `json:"fleet_benchtime,omitempty"`
 	Benchmarks         []Result `json:"benchmarks"`
-	// Loadgen is the in-process open-loop load run feeding the p99 gate.
-	Loadgen *loadgen.Report `json:"loadgen,omitempty"`
 }
 
 // BaselineEntry carries the gated metrics of one benchmark — or, on the
-// special LoadgenOpenLoop entry (recognised by MaxP99DecideMs > 0), the
-// thresholds of the load-run gate.
+// special FleetSim entry, the fleet gate's thresholds.
 type BaselineEntry struct {
 	NodesPerSolve float64 `json:"nodes_per_solve"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
-	// MaxP99DecideMs gates the loadgen run's p99 decide latency; a positive
-	// value marks the entry as a load-run threshold, not a benchmark.
+	// MaxP99DecideMs is set only on the LoadgenOpenLoop entry, which holds
+	// soda-loadgen's thresholds; a positive value marks it as not a
+	// benchmark.
 	MaxP99DecideMs float64 `json:"max_p99_decide_ms,omitempty"`
-	// MaxRejectedPct bounds the loadgen run's rejection percentage.
-	MaxRejectedPct float64 `json:"max_rejected_pct"`
-	// MaxIncidentsPer1k bounds the loadgen run's QoE-watchdog incidents per
-	// 1000 sessions (0 disables that check).
-	MaxIncidentsPer1k float64 `json:"max_qoe_incidents_per_1k,omitempty"`
 	// MinSessions gates the fleet benchmark's sustained concurrent-session
 	// count; a positive value marks the entry as the FleetSim threshold set,
 	// not a benchmark.
@@ -188,11 +172,6 @@ func main() {
 	sessionPattern := flag.String("session-pattern", "BenchmarkSessionTable(Decide|Reclaim)$",
 		"control-plane decide and admission benchmark pattern (empty skips the runs and the reclaim gate; their allocs/op floors live in the baseline)")
 	sessionBenchtime := flag.String("session-benchtime", "20000x", "iteration budget for the control-plane benchmarks")
-	loadgenSessions := flag.Int("loadgen-sessions", 50000, "concurrent sessions for the in-process load run")
-	loadgenRequests := flag.Int("loadgen-requests", 75000, "request budget for the in-process load run (0 skips the run and its gate)")
-	loadgenRPS := flag.Float64("loadgen-rps", 40000, "open-loop arrival rate for the in-process load run")
-	maxP99DecideMs := flag.Float64("max-p99-decide-ms", 0,
-		"p99 decide-latency gate for the load run in ms (0 takes the baseline's LoadgenOpenLoop entry)")
 	out := flag.String("out", "bench-out/bench.json", "output JSON path (its directory is created)")
 	baselinePath := flag.String("baseline", "bench_baseline.json", "committed gated-metric baseline")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed relative nodes/solve regression")
@@ -257,14 +236,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var loadgenFailures []string
-	if *loadgenRequests > 0 {
-		rep, failures := runLoadgen(*loadgenSessions, *loadgenRequests, *loadgenRPS,
-			*maxP99DecideMs, baseline)
-		report.Loadgen = rep
-		loadgenFailures = failures
-	}
-
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "soda-bench: %v\n", err)
@@ -281,7 +252,6 @@ func main() {
 	fmt.Printf("soda-bench: wrote %s (%d benchmarks)\n", *out, len(report.Benchmarks))
 
 	failures := gate(report, baseline, *tolerance)
-	failures = append(failures, loadgenFailures...)
 	if *cachePattern != "" && *minCacheReduction > 0 {
 		failures = append(failures, gateCacheReduction(report, *minCacheReduction)...)
 	}
@@ -332,53 +302,6 @@ func main() {
 			}
 		}
 	}
-	if report.Loadgen != nil {
-		fmt.Printf("soda-bench: loadgen sustained %d sessions at %.0f rps with p99 %.3f ms (%.2f%% rejected)\n",
-			report.Loadgen.Sessions, report.Loadgen.AchievedRPS, report.Loadgen.P99Ms, report.Loadgen.RejectedPct)
-	}
-}
-
-// loadgenBaselineName is the baseline entry carrying the load-run thresholds.
-const loadgenBaselineName = "LoadgenOpenLoop"
-
-// runLoadgen drives the in-process open-loop load run and gates it against
-// the baseline's LoadgenOpenLoop thresholds (p99 overridable by flag). The
-// fleet-scale configuration is deliberate: the shared cache and compiled
-// tables carrying the hot path, the session cap sized to the run.
-func runLoadgen(sessions, requests int, rps, maxP99Override float64, baseline map[string]BaselineEntry) (*loadgen.Report, []string) {
-	thresholds, ok := baseline[loadgenBaselineName]
-	if !ok {
-		return nil, []string{fmt.Sprintf("%s: threshold entry missing from baseline", loadgenBaselineName)}
-	}
-	maxP99 := thresholds.MaxP99DecideMs
-	if maxP99Override > 0 {
-		maxP99 = maxP99Override
-	}
-	svc, err := httpseg.NewDecideService(video.Prototype(), httpseg.DecideOptions{
-		CacheEntries: 1 << 16,
-		TableQuantum: 0.5,
-		MaxSessions:  sessions + sessions/8,
-	}, nil)
-	if err != nil {
-		return nil, []string{fmt.Sprintf("loadgen: building decide service: %v", err)}
-	}
-	rep, err := loadgen.Run(loadgen.Config{
-		Mode:     loadgen.OpenLoop,
-		Sessions: sessions,
-		Requests: requests,
-		RPS:      rps,
-		Seed:     8,
-		Watchdog: flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{}),
-	}, &loadgen.InProc{Svc: svc})
-	if err != nil {
-		return nil, []string{fmt.Sprintf("loadgen: %v", err)}
-	}
-	fmt.Printf("soda-bench: loadgen open loop: %d sessions, %d requests, p50 %.3f ms, p99 %.3f ms, p999 %.3f ms, %.1f QoE incidents/1k sessions\n",
-		rep.Sessions, rep.Requests, rep.P50Ms, rep.P99Ms, rep.P999Ms, rep.QoEIncidentsPer1k)
-	if err := rep.Gate(maxP99, thresholds.MaxRejectedPct, thresholds.MaxIncidentsPer1k); err != nil {
-		return &rep, []string{err.Error()}
-	}
-	return &rep, nil
 }
 
 // runBench executes one `go test -bench` invocation and returns its output,
@@ -538,8 +461,8 @@ func gate(rep Report, baseline map[string]BaselineEntry, tolerance float64) []st
 	var failures []string
 	for name, base := range baseline {
 		if base.MaxP99DecideMs > 0 || base.MinSessions > 0 {
-			// A load-run or fleet threshold entry, not a benchmark; runLoadgen
-			// and gateFleetSim gate those.
+			// A load-run or fleet threshold entry, not a benchmark;
+			// soda-loadgen and gateFleetSim gate those.
 			continue
 		}
 		got, ok := measured[name]

@@ -8,9 +8,10 @@
 //	soda-sim -dataset puffer -cpuprofile cpu.pprof -memprofile mem.pprof
 //	soda-sim -dataset 4g -controllers soda -telemetry telemetry.json
 //
-// Fleet mode advances a whole cohort of virtual players on the arena-backed
-// time-wheel simulator instead of running sessions to completion one at a
-// time — the ≥100k-sessions-per-host configuration:
+// Fleet mode advances a whole cohort of virtual players on the time-wheel
+// simulator, each worker holding its sessions in flat slices, instead of
+// running sessions to completion one at a time — the
+// ≥100k-sessions-per-host configuration:
 //
 //	soda-sim -fleet -fleet-sessions 100000 -fleet-seconds 120
 //	soda-sim -fleet -dataset 5g -fleet-sessions 250000 -fleet-workers 8
@@ -55,7 +56,7 @@ func main() {
 	controllers := flag.String("controllers", "soda,hyb,bola,dynamic,mpc", "comma-separated controllers")
 	tableQuantum := flag.Float64("table-quantum", 0, "compiled decision-table quantum for the soda controller, seconds and Mb/s per cell (0 disables)")
 	seed := flag.Uint64("seed", 42, "generator seed")
-	fleet := flag.Bool("fleet", false, "run the arena-backed time-wheel fleet simulator instead of per-session runs")
+	fleet := flag.Bool("fleet", false, "run the time-wheel fleet simulator instead of per-session runs")
 	fleetSessions := flag.Int("fleet-sessions", 100000, "fleet mode: concurrent virtual players")
 	fleetWorkers := flag.Int("fleet-workers", 0, "fleet mode: worker-pool size (0: GOMAXPROCS)")
 	fleetSeconds := flag.Float64("fleet-seconds", 60, "fleet mode: stream-clock seconds to advance the cohort")

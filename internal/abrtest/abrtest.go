@@ -188,13 +188,15 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 	}
 }
 
-// ArenaConformance is the struct-of-arrays purity contract: controllers
-// Init-ed in place in arena slots (arenaBacked builds each one on a fresh
-// slot) must reproduce heap-backed decision sequences bit-for-bit on every
-// registered ladder. The concurrent passes claim slots from racing
-// goroutines under several GOMAXPROCS settings (run with -race to also
-// prove slot allocation is correctly synchronised); the serial pass claims
-// them one stream at a time.
+// ArenaConformance is the in-place purity contract: controllers Init-ed in
+// place in flat controller slices, the fleet's per-worker layout
+// (arenaBacked seats each one on a fresh element), must reproduce
+// heap-backed decision sequences bit-for-bit on every registered ladder. The
+// concurrent passes seat and drive neighbouring controllers from racing
+// goroutines under several GOMAXPROCS settings (run with -race to also prove
+// they share no state); the serial pass seats them one stream at a time.
+// Each ladder seats 42 controllers: six streams in each of six concurrent
+// passes and in the serial pass.
 func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Factory) {
 	t.Helper()
 	for _, nl := range video.NamedLadders() {

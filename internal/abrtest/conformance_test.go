@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/abr"
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/video"
 
@@ -80,29 +79,30 @@ func TestSodaSharedCacheFullSuite(t *testing.T) {
 	Conformance(t, "soda-shared-cache", sodaShared(cache))
 }
 
-// sodaArena builds registry-default-configured SODA controllers, each Init-ed
-// in place on a fresh slot of the given two-shard arena, alternating shards.
-func sodaArena(a *arena.Arena) Factory {
-	var next atomic.Uint32
+// sodaInPlace builds registry-default-configured SODA controllers, each
+// Init-ed in place on the next element of one shared controller slice — the
+// layout a fleet worker seats its sessions in. Concurrent callers claim
+// neighbouring elements.
+func sodaInPlace(slots []core.Controller, next *atomic.Int32) Factory {
 	return func(ladder video.Ladder) abr.Controller {
-		ctrl, _, _, ok := a.Alloc(int(next.Add(1) % 2))
-		if !ok {
-			panic("arena exhausted mid-conformance")
-		}
+		ctrl := &slots[next.Add(1)-1]
 		ctrl.Init(core.DefaultConfig(), ladder)
 		return ctrl
 	}
 }
 
-// TestSodaArenaConformance is the arena conformance contract: SODA
-// controllers living in struct-of-arrays slots must decide bit-identically
-// to heap-backed controllers. One arena serves every ladder, so slots of
-// different ladders sit side by side in the same slabs.
+// TestSodaArenaConformance is the in-place conformance contract: SODA
+// controllers living side by side in one []core.Controller, as the fleet
+// holds them, must decide bit-identically to heap-backed controllers. One
+// slice serves every ladder, so controllers of different ladders are
+// neighbours.
 func TestSodaArenaConformance(t *testing.T) {
-	a := arena.New(2, 0)
-	ArenaConformance(t, "soda", sodaPlain, sodaArena(a))
-	if st := a.Stats(); st.HighWater == 0 {
-		t.Fatalf("contract claimed no arena slots: %s", st)
+	// ArenaConformance builds 42 controllers per ladder.
+	slots := make([]core.Controller, 42*len(video.NamedLadders()))
+	var next atomic.Int32
+	ArenaConformance(t, "soda", sodaPlain, sodaInPlace(slots, &next))
+	if got := int(next.Load()); got != len(slots) {
+		t.Fatalf("contract seated %d controllers, want %d", got, len(slots))
 	}
 }
 

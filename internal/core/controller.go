@@ -61,7 +61,8 @@ func New(cfg Config, ladder video.Ladder) *Controller {
 }
 
 // Init initialises the controller in place — the path for controllers held
-// by value, in the fleet's arena slabs and in soda-server's session entries.
+// by value, in the fleet workers' controller slices and in soda-server's
+// session entries.
 // It runs exactly the construction New performs (New is Init on a fresh
 // allocation), so an in-place controller is bit-identical to a
 // heap-allocated one by construction; abrtest.ArenaConformance pins this.

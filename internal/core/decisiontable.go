@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/units"
@@ -40,14 +39,22 @@ import (
 //
 // A DecisionTables set is safe for concurrent use and is injected state: it
 // holds no package-level variables and launches no goroutines, which keeps
-// controllers wired to it purecontroller-clean (see DESIGN.md).
+// controllers wired to it purecontroller-clean (see DESIGN.md). A compile
+// runs outside the set lock, so it stalls only the bindings of its own
+// identity, never a controller binding an already-compiled table.
 type DecisionTables struct {
 	mu sync.Mutex
 	//soda:guard mu
 	tables    map[uint64]*decisionTable
 	maxTables int
+	// compiled counts the identities compiled or compiling, against
+	// maxTables.
 	//soda:guard mu
-	compileSolves uint64
+	compiled int
+	// stats totals the finished tables: a compile joins it once its cells
+	// are filled.
+	//soda:guard mu
+	stats TableStats
 }
 
 // DefaultMaxTables bounds how many distinct table identities one set will
@@ -85,9 +92,10 @@ func NewDecisionTablesSized(maxTables int) *DecisionTables {
 	}
 }
 
-// decisionTable is one immutable compiled table. rungs holds the committed
-// first decision for every (prev+1, buffer bin, throughput bin) cell; a stub
-// has no cells and answers every lookup with a fallback.
+// decisionTable is one compiled table, immutable once ready is closed.
+// rungs holds the committed first decision for every (prev+1, buffer bin,
+// throughput bin) cell; a stub has no cells and answers every lookup with a
+// fallback.
 type decisionTable struct {
 	fp              uint64
 	quantum         float64
@@ -98,6 +106,8 @@ type decisionTable struct {
 	planes          int32
 	rungs           []int8
 	stub            bool
+	// ready is closed once rungs is filled; nothing reads rungs before.
+	ready chan struct{}
 }
 
 // tableIdentity mixes the model fingerprint with the knobs the fingerprint
@@ -142,15 +152,19 @@ func (c Config) tableQuantum() float64 {
 }
 
 // tableFor returns the compiled table for the configuration, compiling it
-// under the set lock on first use. fp must be modelFingerprint(cfg, ladder,
-// bufferCap) — the caller (modelFor) already maintains it.
+// on first use. The first binder of an identity reserves it, and counts it
+// against the budget, under the set lock, then fills the cells outside it;
+// later binders of that identity wait for that one compile. fp must be
+// modelFingerprint(cfg, ladder, bufferCap) — the caller (modelFor) already
+// maintains it.
 func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bufferCap units.Seconds) *decisionTable {
 	q := cfg.tableQuantum()
 	k := steadyHorizon(cfg, ladder)
 	id := tableIdentity(fp, q, k, cfg.CapToThroughput)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t, ok := s.tables[id]; ok {
+		s.mu.Unlock()
+		<-t.ready
 		return t
 	}
 	t := &decisionTable{
@@ -159,18 +173,25 @@ func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bu
 		k:               int32(k),
 		capToThroughput: cfg.CapToThroughput,
 		stub:            true,
+		ready:           make(chan struct{}),
 	}
-	compiled := 0
-	for _, other := range s.sortedIDs() {
-		if !s.tables[other].stub {
-			compiled++
-		}
-	}
-	if compiled < s.maxTables && t.planGeometry(ladder, bufferCap) {
-		s.compileSolves += t.compile(cfg, ladder, bufferCap)
+	if s.compiled < s.maxTables && t.planGeometry(ladder, bufferCap) {
+		s.compiled++
 		t.stub = false
+	} else {
+		s.stats.Stubs++
 	}
 	s.tables[id] = t
+	s.mu.Unlock()
+	defer close(t.ready)
+	if !t.stub {
+		solves := t.compile(cfg, ladder, bufferCap)
+		s.mu.Lock()
+		s.stats.Tables++
+		s.stats.Cells += len(t.rungs)
+		s.stats.CompileSolves += solves
+		s.mu.Unlock()
+	}
 	return t
 }
 
@@ -328,34 +349,10 @@ func (s TableStats) String() string {
 		s.Tables, s.Stubs, s.Cells, s.CompileSolves)
 }
 
-// Stats snapshots the set. It takes the set lock, so concurrent bindings
-// serialize with it; lookups are unaffected.
+// Stats snapshots the set's finished tables; a table still compiling is
+// counted once its cells are filled. Lookups never touch the set.
 func (s *DecisionTables) Stats() TableStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := TableStats{CompileSolves: s.compileSolves}
-	for _, id := range s.sortedIDs() {
-		t := s.tables[id]
-		if t.stub {
-			st.Stubs++
-			continue
-		}
-		st.Tables++
-		st.Cells += len(t.rungs)
-	}
-	return st
-}
-
-// sortedIDs returns the set's table identities in ascending order, so every
-// iteration over the table map is deterministic (the detrange idiom).
-// Callers hold s.mu.
-//
-//soda:locked mu
-func (s *DecisionTables) sortedIDs() []uint64 {
-	ids := make([]uint64, 0, len(s.tables))
-	for id := range s.tables {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return s.stats
 }

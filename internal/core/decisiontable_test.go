@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/abr"
 	"repro/internal/units"
@@ -420,4 +421,69 @@ func FuzzDecisionTableKey(f *testing.F) {
 			t.Fatalf("%d tables for %d configurations (identity churn): %s", st.Tables, len(combos), st)
 		}
 	})
+}
+
+// TestTableCompileStallsOnlyItsIdentity pins that a compile runs outside the
+// set lock: while one session's large buffer cap compiles, a new controller
+// binding an already-compiled table returns at once, and a second binder of
+// the compiling identity waits for that one compile instead of starting
+// another.
+func TestTableCompileStallsOnlyItsIdentity(t *testing.T) {
+	tables := NewDecisionTables()
+	cfg := tableTestConfig(tables)
+	ladder := video.Prototype()
+	if _, err := tables.CompileTable(cfg, ladder, units.Seconds(20)); err != nil {
+		t.Fatal(err)
+	}
+	solvesBefore := tables.Stats().CompileSolves
+
+	const bigCap = units.Seconds(400)
+	started := make(chan struct{})
+	compiled := make(chan time.Time, 2)
+	compileBig := func() {
+		if _, err := tables.CompileTable(cfg, ladder, bigCap); err != nil {
+			t.Error(err)
+		}
+		compiled <- time.Now()
+	}
+	compileStart := time.Now()
+	go func() {
+		close(started)
+		compileBig()
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond) // let the compile take the identity
+	go compileBig()                   // a second binder of the same identity
+
+	bindStart := time.Now()
+	New(cfg, ladder).Prewarm(units.Seconds(20))
+	bindEnd := time.Now()
+	firstDone, secondDone := <-compiled, <-compiled
+	compileEnd := firstDone
+	if secondDone.Before(compileEnd) {
+		compileEnd = secondDone
+	}
+	if !bindEnd.Before(compileEnd) {
+		t.Fatalf("binding a compiled table took %v and returned after the %v compile in flight ended",
+			bindEnd.Sub(bindStart), compileEnd.Sub(compileStart))
+	}
+	if bind, compile := bindEnd.Sub(bindStart), compileEnd.Sub(compileStart); bind > compile/10 {
+		t.Fatalf("binding a compiled table took %v during a %v compile, want under a tenth", bind, compile)
+	}
+	st := tables.Stats()
+	info, err := tables.CompileTable(cfg, ladder, bigCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Tables != 2 || info.Stub {
+		t.Fatalf("after the large-cap compile: %s, large table %+v", st, info)
+	}
+	// The two binders of the large identity compiled it once.
+	ref := NewDecisionTables()
+	if _, err := ref.CompileTable(cfg, ladder, bigCap); err != nil {
+		t.Fatal(err)
+	}
+	if got, once := st.CompileSolves-solvesBefore, ref.Stats().CompileSolves; got != once {
+		t.Fatalf("large-cap binders solved %d problems, one compile solves %d", got, once)
+	}
 }

@@ -12,9 +12,9 @@
 //   - Zero allocation on the hot path: recording a span is one locked copy
 //     into a pre-allocated per-stage telemetry.Ring, and the watchdog's
 //     detectors are integer state machines embedded in caller-owned memory
-//     (`SessionWatch` lives in soda-server's session-table entry and in the
-//     fleet's arena slab). `BenchmarkFlightRecOverhead` gates the end-to-end
-//     cost at ≤5% ns/decision, and the recording functions are
+//     (`SessionWatch` lives in soda-server's session-table entry and in a
+//     fleet worker's watch slice). `BenchmarkFlightRecOverhead` gates the
+//     end-to-end cost at ≤5% ns/decision, and the recording functions are
 //     `//soda:noalloc`.
 //
 // Spans, incidents and decisions all live in the same overwrite-oldest

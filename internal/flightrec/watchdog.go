@@ -122,8 +122,8 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // SessionWatch is one session's detector state: a switch-history bitmask and
 // per-detector hysteresis flags. It is plain pointer-free data, zero for a
 // new session, so callers embed it next to the session's other state:
-// soda-server's session-table entry and the fleet's arena slab each carry
-// one per session.
+// soda-server's session-table entry carries one, and a fleet worker keeps
+// one per session in a slice parallel to its controllers.
 type SessionWatch struct {
 	// switches has bit i set if the i-th most recent decision switched rungs.
 	switches uint64

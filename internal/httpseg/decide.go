@@ -3,7 +3,6 @@ package httpseg
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -547,8 +546,27 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
+// Bounds on /decide's numeric inputs; a value past one is a 400. Beyond them
+// the cost model stops being a model: a throughput near MaxFloat64 makes
+// ω̂·Δt overflow to +Inf and the decision flips on NaN costs, a buffer cap of
+// hours plans toward an absurd target, and a segment index past 2^31 wraps
+// the session's 32-bit counter.
+const (
+	// maxThroughputMbps is 1 Tb/s, far above any ladder's saturation point.
+	maxThroughputMbps = 1e6
+	// maxBufferSeconds bounds both buffer= and cap=: ten minutes.
+	maxBufferSeconds = 600
+	// maxSegment leaves the session's int32 segment counter 2^30 downloads
+	// of headroom, so the server's own increment cannot wrap it.
+	maxSegment = 1 << 30
+)
+
 // ServeHTTP implements the /decide endpoint: validate, then hand the typed
-// request to Decide and map its status onto HTTP.
+// request to Decide and map its status onto HTTP. session is required;
+// buffer (seconds) and throughput (Mb/s) are required finite numbers in
+// [0, 600] and [0, 1e6]; the optional cap (seconds) lies in [one segment,
+// 600], segment in [0, 2^30] and prev in [-1, ladder size). Anything else
+// is a 400; GET is the only method.
 func (s *DecideService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -560,13 +578,13 @@ func (s *DecideService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing session parameter", http.StatusBadRequest)
 		return
 	}
-	buffer, err := parseNonNegative(q.Get("buffer"))
+	buffer, err := parseBounded(q.Get("buffer"), maxBufferSeconds)
 	if err != nil {
 		http.Error(w, "buffer: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	req.Buffer = units.Seconds(buffer)
-	throughput, err := parseNonNegative(q.Get("throughput"))
+	throughput, err := parseBounded(q.Get("throughput"), maxThroughputMbps)
 	if err != nil {
 		http.Error(w, "throughput: "+err.Error(), http.StatusBadRequest)
 		return
@@ -575,18 +593,18 @@ func (s *DecideService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("cap"); v != "" {
 		// A cap below one segment leaves no room to download anything: the
 		// session would wait forever. sim.Run and sim.NewFleet reject it too.
-		bufferCap, err := parseNonNegative(v)
+		bufferCap, err := parseBounded(v, maxBufferSeconds)
 		if err != nil || units.Seconds(bufferCap) < s.ladder.SegmentSeconds {
-			http.Error(w, fmt.Sprintf("cap must be at least one segment (%g s)", float64(s.ladder.SegmentSeconds)),
-				http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("cap must be between one segment (%g s) and %g s",
+				float64(s.ladder.SegmentSeconds), float64(maxBufferSeconds)), http.StatusBadRequest)
 			return
 		}
 		req.BufferCap = units.Seconds(bufferCap)
 	}
 	if v := q.Get("segment"); v != "" {
 		seg, err := strconv.Atoi(v)
-		if err != nil || seg < 0 {
-			http.Error(w, "segment must be a non-negative integer", http.StatusBadRequest)
+		if err != nil || seg < 0 || seg > maxSegment {
+			http.Error(w, fmt.Sprintf("segment must be an integer in [0, %d]", maxSegment), http.StatusBadRequest)
 			return
 		}
 		req.Segment = seg
@@ -624,16 +642,16 @@ func (s *DecideService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(reply) // a failed write means the client hung up
 }
 
-// parseNonNegative parses a finite, non-negative query number. NaN and ±Inf
-// describe no player state; accepted, they would poison the histogram sums
-// for good and break the reply's JSON encoding.
-func parseNonNegative(raw string) (float64, error) {
+// parseBounded parses a query number in [0, limit]. NaN and ±Inf describe no
+// player state; accepted, they would poison the histogram sums for good and
+// break the reply's JSON encoding.
+func parseBounded(raw string, limit float64) (float64, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter")
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || !(v >= 0 && v <= math.MaxFloat64) {
-		return 0, fmt.Errorf("must be a finite non-negative number")
+	if err != nil || !(v >= 0 && v <= limit) {
+		return 0, fmt.Errorf("must be a number in [0, %g]", limit)
 	}
 	return v, nil
 }

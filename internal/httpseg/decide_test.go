@@ -105,6 +105,14 @@ func TestDecideServiceValidation(t *testing.T) {
 			"session=a&buffer=0&throughput=5&cap=0.001",  // likewise
 			"session=a&buffer=5&throughput=5&prev=99",    // prev out of range
 			"session=a&buffer=5&throughput=5&segment=-1", // negative segment
+			// Past the documented bounds: a silent model, not a decision.
+			"session=a&buffer=600.001&throughput=5",
+			"session=a&buffer=5&throughput=1000001",
+			"session=a&buffer=5&throughput=5&cap=600.001",
+			"session=a&buffer=5&throughput=5&cap=1e12",
+			"session=a&buffer=5&throughput=5&segment=1073741825",
+			"session=a&buffer=5&throughput=5&segment=2147483648", // wrapped to -2^31
+			"session=a&buffer=5&throughput=5&segment=4294967296", // wrapped to 0
 		} {
 			rw := httptest.NewRecorder()
 			svc.ServeHTTP(rw, httptest.NewRequest("GET", "/decide?"+query, nil))
@@ -126,34 +134,45 @@ func TestDecideServiceValidation(t *testing.T) {
 	if reply := decideGet(t, svc, "session=a&buffer=0&throughput=5&cap=2"); reply.Rung < 0 {
 		t.Errorf("cap of one segment: %+v, want a download", reply)
 	}
+	// Every bound itself is accepted.
+	if reply := decideGet(t, svc, "session=b&buffer=600&throughput=1e6&cap=600&segment=1073741824"); reply.Segment != 1<<30 {
+		t.Errorf("inputs at their bounds: %+v, want a decision at segment 2^30", reply)
+	}
 }
 
 // TestDecideServiceRejectsNonFinite: a NaN or infinite buffer, throughput or
 // cap is a 400, never a decision — let through, it poisoned the histogram
-// sums, broke the reply encoding or bound a table identity.
+// sums, broke the reply encoding or bound a table identity. So is a finite
+// value at overflow scale: ω̂·Δt overflowed to +Inf, and 8e307 and 1e308
+// answered different rungs.
 func TestDecideServiceRejectsNonFinite(t *testing.T) {
-	col := telemetry.NewCollector(nil, 16)
-	svc, err := NewDecideService(video.Mobile(), DecideOptions{TableQuantum: 0.5}, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf", "1e999", "-1e999"} {
-		v := url.QueryEscape(bad)
-		for _, query := range []string{
-			"session=a&buffer=" + v + "&throughput=5",
-			"session=a&buffer=5&throughput=" + v,
-			"session=a&buffer=5&throughput=5&cap=" + v,
-		} {
-			if code, _ := decideStatus(t, svc, query); code != 400 {
-				t.Errorf("GET /decide?%s = %d, want 400", query, code)
+	for _, opts := range []DecideOptions{{}, {TableQuantum: 0.5}} {
+		col := telemetry.NewCollector(nil, 16)
+		svc, err := NewDecideService(video.Mobile(), opts, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf", "1e999", "-1e999",
+			"8e307", "1e308", "0x1p1023", "1.7976931348623157e308"} {
+			v := url.QueryEscape(bad)
+			for _, query := range []string{
+				"session=a&buffer=" + v + "&throughput=5",
+				"session=a&buffer=5&throughput=" + v,
+				"session=a&buffer=5&throughput=5&cap=" + v,
+			} {
+				if code, _ := decideStatus(t, svc, query); code != 400 {
+					t.Errorf("tables %v: GET /decide?%s = %d, want 400", opts.TableQuantum > 0, query, code)
+				}
 			}
 		}
-	}
-	if got := col.Decisions.Value(); got != 0 {
-		t.Errorf("%g decisions recorded from rejected requests", got)
-	}
-	if got := svc.tables.Stats().Tables; got != 1 {
-		t.Errorf("%d decision tables bound, want only the default cap's", got)
+		if got := col.Decisions.Value(); got != 0 {
+			t.Errorf("tables %v: %g decisions recorded from rejected requests", opts.TableQuantum > 0, got)
+		}
+		if svc.tables != nil {
+			if got := svc.tables.Stats().Tables; got != 1 {
+				t.Errorf("%d decision tables bound, want only the default cap's", got)
+			}
+		}
 	}
 }
 

@@ -72,6 +72,13 @@ type Target interface {
 	Decide(req *httpseg.DecideRequest) (httpseg.DecideResult, error)
 }
 
+// The virtual players' model: every request sends a 20 s buffer cap, and a
+// download deposits one 2 s segment.
+const (
+	playerBufferCap = units.Seconds(20)
+	playerSegment   = units.Seconds(2)
+)
+
 // Config parameterises one load-generation run.
 type Config struct {
 	// Mode is the arrival process.
@@ -92,15 +99,8 @@ type Config struct {
 	// SessionLength is the synthesized trace length per session pool entry
 	// (default 120 s — samples wrap when a session outlives its trace).
 	SessionLength units.Seconds
-	// TracePool bounds the number of distinct traces synthesized and shared
-	// round-robin across sessions (default min(Sessions, 256)).
-	TracePool int
 	// Seed makes trace synthesis and Poisson arrivals reproducible.
 	Seed uint64
-	// BufferCap is the player model's buffer cap (default 20 s).
-	BufferCap units.Seconds
-	// SegmentSeconds is the player model's segment duration (default 2 s).
-	SegmentSeconds units.Seconds
 	// Watchdog, when non-nil, observes every successful decide with the QoE-
 	// consistency detectors, from the client's side of the wire: the virtual
 	// player's buffer trajectory and rung history feed the same detectors the
@@ -117,12 +117,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 16
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = units.Seconds(20)
-	}
-	if c.SegmentSeconds <= 0 {
-		c.SegmentSeconds = units.Seconds(2)
 	}
 	return c
 }
@@ -231,7 +225,7 @@ func Run(cfg Config, target Target) (Report, error) {
 // buildSessions synthesizes the shared trace pool and lays out every virtual
 // session's state.
 func (r *runner) buildSessions() error {
-	pool, err := sim.TracePool(r.cfg.Profile, r.cfg.Sessions, r.cfg.TracePool, r.cfg.SessionLength, r.cfg.Seed)
+	pool, err := sim.TracePool(r.cfg.Profile, r.cfg.Sessions, r.cfg.SessionLength, r.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("loadgen: %w", err)
 	}
@@ -267,7 +261,7 @@ func (r *runner) step(i int, start time.Time) {
 		Session:    r.keys[i],
 		Buffer:     st.Buffer,
 		Throughput: throughput,
-		BufferCap:  r.cfg.BufferCap,
+		BufferCap:  playerBufferCap,
 		Segment:    -1,
 	}
 	res, err := r.target.Decide(&req)
@@ -281,7 +275,7 @@ func (r *runner) step(i int, start time.Time) {
 		r.latency.Observe(time.Since(start).Seconds())
 		prev := st.PrevRung
 		sim.StepPlayer(st, res.Rung, units.Mbps(res.BitrateMbps), units.Seconds(res.WaitSeconds),
-			throughput, r.cfg.SegmentSeconds, r.cfg.BufferCap)
+			throughput, playerSegment, playerBufferCap)
 		if r.watches != nil {
 			// Observe with the client-side view: the buffer reported in the
 			// request and the rung the server answered with.

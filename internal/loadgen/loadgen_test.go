@@ -340,13 +340,33 @@ func TestConfigValidation(t *testing.T) {
 func TestTracePoolSharing(t *testing.T) {
 	// More sessions than the pool cap: sessions must still get distinct keys
 	// and staggered cursors, and the run must stay within budget.
+	r := &runner{cfg: Config{Sessions: 300, Seed: 5}.normalize()}
+	if err := r.buildSessions(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.pool) != 256 {
+		t.Fatalf("trace pool holds %d traces, want the 256 cap", len(r.pool))
+	}
+	keys := map[string]bool{}
+	for i, st := range r.states {
+		keys[r.keys[i]] = true
+		// Session i shares trace i mod 256 and starts one sample further
+		// along it than the session 256 before it.
+		if int(st.Trace) != i%256 || int(st.Cursor) != i/256 {
+			t.Fatalf("session %d on trace %d at cursor %d, want trace %d at cursor %d",
+				i, st.Trace, st.Cursor, i%256, i/256)
+		}
+	}
+	if len(keys) != 300 {
+		t.Fatalf("%d distinct session keys for 300 sessions", len(keys))
+	}
+
 	svc := newService(t, httpseg.DecideOptions{})
 	rep, err := Run(Config{
-		Mode:      ClosedLoop,
-		Sessions:  300, // > the 256 trace-pool cap
-		Requests:  600,
-		Seed:      5,
-		TracePool: 16,
+		Mode:     ClosedLoop,
+		Sessions: 300, // > the 256 trace-pool cap
+		Requests: 600,
+		Seed:     5,
 	}, &InProc{Svc: svc})
 	if err != nil {
 		t.Fatal(err)
@@ -371,11 +391,10 @@ func TestWatchdogAttached(t *testing.T) {
 		Sessions: 4,
 		Requests: 200,
 		Seed:     5,
-		// BufferCap 20 < the 30 s horizon: every session lives in the
-		// underrun-risk band its whole life, so at least one incident per
-		// session is guaranteed.
-		BufferCap: units.Seconds(20),
-		Watchdog:  wd,
+		// The players' 20 s buffer cap < the 30 s horizon: every session
+		// lives in the underrun-risk band its whole life, so at least one
+		// incident per session is guaranteed.
+		Watchdog: wd,
 	}, &InProc{Svc: svc})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +448,7 @@ func (g *greedyTarget) Decide(req *httpseg.DecideRequest) (httpseg.DecideResult,
 // every buffer, and the report carries exactly the stall that implies.
 func TestPlayerChargesStall(t *testing.T) {
 	target := &greedyTarget{bitrate: 4000}
-	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 4, Requests: 200, SegmentSeconds: units.Seconds(2), Seed: 3}, target)
+	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 4, Requests: 200, Seed: 3}, target)
 	if err != nil {
 		t.Fatal(err)
 	}

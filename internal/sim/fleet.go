@@ -6,11 +6,11 @@
 // trades its trace-integration fidelity for the loadgen player model (a
 // download occupies bitrate·L/throughput seconds of link time against the
 // session's current trace sample) so that one host can hold the entire
-// cohort's state in struct-of-arrays arenas and touch only the sessions
-// whose next event is due. Controllers are the real thing — every session
-// runs its own core.Controller out of the arena slab, sharing the fleet
-// decision tables and solve cache — so fleet cohorts exercise exactly the
-// production decide path.
+// cohort's state in per-worker slices and touch only the sessions whose
+// next event is due. Controllers are the real thing — every session runs its
+// own core.Controller in place in its worker's controller slice, sharing the
+// fleet decision tables and solve cache — so fleet cohorts exercise exactly
+// the production decide path.
 package sim
 
 import (
@@ -34,8 +34,8 @@ type FleetConfig struct {
 	// Sessions is the concurrent virtual-player count.
 	Sessions int
 	// Workers is the fixed worker-pool size; each worker exclusively owns
-	// one arena shard of sessions and its own time-wheel, so the steady
-	// decide path takes no locks. Non-positive derives it from GOMAXPROCS.
+	// its sessions' slices and its own time-wheel, so the steady decide path
+	// takes no locks. Non-positive derives it from GOMAXPROCS.
 	Workers int
 	// Ladder is the bitrate ladder every session streams. Required.
 	Ladder video.Ladder
@@ -48,9 +48,6 @@ type FleetConfig struct {
 	// Profile calibrates the per-session throughput process; the zero value
 	// means tracegen.Puffer().
 	Profile tracegen.Profile
-	// TracePool bounds the distinct traces synthesized and shared
-	// round-robin across sessions (default min(Sessions, 256)).
-	TracePool int
 	// SessionLength is the synthesized trace length (default 120 s; samples
 	// wrap, so sessions are effectively endless).
 	SessionLength units.Seconds
@@ -60,14 +57,15 @@ type FleetConfig struct {
 	// TickSeconds is the time-wheel granularity (default 10 ms). Events
 	// quantize up to the next tick boundary.
 	TickSeconds units.Seconds
-	// Telemetry, when non-nil, receives one DecisionEvent per decision via
-	// per-session pooled recorders, one per session on its worker. Nil (the
-	// benchmark configuration) records nothing and keeps the steady path
-	// allocation-free.
+	// Telemetry, when non-nil, receives one DecisionEvent per decision
+	// through one pooled recorder per worker, which batches the worker's
+	// events into the collector's ring; Close records every session's
+	// solver totals and aggregates. Nil (the benchmark configuration)
+	// records nothing and keeps the steady path allocation-free.
 	Telemetry *telemetry.Collector
 	// Watchdog, when non-nil, observes every decision with the QoE-
-	// consistency detectors. Per-session detector state lives in the
-	// cohort's arena slots (one flightrec.SessionWatch per slab entry), so
+	// consistency detectors. Per-session detector state lives in a
+	// per-worker slice of flightrec.SessionWatch sized at construction, so
 	// attaching a watchdog allocates nothing on the steady path; incident
 	// totals surface through FleetReport. Independent of Telemetry.
 	Watchdog *flightrec.Watchdog
@@ -89,7 +87,8 @@ type FleetReport struct {
 	// normalized per 1000 sessions — the gate-schema denomination.
 	Incidents            uint64
 	IncidentsPerThousand float64
-	Arena                arena.Stats
+	// Arena reports the session layout: one contiguous block per worker.
+	Arena arena.Stats
 }
 
 // Time-wheel geometry: two levels of 256 buckets. At the default 10 ms tick
@@ -103,7 +102,7 @@ const (
 )
 
 // wheel is one worker's hierarchical time-wheel. Buckets chain sessions
-// intrusively through their arena State.Next links, so scheduling allocates
+// intrusively through their State.Next links, so scheduling allocates
 // nothing; State.DueTick disambiguates bucket collisions on expiry.
 type wheel struct {
 	now uint32 // current tick
@@ -120,11 +119,11 @@ func (w *wheel) init() {
 
 // schedule parks session `local` to fire at absolute tick `due` (clamped to
 // the future — the wheel cannot fire in the past).
-func (w *wheel) schedule(states []*arena.State, local uint32, due uint32) {
+func (w *wheel) schedule(states []arena.State, local uint32, due uint32) {
 	if due <= w.now {
 		due = w.now + 1
 	}
-	st := states[local]
+	st := &states[local]
 	st.DueTick = due
 	var bucket *uint32
 	if due-w.now < wheelSlots {
@@ -138,7 +137,7 @@ func (w *wheel) schedule(states []*arena.State, local uint32, due uint32) {
 
 // advance runs the wheel forward to absolute tick `to`, invoking fire for
 // every due session at its due tick. fire may (and does) reschedule.
-func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32, tick uint32)) {
+func (w *wheel) advance(states []arena.State, to uint32, fire func(local uint32, tick uint32)) {
 	for w.now < to {
 		w.now++
 		tick := w.now
@@ -152,7 +151,7 @@ func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32
 			chain := w.l1[slot]
 			w.l1[slot] = noSession
 			for chain != noSession {
-				st := states[chain]
+				st := &states[chain]
 				next := st.Next
 				if st.DueTick == tick {
 					fire(chain, tick)
@@ -165,7 +164,7 @@ func (w *wheel) advance(states []*arena.State, to uint32, fire func(local uint32
 		chain := w.l0[tick&wheelMask]
 		w.l0[tick&wheelMask] = noSession
 		for chain != noSession {
-			st := states[chain]
+			st := &states[chain]
 			next := st.Next
 			if st.DueTick == tick {
 				fire(chain, tick)
@@ -186,18 +185,18 @@ type constPredictor struct{ omega units.Mbps }
 
 func (p *constPredictor) predict(units.Seconds) units.Mbps { return p.omega }
 
-// fleetWorker owns one arena shard of sessions and drives their wheel.
-// Controller and state pointers come from the arena once at setup — slots
-// are never freed, so they are stable for the cohort's lifetime — and the
-// per-decision path is array indexing.
+// fleetWorker owns a contiguous run of sessions and drives their wheel.
+// Local session i lives at index i of ctrls, states and (with a watchdog)
+// watches, all sized once at setup, so the per-decision path indexes a slice
+// with no pointer chase. One telemetry recorder batches the whole worker's
+// events.
 type fleetWorker struct {
 	f       *Fleet
-	shard   int
 	base    int // global index of this worker's first session
-	ctrls   []*core.Controller
-	states  []*arena.State
-	recs    []*telemetry.SessionRecorder
-	watches []*flightrec.SessionWatch
+	ctrls   []core.Controller
+	states  []arena.State
+	watches []flightrec.SessionWatch
+	rec     *telemetry.SessionRecorder
 	wheel   wheel
 	ctx     abr.Context
 	pred    constPredictor
@@ -216,7 +215,6 @@ type fleetWorker struct {
 // Methods are not safe for concurrent use with each other.
 type Fleet struct {
 	cfg     FleetConfig
-	arena   *arena.Arena
 	pool    [][]units.Mbps
 	workers []*fleetWorker
 	ticks   uint32 // absolute cohort clock, in wheel ticks
@@ -233,21 +231,18 @@ func fleetControllerConfig() core.Config {
 	return cfg
 }
 
-// TracePool synthesizes the throughput traces a cohort of sessions shares
-// round-robin, as per-sample Mb/s. Zero arguments take the defaults the
-// fleet and the load generator share: the Puffer profile, 120 s traces, and
-// min(sessions, 256) traces (never more than 256).
-func TracePool(profile tracegen.Profile, sessions, traces int, length units.Seconds, seed uint64) ([][]units.Mbps, error) {
+// TracePool synthesizes the min(sessions, 256) throughput traces a cohort of
+// sessions shares round-robin, as per-sample Mb/s. Zero arguments take the
+// defaults the fleet and the load generator share: the Puffer profile and
+// 120 s traces.
+func TracePool(profile tracegen.Profile, sessions int, length units.Seconds, seed uint64) ([][]units.Mbps, error) {
 	if profile.Name == "" {
 		profile = tracegen.Puffer()
 	}
 	if length <= 0 {
 		length = units.Seconds(120)
 	}
-	if traces <= 0 || traces > sessions {
-		traces = sessions
-	}
-	pool := make([][]units.Mbps, min(traces, 256))
+	pool := make([][]units.Mbps, min(sessions, 256))
 	for i := range pool {
 		tr, err := profile.Session(length, seed, i)
 		if err != nil {
@@ -262,10 +257,11 @@ func TracePool(profile tracegen.Profile, sessions, traces int, length units.Seco
 	return pool, nil
 }
 
-// NewFleet builds the cohort: synthesizes the trace pool, carves the arena
-// into per-worker shards, seats every session's controller and player state
-// in its slot, schedules first events staggered across one segment duration,
-// and parks the worker pool. No decisions run until Advance.
+// NewFleet builds the cohort: synthesizes the trace pool, splits the
+// sessions into one contiguous run per worker, seats every session's
+// controller and player state in its worker's slices, schedules first events
+// staggered across one segment duration, and parks the worker pool. No
+// decisions run until Advance.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Sessions < 1 {
 		return nil, errors.New("sim: fleet needs at least one session")
@@ -297,14 +293,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("sim: fleet controller config: %w", err)
 	}
 
-	pool, err := TracePool(cfg.Profile, cfg.Sessions, cfg.TracePool, cfg.SessionLength, cfg.Seed)
+	pool, err := TracePool(cfg.Profile, cfg.Sessions, cfg.SessionLength, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{cfg: cfg, pool: pool}
-
-	perShard := (cfg.Sessions + cfg.Workers - 1) / cfg.Workers
-	f.arena = arena.New(cfg.Workers, perShard)
 
 	// First events stagger across one segment duration so the cohort does
 	// not thunder onto a single tick.
@@ -322,47 +315,31 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		}
 		w := &fleetWorker{
 			f:      f,
-			shard:  wi,
 			base:   next,
-			ctrls:  make([]*core.Controller, n),
-			states: make([]*arena.State, n),
+			ctrls:  make([]core.Controller, n),
+			states: make([]arena.State, n),
+			rec:    cfg.Telemetry.StartSession(next),
 			cmd:    make(chan uint32),
 		}
 		w.wheel.init()
-		if cfg.Telemetry != nil {
-			w.recs = make([]*telemetry.SessionRecorder, n)
-		}
 		if cfg.Watchdog != nil {
-			w.watches = make([]*flightrec.SessionWatch, n)
+			w.watches = make([]flightrec.SessionWatch, n)
 		}
-		for local := 0; local < n; local++ {
+		for local := range w.ctrls {
 			global := next + local
-			ctrl, st, watch, ok := f.arena.Alloc(wi)
-			if !ok {
-				return nil, fmt.Errorf("sim: fleet arena exhausted at session %d", global)
-			}
+			ctrl := &w.ctrls[local]
 			ctrl.Init(ctrlCfg, cfg.Ladder)
 			// Bind the cost model, table and solver scratch now: these are
 			// Decide's only lazy allocations, and paying them at setup keeps
 			// the steady event path allocation-free from the first fire.
 			ctrl.Prewarm(cfg.BufferCap)
-			*st = arena.State{
+			w.states[local] = arena.State{
 				PrevRung: int32(abr.NoRung),
 				Trace:    int32(global % len(f.pool)),
 				// Stagger cursors so pool-sharing sessions do not walk
 				// identical sample sequences in lockstep.
 				Cursor: int32(global / len(f.pool)),
 				Next:   noSession,
-			}
-			w.ctrls[local] = ctrl
-			w.states[local] = st
-			if cfg.Telemetry != nil {
-				w.recs[local] = cfg.Telemetry.StartSession(global)
-			}
-			if cfg.Watchdog != nil {
-				// Detector state lives in the arena slot, under the same
-				// shard-ownership contract as ctrls and states.
-				w.watches[local] = watch
 			}
 			w.wheel.schedule(w.states, uint32(local), 1+uint32(global)%ticksPerSegment)
 		}
@@ -399,7 +376,7 @@ func (w *fleetWorker) run() {
 //
 //soda:noalloc
 func (w *fleetWorker) fire(local uint32, tick uint32) {
-	st := w.states[local]
+	st := &w.states[local]
 	samples := w.f.pool[st.Trace]
 	omega := samples[int(st.Cursor)%len(samples)]
 	st.Cursor++
@@ -427,25 +404,24 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 		w.f.cfg.Ladder.SegmentSeconds, w.f.cfg.BufferCap)
 	w.stall += stall
 
-	if w.recs != nil {
-		if rec := w.recs[local]; rec != nil {
-			ev := rec.Start()
-			ev.AtSeconds = w.ctx.Now
-			ev.Segment = st.Segment
-			ev.Rung = int16(rung)
-			ev.PrevRung = int16(w.ctx.PrevRung)
-			ev.Buffer = w.ctx.Buffer
-			ev.Throughput = omega
-			if rung == abr.NoRung {
-				ev.WaitSeconds = dt
-			} else {
-				ev.Bitrate = bitrate
-			}
-			rec.Commit()
+	if w.rec != nil {
+		ev := w.rec.Start()
+		ev.Session = int32(w.base) + int32(local)
+		ev.AtSeconds = w.ctx.Now
+		ev.Segment = st.Segment
+		ev.Rung = int16(rung)
+		ev.PrevRung = int16(w.ctx.PrevRung)
+		ev.Buffer = w.ctx.Buffer
+		ev.Throughput = omega
+		if rung == abr.NoRung {
+			ev.WaitSeconds = dt
+		} else {
+			ev.Bitrate = bitrate
 		}
+		w.rec.Commit()
 	}
 	if w.watches != nil {
-		w.f.cfg.Watchdog.Observe(w.watches[local], int32(w.base)+int32(local),
+		w.f.cfg.Watchdog.Observe(&w.watches[local], int32(w.base)+int32(local),
 			w.ctx.Now, w.ctx.Buffer, int16(rung), int16(w.ctx.PrevRung))
 	}
 
@@ -501,7 +477,8 @@ func StepPlayer(st *arena.State, rung int, bitrate units.Mbps, wait units.Second
 // Advance runs the whole cohort forward by window of simulated time, all
 // workers in parallel, and returns when every worker has reached the target
 // tick. The steady path allocates nothing: workers are persistent, commands
-// are unboxed channel sends, and all per-decision state lives in the arena.
+// are unboxed channel sends, and all per-decision state lives in the
+// workers' session slices.
 func (f *Fleet) Advance(window units.Seconds) {
 	if f.closed || window <= 0 {
 		return
@@ -525,7 +502,7 @@ func (f *Fleet) Report() FleetReport {
 		Sessions:   f.cfg.Sessions,
 		Workers:    len(f.workers),
 		SimSeconds: f.cfg.TickSeconds.Scale(float64(f.ticks)),
-		Arena:      f.arena.Stats(),
+		Arena:      arena.Stats{Shards: len(f.workers), Slabs: len(f.workers), HighWater: f.cfg.Sessions},
 	}
 	for _, w := range f.workers {
 		rep.Decisions += w.decisions
@@ -540,10 +517,10 @@ func (f *Fleet) Report() FleetReport {
 	return rep
 }
 
-// Sessions exposes one session's controller and state for inspection (tests
+// Session exposes one session's controller and state for inspection (tests
 // and the soda-sim CLI); ok=false when the index is out of range. The
-// returned pointers follow the arena ownership contract: do not touch them
-// while an Advance is in flight.
+// pointers point into the owning worker's slices: do not touch them while an
+// Advance is in flight.
 func (f *Fleet) Session(i int) (*core.Controller, *arena.State, bool) {
 	if i < 0 || i >= f.cfg.Sessions {
 		return nil, nil, false
@@ -551,29 +528,31 @@ func (f *Fleet) Session(i int) (*core.Controller, *arena.State, bool) {
 	for _, w := range f.workers {
 		if i < w.base+len(w.states) {
 			local := i - w.base
-			return w.ctrls[local], w.states[local], true
+			return &w.ctrls[local], &w.states[local], true
 		}
 	}
 	return nil, nil, false
 }
 
-// Close stops the worker pool and flushes telemetry recorders. The fleet is
-// unusable afterwards; Close is idempotent.
+// Close stops the worker pool and, with a collector attached, records every
+// session's solver totals and aggregates and flushes each worker's recorder.
+// The fleet is unusable afterwards; Close is idempotent.
 func (f *Fleet) Close() {
 	if f.closed {
 		return
 	}
 	f.closed = true
+	col := f.cfg.Telemetry
 	for _, w := range f.workers {
 		close(w.cmd)
-		if w.recs != nil {
-			for local, rec := range w.recs {
-				if rec == nil {
-					continue
-				}
-				st := w.states[local]
-				rec.Finish(solverStats(w.ctrls[local].SolveStats()), int(st.Segment), st.Stall)
-			}
+		if w.rec == nil {
+			continue
 		}
+		for local := range w.ctrls {
+			st := &w.states[local]
+			col.RecordSolverStats(solverStats(w.ctrls[local].SolveStats()))
+			col.RecordSession(int(st.Segment), st.Stall)
+		}
+		w.rec.Release()
 	}
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/abr"
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/predictor"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -52,8 +54,8 @@ func TestFleetAdvancesEverySession(t *testing.T) {
 	if rep.SimSeconds != units.Seconds(60) {
 		t.Fatalf("sim clock = %v, want 60 s", rep.SimSeconds)
 	}
-	if rep.Arena.HighWater != 300 {
-		t.Fatalf("arena high water = %d, want 300: %s", rep.Arena.HighWater, rep.Arena)
+	if want := (arena.Stats{Shards: 3, Slabs: 3, HighWater: 300}); rep.Arena != want {
+		t.Fatalf("session layout = %s, want %s", rep.Arena, want)
 	}
 	// Over a minute of simulated time every session must have downloaded
 	// many segments (steady cadence is roughly one per segment duration).
@@ -230,20 +232,121 @@ func TestFleetTelemetry(t *testing.T) {
 	if got := col.Segments.Value(); got != float64(rep.Segments) {
 		t.Fatalf("collector segments = %g, fleet counted %d", got, rep.Segments)
 	}
+	var stall units.Seconds
+	for i := 0; i < rep.Sessions; i++ {
+		_, st, _ := f.Session(i)
+		stall += st.Stall
+	}
+	if got := col.RebufferSeconds.Value(); got != float64(stall) {
+		t.Fatalf("collector rebuffer = %g s, sessions stalled %g s", got, stall)
+	}
 	// Advance after Close is a no-op, not a deadlock.
 	f.Advance(units.Seconds(5))
+}
+
+// TestFleetTelemetryRingHoldsNewest pins what the decision ring holds after
+// Close: the cohort's newest decisions, with every session labelled. Each
+// worker batches its events in one recorder, so the ring's oldest event is
+// at most one batch behind the cohort clock, not a session's stale tail.
+func TestFleetTelemetryRingHoldsNewest(t *testing.T) {
+	col := telemetry.NewCollector(nil, 1<<10)
+	f, err := NewFleet(FleetConfig{Sessions: 400, Workers: 2, Ladder: video.Mobile(), Seed: 3, Telemetry: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Advance(units.Seconds(60))
+	f.Close()
+	evs := col.Ring.Snapshot()
+	if len(evs) != 1<<10 {
+		t.Fatalf("ring holds %d events, want a full ring of %d", len(evs), 1<<10)
+	}
+	seen := map[int32]bool{}
+	for _, ev := range evs {
+		if ev.Session < 0 || ev.Session >= 400 {
+			t.Fatalf("event labelled with session %d, outside the cohort", ev.Session)
+		}
+		seen[ev.Session] = true
+		// 400 sessions decide about once per 2 s segment, so 1024 events
+		// span a few seconds; a recorder batch of 256 adds about one more.
+		if ev.AtSeconds < units.Seconds(50) {
+			t.Fatalf("ring holds an event from %v, over 10 s before the cohort clock", ev.AtSeconds)
+		}
+	}
+	if len(seen) < 200 {
+		t.Fatalf("ring covers %d sessions, want most of the cohort's 400", len(seen))
+	}
+}
+
+// TestFleetTelemetrySetupIsFlat pins the cost of attaching a collector: one
+// recorder per worker, so NewFleet's extra allocation does not grow with the
+// session count. A recorder per session cost about 20 KB each.
+func TestFleetTelemetrySetupIsFlat(t *testing.T) {
+	col := telemetry.NewCollector(nil, 0)
+	setupBytes := func(sessions int, col *telemetry.Collector) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := NewFleet(FleetConfig{Sessions: sessions, Workers: 2, Ladder: video.Mobile(), Seed: 3, Telemetry: col})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, sessions := range []int{1000, 4000} {
+		bare := setupBytes(sessions, nil)
+		with := setupBytes(sessions, col)
+		if extra := int64(with) - int64(bare); extra > 256<<10 {
+			t.Errorf("%d sessions: a collector adds %d KB to NewFleet (%d B per session), want under 256 KB",
+				sessions, extra>>10, extra/int64(sessions))
+		}
+	}
+}
+
+// TestFleetWatchLifecycle pins the per-session watchdog state: every
+// session starts with a zeroed watch of its own, so one session's detector
+// latches never leak into another's.
+func TestFleetWatchLifecycle(t *testing.T) {
+	wd := flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{})
+	f, err := NewFleet(FleetConfig{Sessions: 10, Workers: 2, Ladder: video.Mobile(), Seed: 3, Watchdog: wd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var watches []*flightrec.SessionWatch
+	for _, w := range f.workers {
+		for local := range w.watches {
+			watch := &w.watches[local]
+			if *watch != (flightrec.SessionWatch{}) {
+				t.Fatalf("session %d starts with watch state %+v, want zero", w.base+local, *watch)
+			}
+			watches = append(watches, watch)
+		}
+	}
+	if len(watches) != 10 {
+		t.Fatalf("%d watches for 10 sessions", len(watches))
+	}
+	// Latch playback start (buffer > 0), then stall: exactly one incident.
+	wd.Observe(watches[0], 0, units.Seconds(1), units.Seconds(10), 0, 0)
+	wd.Observe(watches[0], 0, units.Seconds(2), units.Seconds(0), 0, 0)
+	if got := wd.Count(flightrec.KindStall); got != 1 {
+		t.Fatalf("stall incidents after started+empty = %d, want 1", got)
+	}
+	// Every other session's started-latch is still clear: an empty buffer
+	// on its first observation is the fill phase, not a stall.
+	for i, watch := range watches[1:] {
+		wd.Observe(watch, int32(i+1), units.Seconds(1), units.Seconds(0), 0, 0)
+	}
+	if got := wd.Count(flightrec.KindStall); got != 1 {
+		t.Fatalf("another session inherited the started-latch: stall incidents = %d, want still 1", got)
+	}
 }
 
 // TestWheelLongHorizons drives the wheel directly: events beyond the inner
 // span cascade from the outer wheel, and events beyond even the outer span
 // lap it and still fire at their exact tick.
 func TestWheelLongHorizons(t *testing.T) {
-	a := arena.New(1, 0)
-	const n = 5
-	states := make([]*arena.State, n)
-	for i := range states {
-		_, states[i], _, _ = a.Alloc(0)
-	}
+	states := make([]arena.State, 5)
 	var w wheel
 	w.init()
 	due := []uint32{3, wheelSlots + 7, 3 * wheelSlots, wheelSlots*wheelSlots + 13, 2*wheelSlots*wheelSlots + 1}

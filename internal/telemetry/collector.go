@@ -183,11 +183,11 @@ const latencySampleEvery = 64
 // flushes; the ring lock and counter CAS traffic amortise over a batch.
 const recorderBatch = 256
 
-// SessionRecorder batches one session's decision telemetry: events buffer
-// locally and flush to the shared ring, counters and histograms every
-// recorderBatch decisions and at Finish. It is single-goroutine state (one
-// per session, used by that session's worker only) and nil-safe, so the
-// simulator calls it unconditionally.
+// SessionRecorder batches decision telemetry: events buffer locally and
+// flush to the shared ring, counters and histograms every recorderBatch
+// decisions and at Finish or Release. It is single-goroutine state (one per
+// session, or one per fleet worker) and nil-safe, so the simulator calls it
+// unconditionally.
 type SessionRecorder struct {
 	c       *Collector
 	session int32
@@ -311,10 +311,22 @@ func (r *SessionRecorder) Finish(stats SolverStats, segments int, rebuffer units
 	if r == nil {
 		return
 	}
+	c := r.c
+	r.Release()
+	c.RecordSolverStats(stats)
+	c.RecordSession(segments, rebuffer)
+}
+
+// Release flushes buffered events and recycles the recorder without
+// recording a session: Finish for a recorder shared by many sessions, whose
+// harness records each session's totals itself (RecordSolverStats,
+// RecordSession). The recorder must not be used afterwards.
+func (r *SessionRecorder) Release() {
+	if r == nil {
+		return
+	}
 	r.flush()
-	r.c.RecordSolverStats(stats)
-	r.c.RecordSession(segments, rebuffer)
-	// flush left pending empty; reset the sampling phase so every session
+	// flush left pending empty; reset the sampling phase so every recorder
 	// times its first decision.
 	r.seen = 0
 	r.c.recorders.Put(r)

@@ -13,10 +13,10 @@ import (
 // as plain JSON numbers.
 // The narrow integer fields are deliberate: the event is copied on every
 // ring append and sits 256-deep in each recorder's pending batch, so its
-// size is hot-path cache traffic. int32/int16/uint32 keep it at 88 bytes
-// (vs 136 with machine-word fields) without losing range — sessions and
-// segments stay far below 2^31, ladders below 2^15, and per-decision solver
-// deltas below 2^32.
+// size is hot-path cache traffic. int32/int16/uint32 keep it at 80 bytes
+// (unsafe.Sizeof, amd64) without losing range — sessions and segments stay
+// far below 2^31, ladders below 2^15, and per-decision solver deltas below
+// 2^32.
 type DecisionEvent struct {
 	// Session labels the originating session (the trace index of a dataset
 	// run, or the DecideService's per-session id).
