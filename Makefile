@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzSessionTable -fuzztime 10s ./internal/sessiontable
+	$(GO) test -run '^$$' -fuzz FuzzDecideHTTP -fuzztime 10s ./internal/httpseg
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

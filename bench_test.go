@@ -759,11 +759,20 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 func BenchmarkFlightRecRecord(b *testing.B) {
 	rec := flightrec.NewRecorder(nil, 0)
-	start := rec.Now()
+	q := flightrec.Request{Stop: flightrec.StageDecide, Served: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Record(flightrec.StageDecide, int32(i&1023), start, int64(i&255), true)
+		// One served request: five stages back to back, then the reply tail.
+		q.Start = int64(i) << 12
+		at := q.Start
+		for s := range q.Ends {
+			at += int64(s+1)*64 + int64(i&255)
+			q.Ends[s] = at
+		}
+		q.End = at + 128
+		q.Session = int32(i & 1023)
+		rec.Record(&q)
 	}
 }
 
@@ -997,15 +1006,19 @@ func BenchmarkFleetSim(b *testing.B) {
 // BenchmarkSessionTableDecide measures the full control-plane decide path —
 // rate-limit check, in-flight semaphore, session-table acquire, the decide
 // critical section, release, latency histogram — on a warm session with the
-// compiled tables and shared cache on. This is soda-server's steady state,
-// and it must stay allocation-free: per-decide garbage is what caps how many
-// concurrent sessions one host can carry (gated at 0 allocs/op in
-// bench_baseline.json).
+// compiled tables and shared cache on, wired as soda-server wires it: a
+// collector, with the flight recorder and the QoE watchdog registered on it.
+// This is soda-server's steady state, and it must stay allocation-free:
+// per-decide garbage is what caps how many concurrent sessions one host can
+// carry (gated at 0 allocs/op in bench_baseline.json).
 func BenchmarkSessionTableDecide(b *testing.B) {
+	col := telemetry.NewCollector(nil, telemetry.DefaultRingCapacity)
 	svc, err := httpseg.NewDecideService(video.Prototype(), httpseg.DecideOptions{
-		CacheEntries: 1 << 12,
-		TableQuantum: 0.5,
-	}, nil)
+		CacheEntries:   1 << 12,
+		TableQuantum:   0.5,
+		FlightRecorder: flightrec.NewRecorder(col.Registry, 0),
+		Watchdog:       flightrec.NewWatchdog(col.Registry, flightrec.WatchdogConfig{}),
+	}, col)
 	if err != nil {
 		b.Fatal(err)
 	}

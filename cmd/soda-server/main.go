@@ -193,7 +193,7 @@ func main() {
 		_ = httpSrv.Shutdown(shutCtx)
 		cancel()
 		// Trace export happens after the drain so the file carries the final
-		// decision ring and span rings.
+		// decision ring and flight-recorder request ring.
 		if *traceExport != "" && intro != nil {
 			if err := flightrec.WriteChromeTraceFile(*traceExport,
 				intro.col.Ring.Snapshot(), intro.flight.Snapshot()); err != nil {

@@ -33,9 +33,11 @@ import (
 // horizons, out-of-range or non-finite predictions — falls through to the
 // ordinary shared-cache/solver path untouched; states are never clamped
 // into the table. Oversized geometries (absurd buffer caps at a fine
-// quantum) and bindings past the table budget compile to a permanent
-// fallback-only stub instead of failing, so a hostile buffer cap cannot
-// become a compile-time denial of service.
+// quantum) and bindings past the table budget get a fallback-only stub
+// instead of failing, so a hostile buffer cap cannot become a compile-time
+// denial of service. The set keeps only the tables within its budget: a stub
+// belongs to the binding that got it, so cap churn cannot grow the set
+// either.
 //
 // A DecisionTables set is safe for concurrent use and is injected state: it
 // holds no package-level variables and launches no goroutines, which keeps
@@ -44,6 +46,7 @@ import (
 // identity, never a controller binding an already-compiled table.
 type DecisionTables struct {
 	mu sync.Mutex
+	// tables holds the compiled and compiling tables, at most maxTables.
 	//soda:guard mu
 	tables    map[uint64]*decisionTable
 	maxTables int
@@ -51,8 +54,8 @@ type DecisionTables struct {
 	// maxTables.
 	//soda:guard mu
 	compiled int
-	// stats totals the finished tables: a compile joins it once its cells
-	// are filled.
+	// stats totals the finished tables — a compile joins it once its cells
+	// are filled — and counts stub bindings.
 	//soda:guard mu
 	stats TableStats
 }
@@ -79,9 +82,9 @@ func NewDecisionTables() *DecisionTables {
 }
 
 // NewDecisionTablesSized is NewDecisionTables with an explicit budget on
-// compiled tables; bindings past the budget get fallback-only stubs. It
-// panics on a non-positive budget: table budgets are program constants in
-// every harness, exactly like cache sizes.
+// compiled tables; bindings past the budget get fallback-only stubs, which
+// the set does not keep. It panics on a non-positive budget: table budgets
+// are program constants in every harness, exactly like cache sizes.
 func NewDecisionTablesSized(maxTables int) *DecisionTables {
 	if maxTables <= 0 {
 		panic(fmt.Sprintf("core: non-positive decision table budget %d", maxTables))
@@ -106,7 +109,8 @@ type decisionTable struct {
 	planes          int32
 	rungs           []int8
 	stub            bool
-	// ready is closed once rungs is filled; nothing reads rungs before.
+	// ready is closed once rungs is filled; nothing reads rungs before. A
+	// stub has none: it is never stored, so no other binder waits on it.
 	ready chan struct{}
 }
 
@@ -154,9 +158,11 @@ func (c Config) tableQuantum() float64 {
 // tableFor returns the compiled table for the configuration, compiling it
 // on first use. The first binder of an identity reserves it, and counts it
 // against the budget, under the set lock, then fills the cells outside it;
-// later binders of that identity wait for that one compile. fp must be
-// modelFingerprint(cfg, ladder, bufferCap) — the caller (modelFor) already
-// maintains it.
+// later binders of that identity wait for that one compile. A binding past
+// the budget, or of a geometry too large to compile, gets a fresh stub that
+// the set does not store, so every such binding counts in Stats().Stubs and
+// none grows the set. fp must be modelFingerprint(cfg, ladder, bufferCap) —
+// the caller (modelFor) already maintains it.
 func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bufferCap units.Seconds) *decisionTable {
 	q := cfg.tableQuantum()
 	k := steadyHorizon(cfg, ladder)
@@ -173,25 +179,24 @@ func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bu
 		k:               int32(k),
 		capToThroughput: cfg.CapToThroughput,
 		stub:            true,
-		ready:           make(chan struct{}),
 	}
-	if s.compiled < s.maxTables && t.planGeometry(ladder, bufferCap) {
-		s.compiled++
-		t.stub = false
-	} else {
+	if s.compiled >= s.maxTables || !t.planGeometry(ladder, bufferCap) {
 		s.stats.Stubs++
+		s.mu.Unlock()
+		return t
 	}
+	s.compiled++
+	t.stub = false
+	t.ready = make(chan struct{})
 	s.tables[id] = t
 	s.mu.Unlock()
 	defer close(t.ready)
-	if !t.stub {
-		solves := t.compile(cfg, ladder, bufferCap)
-		s.mu.Lock()
-		s.stats.Tables++
-		s.stats.Cells += len(t.rungs)
-		s.stats.CompileSolves += solves
-		s.mu.Unlock()
-	}
+	solves := t.compile(cfg, ladder, bufferCap)
+	s.mu.Lock()
+	s.stats.Tables++
+	s.stats.Cells += len(t.rungs)
+	s.stats.CompileSolves += solves
+	s.mu.Unlock()
 	return t
 }
 
@@ -304,7 +309,7 @@ type TableInfo struct {
 	// Cells is the compiled cell count (0 for a stub).
 	Cells int
 	// Stub reports a fallback-only table: oversized geometry or a binding
-	// past the set's table budget.
+	// past the set's table budget. The set does not keep stubs.
 	Stub bool
 }
 
@@ -334,7 +339,9 @@ func (s *DecisionTables) CompileTable(cfg Config, ladder video.Ladder, bufferCap
 // hit and fallback traffic is per-controller state (SolveStats) — the hot
 // path touches no shared counters.
 type TableStats struct {
-	// Tables counts compiled tables; Stubs counts fallback-only bindings.
+	// Tables counts compiled tables. Stubs counts the bindings that got a
+	// fallback-only stub: the set keeps no stubs, so every such binding
+	// counts, including repeats of one identity.
 	Tables int
 	Stubs  int
 	// Cells is the total compiled cell count across tables.

@@ -187,9 +187,11 @@ func TestDecisionTableFallbackDomain(t *testing.T) {
 
 // TestDecisionTableStubsAndBudget checks the two degrade-to-fallback paths:
 // a geometry too large for maxTableCells and a binding past the set's table
-// budget both produce permanent stubs — controllers keep deciding exactly
-// like the table-free path, with every lookup a fallback — instead of
-// failing or compiling unboundedly (the httpseg cap-churn defence).
+// budget both produce stubs — controllers keep deciding exactly like the
+// table-free path, with every lookup a fallback — instead of failing or
+// compiling unboundedly (the httpseg cap-churn defence). Each case binds its
+// stub identity twice, once through CompileTable and once through a
+// controller; the set keeps no stub, so both bindings count as stubs.
 func TestDecisionTableStubsAndBudget(t *testing.T) {
 	ladder := video.YouTube4K()
 
@@ -218,7 +220,7 @@ func TestDecisionTableStubsAndBudget(t *testing.T) {
 			t.Fatalf("stub traffic books: %d lookups, %d hits, %d fallbacks",
 				st.TableLookups, st.TableHits, st.TableFallbacks)
 		}
-		if ts := tables.Stats(); ts.Tables != 0 || ts.Stubs != 1 {
+		if ts := tables.Stats(); ts.Tables != 0 || ts.Stubs != 2 {
 			t.Fatalf("set stats after oversized bind: %s", ts)
 		}
 	})
@@ -247,10 +249,33 @@ func TestDecisionTableStubsAndBudget(t *testing.T) {
 				t.Fatalf("decision %d: over-budget %+v != plain %+v", i, got, want)
 			}
 		}
-		if ts := tables.Stats(); ts.Tables != 1 || ts.Stubs != 1 {
+		if ts := tables.Stats(); ts.Tables != 1 || ts.Stubs != 2 {
 			t.Fatalf("set stats after budget exhaustion: %s", ts)
 		}
 	})
+}
+
+// TestDecisionTableCapChurnBounded binds 10,000 distinct buffer caps — the
+// identities a /decide client mints with cap= — to a one-table set: the set
+// must hold at most its one compiled table, not a stub per cap.
+func TestDecisionTableCapChurnBounded(t *testing.T) {
+	ladder := video.Prototype()
+	tables := NewDecisionTablesSized(1)
+	cfg := tableTestConfig(tables)
+	for i := 0; i < 10000; i++ {
+		if _, err := tables.CompileTable(cfg, ladder, units.Seconds(4+float64(i)*1e-3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables.mu.Lock()
+	held := len(tables.tables)
+	tables.mu.Unlock()
+	if held > 1 {
+		t.Fatalf("set holds %d entries after 10000 cap bindings, want at most 1", held)
+	}
+	if ts := tables.Stats(); ts.Tables != 1 || ts.Stubs != 9999 {
+		t.Fatalf("set stats after cap churn: %s, want 1 table and 9999 stub bindings", ts)
+	}
 }
 
 // contextStreamAt is a deterministic legal context stream at an arbitrary

@@ -16,8 +16,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SpansHandler serves the recorder's span rings as JSONL, one span per
-// line, ordered by stage then oldest first. Filters: ?limit= (newest N
+// SpansHandler serves the recorder's spans as JSONL, one span per line,
+// ordered by stage then oldest first. Filters: ?limit= (newest N
 // after filtering), ?session=, ?stage=<name>.
 func SpansHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +141,9 @@ type chromeTrace struct {
 // per-session buffer/rung counter tracks plus instants (rung picks) and
 // duration slices (waits), and spans become duration slices on their
 // session's track. Decision timestamps come from DecisionEvent.AtSeconds
-// (the harness stream clock); span timestamps from the recorder epoch.
+// and span timestamps from the harness's request stamps; soda-server takes
+// both from its one service clock, so a session's rung instants and stage
+// spans share an origin.
 func WriteChromeTrace(w io.Writer, events []telemetry.DecisionEvent, spans []Span) error {
 	out := chromeTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	sessions := map[int64]bool{}

@@ -1,23 +1,31 @@
-// Package flightrec is the serving pipeline's flight recorder: ring-buffered
-// stage-latency spans, an online QoE-consistency watchdog over the decision
-// stream, and the timeline/trace exports built on both plus the telemetry
-// decision ring.
+// Package flightrec is the serving pipeline's flight recorder: a ring of
+// per-request stage timings read back as stage-latency spans, an online
+// QoE-consistency watchdog over the decision stream, and the timeline/trace
+// exports built on both plus the telemetry decision ring.
 //
 // The package follows the same two contracts as internal/telemetry:
 //
-//   - Purity: nothing here is visible to a controller. Harnesses (httpseg,
-//     sim, sim.Fleet, loadgen) record spans and feed the watchdog from the
-//     call site after Decide returns, so `abrtest.FlightRecConformance` can
-//     pin decisions bit-identical with and without the recorder attached.
-//   - Zero allocation on the hot path: recording a span is one locked copy
-//     into a pre-allocated per-stage telemetry.Ring, and the watchdog's
-//     detectors are integer state machines embedded in caller-owned memory
-//     (`SessionWatch` lives in soda-server's session-table entry and in a
-//     fleet worker's watch slice). `BenchmarkFlightRecOverhead` gates the
-//     end-to-end cost at ≤5% ns/decision, and the recording functions are
+//   - Purity: nothing here is visible to a controller. Harnesses record
+//     requests (httpseg) and feed the watchdog (httpseg, sim, sim.Fleet,
+//     loadgen) from the call site after Decide returns, so
+//     `abrtest.FlightRecConformance` can pin decisions bit-identical with
+//     and without the watchdog attached, and the serving benchmark's replay
+//     check does the same for served decisions with the recorder attached.
+//   - Zero allocation on the hot path: recording a request is one locked
+//     64-byte copy into a pre-allocated telemetry.Ring plus one histogram
+//     update per stage it reached, and the watchdog's detectors are integer
+//     state machines embedded in caller-owned memory (`SessionWatch` lives
+//     in soda-server's session-table entry and in a fleet worker's watch
+//     slice). `BenchmarkFlightRecOverhead` gates the watchdog's end-to-end
+//     cost at ≤5% ns/decision, and the recording functions are
 //     `//soda:noalloc`.
 //
-// Spans, incidents and decisions all live in the same overwrite-oldest
+// The recorder keeps no clock. The harness stamps each request's stage
+// boundaries on its own clock, so spans share the origin of its other
+// timestamps: soda-server's span starts and decision at_s stamps are both
+// nanoseconds since the decide service started, on the monotonic clock.
+//
+// Requests, incidents and decisions all live in the same overwrite-oldest
 // telemetry.Ring, so a snapshot holds exactly the newest min(written,
 // capacity) records of each ring and no record is ever dropped.
 //
@@ -29,7 +37,6 @@ package flightrec
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -89,9 +96,11 @@ func (s *Stage) UnmarshalText(text []byte) error {
 }
 
 // Span is one recorded pipeline stage: where, when (nanoseconds on the
-// recorder's monotonic clock), how long, for which session, and whether the
-// stage admitted the request (OK false = rejected/shed/stale). The field
-// order is the JSONL wire order.
+// serving harness's clock, the same clock as a decision's at_s), how long,
+// for which session, and whether the stage admitted the request (OK false =
+// rejected/shed/stale). The field order is the JSONL wire order. Spans are
+// not stored: the recorder keeps one Request per request and expands it into
+// its spans when read.
 type Span struct {
 	Start   int64 `json:"start_ns"`
 	Dur     int64 `json:"dur_ns"`
@@ -100,33 +109,83 @@ type Span struct {
 	Stage   Stage `json:"stage"`
 }
 
-// DefaultSpansPerStage holds a few seconds of per-stage serving traffic —
-// the same "context around the incident" sizing as the decision ring.
-const DefaultSpansPerStage = 4096
+// NoSession is the session of a span no session owns: the ratelimit and
+// inflight stages of every request, and every stage of a request that was
+// not served.
+const NoSession = int32(-1)
 
-// Recorder is the stage-latency flight recorder: one span ring and one
-// latency histogram per pipeline stage, sharing a monotonic epoch. A nil
-// Recorder is a valid no-op, so harnesses wire it unconditionally.
-type Recorder struct {
-	rings [NumStages]*telemetry.Ring[Span]
-	hist  [NumStages]*telemetry.Histogram
-	epoch time.Time
+// Request is one serving request as the recorder keeps it: the stamps of its
+// stage boundaries, in nanoseconds on the harness's clock, and how it ended.
+// Pipeline stage s (ratelimit through decide) spans from the previous
+// stage's end — Start for ratelimit — to Ends[s]; the respond span brackets
+// the whole request, Start to End. Each stage thus starts exactly where the
+// previous one ended.
+//
+// A request holds the stages up to Stop, the stage it stopped at: decide
+// for a served request, the rejecting stage otherwise. Every stage before
+// Stop admitted it; Stop and respond carry Served as their OK bit. Session
+// is a served request's session, which its session, arena, decide and
+// respond spans name; its ratelimit and inflight spans, and every span of a
+// rejected request, name NoSession. A Request is 64 bytes.
+type Request struct {
+	Start   int64
+	Ends    [StageRespond]int64
+	End     int64
+	Session int32
+	Stop    Stage
+	Served  bool
 }
 
-// NewRecorder builds a recorder with perStage slots per pipeline stage
+// span expands stage s of the request into its Span; s must be at most Stop
+// or StageRespond.
+func (q *Request) span(s Stage) Span {
+	if s == StageRespond {
+		return Span{Start: q.Start, Dur: q.End - q.Start, Session: q.session(s), OK: q.Served, Stage: s}
+	}
+	start := q.Start
+	if s > 0 {
+		start = q.Ends[s-1]
+	}
+	return Span{Start: start, Dur: q.Ends[s] - start, Session: q.session(s), OK: s < q.Stop || q.Served, Stage: s}
+}
+
+// session is the session stage s's span names.
+func (q *Request) session(s Stage) int32 {
+	if !q.Served || s < StageSession {
+		return NoSession
+	}
+	return q.Session
+}
+
+// DefaultSpansPerStage is the default request count of the recorder's ring:
+// a few seconds of serving traffic, the same "context around the incident"
+// sizing as the decision ring. A served request holds one span per stage, so
+// a ring of served requests holds this many spans of each stage.
+const DefaultSpansPerStage = 4096
+
+// Recorder is the stage-latency flight recorder: one ring of per-request
+// records and one latency histogram per pipeline stage. It keeps no clock:
+// the harness stamps requests on its own, so spans share the origin of the
+// harness's other timestamps. A nil Recorder is a valid no-op, so harnesses
+// wire it unconditionally.
+type Recorder struct {
+	ring *telemetry.Ring[Request]
+	hist [NumStages]*telemetry.Histogram
+}
+
+// NewRecorder builds a recorder whose ring holds the last requests requests
 // (non-positive = DefaultSpansPerStage), registering the per-stage
 // soda_server_stage_latency_seconds histograms on reg (nil = a private
-// registry; the rings still work).
-func NewRecorder(reg *telemetry.Registry, perStage int) *Recorder {
-	if perStage <= 0 {
-		perStage = DefaultSpansPerStage
+// registry; the ring still works).
+func NewRecorder(reg *telemetry.Registry, requests int) *Recorder {
+	if requests <= 0 {
+		requests = DefaultSpansPerStage
 	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	r := &Recorder{epoch: time.Now()}
+	r := &Recorder{ring: telemetry.NewRing[Request](requests)}
 	for s := 0; s < NumStages; s++ {
-		r.rings[s] = telemetry.NewRing[Span](perStage)
 		r.hist[s] = reg.Histogram(
 			"soda_server_stage_latency_seconds",
 			"serving pipeline stage latency, by stage",
@@ -137,43 +196,47 @@ func NewRecorder(reg *telemetry.Registry, perStage int) *Recorder {
 	return r
 }
 
-// Now returns nanoseconds since the recorder's epoch — the clock span
-// start/duration stamps are denominated in. Nil-safe (returns 0).
+// Record stores one finished request and feeds each stage it reached, and
+// respond, to that stage's latency histogram. A Stop past StageDecide
+// records nothing. Nil-safe no-op.
 //
 //soda:noalloc
-func (r *Recorder) Now() int64 {
-	if r == nil {
-		return 0
-	}
-	return int64(time.Since(r.epoch))
-}
-
-// Record stores one stage span and feeds the stage's latency histogram.
-// Nil-safe no-op, so call sites need no branches.
-//
-//soda:noalloc
-func (r *Recorder) Record(stage Stage, session int32, startNS, durNS int64, ok bool) {
-	if r == nil || int(stage) >= NumStages {
+func (r *Recorder) Record(q *Request) {
+	if r == nil || q.Stop >= StageRespond {
 		return
 	}
-	r.rings[stage].Append(Span{Start: startNS, Dur: durNS, Session: session, OK: ok, Stage: stage})
-	r.hist[stage].Observe(float64(durNS) * 1e-9)
+	r.ring.Append(*q)
+	prev := q.Start
+	for s := Stage(0); s <= q.Stop; s++ {
+		r.hist[s].Observe(float64(q.Ends[s]-prev) * 1e-9)
+		prev = q.Ends[s]
+	}
+	r.hist[StageRespond].Observe(float64(q.End-q.Start) * 1e-9)
 }
 
 // Dropped returns the number of spans the recorder failed to record. The
-// rings never drop a span, so it is always 0; it stays for callers that
+// ring never drops a request, so it is always 0; it stays for callers that
 // assert a lossless trace.
 func (r *Recorder) Dropped() uint64 { return 0 }
 
-// Snapshot copies every stage ring's spans, ordered by stage then oldest
-// first. Nil-safe (returns nil).
+// Snapshot expands the held requests into their spans, ordered by stage then
+// oldest first. Nil-safe (returns nil).
 func (r *Recorder) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	var out []Span
-	for s := 0; s < NumStages; s++ {
-		out = append(out, r.rings[s].Snapshot()...)
+	reqs := r.ring.Snapshot()
+	n := 0
+	for i := range reqs {
+		n += int(reqs[i].Stop) + 2 // its pipeline stages plus respond
+	}
+	out := make([]Span, 0, n)
+	for s := Stage(0); int(s) < NumStages; s++ {
+		for i := range reqs {
+			if s <= reqs[i].Stop || s == StageRespond {
+				out = append(out, reqs[i].span(s))
+			}
+		}
 	}
 	return out
 }

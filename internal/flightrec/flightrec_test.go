@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -27,44 +27,66 @@ func TestStageString(t *testing.T) {
 	}
 }
 
+// request builds a request starting at start whose stages up to stop take
+// durs back to back, the last duration being the reply tail after stop.
+func request(session int32, start int64, stop Stage, served bool, durs ...int64) *Request {
+	q := &Request{Start: start, Session: session, Stop: stop, Served: served}
+	at := start
+	for s := Stage(0); s <= stop; s++ {
+		at += durs[s]
+		q.Ends[s] = at
+	}
+	q.End = at + durs[stop+1]
+	return q
+}
+
 func TestRecorderRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := NewRecorder(reg, 16)
-	rec.Record(StageDecide, 7, 1000, 250, true)
-	rec.Record(StageDecide, 8, 2000, 500, true)
-	rec.Record(StageRateLimit, 7, 900, 50, false)
+	rec.Record(request(7, 1000, StageDecide, true, 10, 20, 30, 40, 250, 50))
+	rec.Record(request(8, 2000, StageDecide, true, 10, 20, 30, 40, 500, 50))
+	rec.Record(request(7, 900, StageRateLimit, false, 50, 5))
+	rec.Record(&Request{Start: 3000, End: 3010, Session: 9, Stop: StageRespond, Served: true}) // no such stop: dropped
 
 	spans := rec.Snapshot()
-	if len(spans) != 3 {
-		t.Fatalf("snapshot holds %d spans, want 3", len(spans))
+	if len(spans) != 14 {
+		t.Fatalf("snapshot holds %d spans, want 14 (6 per served request, 2 for the rejected one)", len(spans))
 	}
 	byStage := map[string]int{}
-	for _, sp := range spans {
+	for i, sp := range spans {
 		byStage[sp.Stage.String()]++
+		if i > 0 && sp.Stage < spans[i-1].Stage {
+			t.Fatalf("snapshot not ordered by stage: %+v after %+v", sp, spans[i-1])
+		}
 	}
-	if byStage["decide"] != 2 || byStage["ratelimit"] != 1 {
+	if byStage["decide"] != 2 || byStage["ratelimit"] != 3 || byStage["respond"] != 3 {
 		t.Fatalf("stage counts = %v", byStage)
 	}
+	// Session 7's served request names it from the session stage on; its
+	// rejected request names no session at all.
 	only := rec.SessionSpans(7)
-	if len(only) != 2 {
-		t.Fatalf("session 7 spans = %d, want 2", len(only))
+	if len(only) != 4 {
+		t.Fatalf("session 7 spans = %d, want 4", len(only))
 	}
 	for _, sp := range only {
-		if sp.Session != 7 {
+		if sp.Session != 7 || sp.Stage < StageSession || !sp.OK {
 			t.Fatalf("session filter leaked %+v", sp)
+		}
+		if sp.Stage == StageDecide && (sp.Start != 1100 || sp.Dur != 250) {
+			t.Fatalf("decide span = %+v, want start 1100 dur 250", sp)
 		}
 	}
 	// The rejected ratelimit span kept its OK=false bit and payload.
 	var rl *Span
 	for i := range spans {
-		if spans[i].Stage == StageRateLimit {
+		if spans[i].Stage == StageRateLimit && !spans[i].OK {
 			rl = &spans[i]
 		}
 	}
-	if rl == nil || rl.OK || rl.Start != 900 || rl.Dur != 50 {
+	if rl == nil || rl.Start != 900 || rl.Dur != 50 || rl.Session != NoSession {
 		t.Fatalf("ratelimit span = %+v", rl)
 	}
-	// The per-stage histograms saw the observations.
+	// The per-stage histograms saw one observation per span.
 	snaps := reg.Snapshot()
 	var histCount uint64
 	for _, s := range snaps {
@@ -72,48 +94,71 @@ func TestRecorderRoundTrip(t *testing.T) {
 			histCount += s.Count
 		}
 	}
-	if histCount != 3 {
-		t.Fatalf("stage histograms observed %d, want 3", histCount)
+	if histCount != 14 {
+		t.Fatalf("stage histograms observed %d, want 14", histCount)
+	}
+}
+
+// TestRequestSize pins the record size the ring sizing in DESIGN.md quotes.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 64 {
+		t.Fatalf("Request is %d bytes, want 64", got)
 	}
 }
 
 func TestRecorderWrapKeepsNewest(t *testing.T) {
 	rec := NewRecorder(nil, 8)
 	for i := 0; i < 30; i++ {
-		rec.Record(StageDecide, int32(i), int64(i*100), 10, true)
+		rec.Record(request(int32(i), int64(i*100), StageDecide, true, 1, 1, 1, 1, 1, 1))
 	}
 	spans := rec.SessionSpans(29)
-	if len(spans) != 1 {
-		t.Fatalf("newest span missing after wrap: %d", len(spans))
+	if len(spans) != 4 {
+		t.Fatalf("newest request's spans after wrap: %d, want 4", len(spans))
 	}
-	if got := rec.Snapshot(); len(got) != 8 {
-		t.Fatalf("wrapped ring holds %d, want 8", len(got))
+	if got := rec.Snapshot(); len(got) != 8*NumStages {
+		t.Fatalf("wrapped ring holds %d spans, want %d", len(got), 8*NumStages)
 	}
-	if rec.SessionSpans(0) != nil && len(rec.SessionSpans(0)) != 0 {
-		t.Fatal("oldest span survived the wrap")
+	if len(rec.SessionSpans(21)) != 0 {
+		t.Fatal("oldest request survived the wrap")
 	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
-	rec.Record(StageDecide, 1, 0, 1, true)
-	if rec.Now() != 0 || rec.Snapshot() != nil || rec.Dropped() != 0 {
+	rec.Record(request(1, 0, StageDecide, true, 1, 1, 1, 1, 1, 1))
+	if rec.Snapshot() != nil || rec.SessionSpans(1) != nil || rec.Dropped() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 }
 
-// TestRecorderConcurrent hammers the span rings with concurrent writers
-// while a reader snapshots continuously. Under -race this proves the rings
-// are race-detector-clean; the payload invariant (Dur == Session+1 for every
-// span this test writes) proves no snapshot returns a torn span; and every
-// snapshot of a stage holds exactly min(written, capacity) spans, so none is
-// ever dropped — with a ring smaller than the per-stage traffic (wrapping
-// under contention) and one larger (never wrapping).
+// TestRecorderConcurrent hammers the request ring with concurrent writers
+// while a reader snapshots continuously. Under -race this proves the ring is
+// race-detector-clean; the payload invariant (every stage and the reply tail
+// of a request take Session+1 ns) proves no snapshot returns a torn record;
+// and every snapshot holds exactly min(written, capacity) requests, so none
+// is ever dropped — with a ring smaller than the traffic (wrapping under
+// contention) and one larger (never wrapping). The writers cover every stop
+// stage, and the expanded spans of the final snapshot hold one span per
+// stage each held request reached.
 func TestRecorderConcurrent(t *testing.T) {
-	const nWriters, each = 8, 2000
-	for _, perStage := range []int{64, 4096} {
-		t.Run(fmt.Sprint(perStage), func(t *testing.T) {
-			rec := NewRecorder(nil, perStage)
+	const nWriters, each = 8, 500
+	for _, size := range []int{64, 4096} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			rec := NewRecorder(nil, size)
+			intact := func(q *Request) error {
+				step := int64(q.Session) + 1
+				at := q.Start
+				for s := Stage(0); s <= q.Stop; s++ {
+					if q.Ends[s]-at != step {
+						return fmt.Errorf("torn request %+v", *q)
+					}
+					at = q.Ends[s]
+				}
+				if q.End-at != step || q.Served != (q.Stop == StageDecide) {
+					return fmt.Errorf("torn request %+v", *q)
+				}
+				return nil
+			}
 			stop := make(chan struct{})
 			readerDone := make(chan error, 1)
 			go func() {
@@ -124,33 +169,37 @@ func TestRecorderConcurrent(t *testing.T) {
 						return
 					default:
 					}
-					for _, sp := range rec.Snapshot() {
-						if int(sp.Stage) >= NumStages || sp.Dur != int64(sp.Session)+1 {
-							readerDone <- fmt.Errorf("torn span %+v", sp)
+					first, reqs := rec.ring.SnapshotSeq()
+					written := first + uint64(len(reqs))
+					if want := min(written, uint64(size)); uint64(len(reqs)) != want {
+						readerDone <- fmt.Errorf("snapshot holds %d requests of %d written, want %d",
+							len(reqs), written, want)
+						return
+					}
+					for i := range reqs {
+						if err := intact(&reqs[i]); err != nil {
+							readerDone <- err
 							return
 						}
 					}
-					for s := 0; s < NumStages; s++ {
-						first, spans := rec.rings[s].SnapshotSeq()
-						written := first + uint64(len(spans))
-						if want := min(written, uint64(perStage)); uint64(len(spans)) != want {
-							readerDone <- fmt.Errorf("stage %s: snapshot holds %d spans of %d written, want %d",
-								Stage(s), len(spans), written, want)
+					for _, sp := range rec.Snapshot() {
+						if sp.Session != NoSession && sp.Stage != StageRespond && sp.Dur != int64(sp.Session)+1 {
+							readerDone <- fmt.Errorf("torn span %+v", sp)
 							return
 						}
 					}
 				}
 			}()
 			var writers sync.WaitGroup
-			var written [NumStages]atomic.Uint64
 			for w := 0; w < nWriters; w++ {
 				writers.Add(1)
 				go func(w int) {
 					defer writers.Done()
 					for i := 0; i < each; i++ {
 						s := int32((w*each + i) % 100)
-						rec.Record(Stage(i%NumStages), s, int64(i), int64(s)+1, true)
-						written[i%NumStages].Add(1)
+						d := int64(s) + 1
+						stop := Stage(i % int(StageRespond))
+						rec.Record(request(s, int64(i), stop, stop == StageDecide, d, d, d, d, d, d))
 					}
 				}(w)
 			}
@@ -159,14 +208,22 @@ func TestRecorderConcurrent(t *testing.T) {
 			if err := <-readerDone; err != nil {
 				t.Fatal(err)
 			}
-			held := map[Stage]int{}
+			reqs := rec.ring.Snapshot()
+			if want := min(nWriters*each, size); len(reqs) != want {
+				t.Fatalf("ring holds %d requests, want %d", len(reqs), want)
+			}
+			var want, held [NumStages]int
+			for i := range reqs {
+				for s := Stage(0); s <= reqs[i].Stop; s++ {
+					want[s]++
+				}
+				want[StageRespond]++
+			}
 			for _, sp := range rec.Snapshot() {
 				held[sp.Stage]++
 			}
-			for s := 0; s < NumStages; s++ {
-				if want := min(written[s].Load(), uint64(perStage)); uint64(held[Stage(s)]) != want {
-					t.Errorf("stage %s holds %d spans, want %d", Stage(s), held[Stage(s)], want)
-				}
+			if held != want {
+				t.Errorf("spans per stage = %v, want %v", held, want)
 			}
 			if d := rec.Dropped(); d != 0 {
 				t.Fatalf("Dropped() = %d, want 0", d)
@@ -361,9 +418,8 @@ func TestPerThousandSessions(t *testing.T) {
 
 func TestSpansHandler(t *testing.T) {
 	rec := NewRecorder(nil, 16)
-	rec.Record(StageDecide, 1, 100, 10, true)
-	rec.Record(StageArena, 1, 90, 5, true)
-	rec.Record(StageDecide, 2, 200, 20, true)
+	rec.Record(request(1, 90, StageDecide, true, 1, 1, 1, 5, 10, 2))
+	rec.Record(request(2, 200, StageDecide, true, 1, 1, 1, 5, 20, 2))
 
 	h := SpansHandler(rec)
 	rw := httptest.NewRecorder()
@@ -371,8 +427,8 @@ func TestSpansHandler(t *testing.T) {
 	if ct := rw.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	if n := countLines(rw.Body.String()); n != 3 {
-		t.Fatalf("unfiltered spans = %d lines, want 3", n)
+	if n := countLines(rw.Body.String()); n != 2*NumStages {
+		t.Fatalf("unfiltered spans = %d lines, want %d", n, 2*NumStages)
 	}
 
 	rw = httptest.NewRecorder()
@@ -450,7 +506,7 @@ func TestSessionTimelineHandler(t *testing.T) {
 		})
 	}
 	rec := NewRecorder(nil, 16)
-	rec.Record(StageDecide, 1, 1000, 10, true)
+	rec.Record(request(1, 1000, StageDecide, true, 1, 1, 1, 1, 10, 1))
 	w := NewWatchdog(nil, WatchdogConfig{})
 
 	h := SessionTimelineHandler(ring, rec, w.Log())
@@ -463,7 +519,7 @@ func TestSessionTimelineHandler(t *testing.T) {
 	if err := json.Unmarshal(rw.Body.Bytes(), &tl); err != nil {
 		t.Fatalf("timeline does not parse: %v", err)
 	}
-	if tl.Session != 1 || len(tl.Decisions) != 3 || len(tl.Spans) != 1 {
+	if tl.Session != 1 || len(tl.Decisions) != 3 || len(tl.Spans) != 4 {
 		t.Fatalf("timeline = session %d, %d decisions, %d spans",
 			tl.Session, len(tl.Decisions), len(tl.Spans))
 	}

@@ -60,10 +60,13 @@ type DecideOptions struct {
 	// BurstPerClient is the token-bucket burst capacity; non-positive
 	// defaults to 2x RPSPerClient.
 	BurstPerClient float64
-	// FlightRecorder, when non-nil, records one latency span per pipeline
-	// stage (ratelimit, inflight, session, arena, decide, respond) into the
-	// recorder's per-stage span rings and latency histograms. Nil records
-	// nothing; either way the steady decide path allocates nothing.
+	// FlightRecorder, when non-nil, receives one record per request: the
+	// service-clock stamps of its stage boundaries (ratelimit, inflight,
+	// session, arena, decide, then the reply tail), from which it serves the
+	// six stage spans and feeds the per-stage latency histograms. Attached,
+	// it costs a served request three more clock reads (seven in all, one per
+	// stage boundary) and one ring append; nil records nothing. Either way
+	// the steady decide path allocates nothing.
 	FlightRecorder *flightrec.Recorder
 	// Watchdog, when non-nil, observes every served decision with the QoE-
 	// consistency detectors. Per-session detector state lives in the session
@@ -119,10 +122,12 @@ type DecideService struct {
 
 	flight   *flightrec.Recorder
 	watchdog *flightrec.Watchdog
-	// epochNanos is the service start in UnixNano; DecisionEvent.AtSeconds
-	// is stamped relative to it (the serving-path analogue of the
-	// simulator's stream clock).
-	epochNanos int64
+	// start is the service clock's origin. Every timestamp the service
+	// takes — limiter and session-table stamps, DecisionEvent.AtSeconds
+	// (the serving-path analogue of the simulator's stream clock), solve and
+	// request latencies, flight-recorder spans — is nanoseconds since start
+	// on the monotonic clock, read by clock.
+	start time.Time
 
 	cacheEntries  *telemetry.Gauge
 	cacheCapacity *telemetry.Gauge
@@ -154,9 +159,11 @@ type decideSession struct {
 // instruments then live on a private, unexported registry). With tables
 // enabled, the table for the handler's default buffer cap is compiled
 // eagerly here so the first session does not pay the compile on its first
-// request; per-request caps compile lazily (bounded by the table budget —
-// excess identities become fallback-only stubs, so cap churn cannot grow
-// server memory or CPU without bound).
+// request; per-request caps compile lazily, bounded by the table budget:
+// identities past it get fallback-only stubs the set does not keep, so cap
+// churn cannot grow the table set without bound. Each compile within the
+// budget still costs seconds of CPU on the requesting goroutine (ROADMAP
+// item 5).
 func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Collector) (*DecideService, error) {
 	if ladder.Len() == 0 {
 		return nil, fmt.Errorf("httpseg: decide service needs a non-empty ladder")
@@ -169,7 +176,7 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 		ttl:          opts.SessionTTL,
 		flight:       opts.FlightRecorder,
 		watchdog:     opts.Watchdog,
-		epochNanos:   time.Now().UnixNano(),
+		start:        time.Now(),
 	}
 	ttlNanos := opts.SessionTTL.Nanoseconds()
 	if opts.SessionTTL < 0 {
@@ -254,12 +261,17 @@ func (s *DecideService) RefreshMetrics() {
 	s.inflightGauge.Set(float64(s.inflight.InFlight()))
 }
 
+// clock reads the service clock: nanoseconds since the service started. It
+// reads only the monotonic clock, so a wall-clock step moves no stamp.
+func (s *DecideService) clock() int64 { return int64(time.Since(s.start)) }
+
 // SweepSessions evicts sessions idle past the TTL and idle rate-limit
-// buckets, and returns the session eviction count. The server runs it
-// periodically; harnesses embedding the service in-process call it at their
-// own cadence.
+// buckets as of now, and returns the session eviction count. The server runs
+// it periodically; harnesses embedding the service in-process call it at
+// their own cadence.
 func (s *DecideService) SweepSessions(now time.Time) int {
-	n := s.sessions.Sweep(now.UnixNano())
+	at := now.Sub(s.start).Nanoseconds()
+	n := s.sessions.Sweep(at)
 	if n > 0 {
 		s.evictions.Add(float64(n))
 	}
@@ -267,7 +279,7 @@ func (s *DecideService) SweepSessions(now time.Time) int {
 	if idle <= 0 {
 		idle = time.Minute.Nanoseconds()
 	}
-	s.limiter.Sweep(now.UnixNano(), idle)
+	s.limiter.Sweep(at, idle)
 	return n
 }
 
@@ -338,86 +350,65 @@ type DecideResult struct {
 // call site. The steady-state path performs no allocation (gated by
 // BenchmarkSessionTableDecide), which is what lets one host sustain tens of
 // thousands of concurrent sessions.
+//
+// The service clock is read once per stage boundary: on entry, before and
+// after the controller's Decide, and on exit; with a flight recorder also
+// after the rate limit, the in-flight acquire and the session acquire. The
+// recorder gets the stamps as one record once the response is known.
 func (s *DecideService) Decide(req *DecideRequest) DecideResult {
-	start := time.Now()
-	now := start.UnixNano()
-
-	// Flight-recorder span clock: one Now() per stage boundary when a
-	// recorder is attached, zero time calls when not. Pre-session stages
-	// cannot name a session id yet and record as noSessionID.
-	rec := s.flight
-	var tEnter, t0 int64
-	if rec != nil {
-		tEnter = rec.Now()
-		t0 = tEnter
+	var fr flightrec.Request
+	fr.Start = s.clock()
+	res := s.admit(req, &fr)
+	fr.End = s.clock()
+	served := res.Status == StatusOK
+	if served {
+		s.decideLatency.Observe(float64(fr.End-fr.Start) * 1e-9)
 	}
-
-	client := req.Client
-	if client == "" {
-		client = req.Session
-	}
-	admitted, retry := s.limiter.Allow(client, now)
-	if rec != nil {
-		t1 := rec.Now()
-		rec.Record(flightrec.StageRateLimit, noSessionID, t0, t1-t0, admitted)
-		t0 = t1
-	}
-	if !admitted {
-		s.rejectedRate.Inc()
-		if rec != nil {
-			rec.Record(flightrec.StageRespond, noSessionID, tEnter, rec.Now()-tEnter, false)
-		}
-		return DecideResult{Status: StatusRejectedRate, RetryAfter: time.Duration(retry)}
-	}
-	acquired := s.inflight.TryAcquire()
-	if rec != nil {
-		t1 := rec.Now()
-		rec.Record(flightrec.StageInflight, noSessionID, t0, t1-t0, acquired)
-	}
-	if !acquired {
-		s.rejectedLoad.Inc()
-		if rec != nil {
-			rec.Record(flightrec.StageRespond, noSessionID, tEnter, rec.Now()-tEnter, false)
-		}
-		return DecideResult{Status: StatusRejectedLoad, RetryAfter: time.Second}
-	}
-	res := s.decideAdmitted(req, now)
-	s.inflight.Release()
-	if res.Status == StatusOK {
-		s.decideLatency.Observe(time.Since(start).Seconds())
-	}
-	if rec != nil {
-		sid := noSessionID
-		if res.Status == StatusOK {
-			sid = int32(res.SessionID)
-		}
-		rec.Record(flightrec.StageRespond, sid, tEnter, rec.Now()-tEnter, res.Status == StatusOK)
+	if s.flight != nil {
+		fr.Session, fr.Served = int32(res.SessionID), served
+		s.flight.Record(&fr)
 	}
 	return res
 }
 
-// noSessionID attributes spans recorded before (or without) a session
-// resolving — admission rejections and pre-acquire stages.
-const noSessionID = int32(-1)
+// reach marks stage as the last one the request reached and, with a flight
+// recorder, stamps its end.
+func (s *DecideService) reach(fr *flightrec.Request, stage flightrec.Stage) {
+	fr.Stop = stage
+	if s.flight != nil {
+		fr.Ends[stage] = s.clock()
+	}
+}
+
+// admit runs admission control and, for an admitted request, the decide
+// under an in-flight slot. It stamps fr's stage ends as it goes.
+func (s *DecideService) admit(req *DecideRequest, fr *flightrec.Request) DecideResult {
+	client := req.Client
+	if client == "" {
+		client = req.Session
+	}
+	admitted, retry := s.limiter.Allow(client, fr.Start)
+	s.reach(fr, flightrec.StageRateLimit)
+	if !admitted {
+		s.rejectedRate.Inc()
+		return DecideResult{Status: StatusRejectedRate, RetryAfter: time.Duration(retry)}
+	}
+	acquired := s.inflight.TryAcquire()
+	s.reach(fr, flightrec.StageInflight)
+	if !acquired {
+		s.rejectedLoad.Inc()
+		return DecideResult{Status: StatusRejectedLoad, RetryAfter: time.Second}
+	}
+	res := s.decideAdmitted(req, fr)
+	s.inflight.Release()
+	return res
+}
 
 // decideAdmitted is the post-admission decide path: the caller holds an
 // in-flight slot.
-func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResult {
-	rec := s.flight
-	var fr0 int64
-	if rec != nil {
-		fr0 = rec.Now()
-	}
-	entry, err := s.sessions.Acquire(req.Session, now, s.newSession)
-	if rec != nil {
-		t1 := rec.Now()
-		sid := noSessionID
-		if err == nil {
-			sid = int32(entry.ID())
-		}
-		rec.Record(flightrec.StageSession, sid, fr0, t1-fr0, err == nil)
-		fr0 = t1
-	}
+func (s *DecideService) decideAdmitted(req *DecideRequest, fr *flightrec.Request) DecideResult {
+	entry, err := s.sessions.Acquire(req.Session, fr.Start, s.newSession)
+	s.reach(fr, flightrec.StageSession)
 	if err != nil {
 		if err == sessiontable.ErrDraining {
 			s.rejectedDraining.Inc()
@@ -436,13 +427,8 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	// admission, and reply encoding plus telemetry recording happen after
 	// the unlock. The solver itself is sub-microsecond, so the critical
 	// section stays short; distinct sessions proceed in parallel. The
-	// StageArena span times taking the lock.
+	// arena stage spans taking the lock and setting up the decide.
 	entry.Mu.Lock()
-	if rec != nil {
-		t1 := rec.Now()
-		rec.Record(flightrec.StageArena, int32(entry.ID()), fr0, t1-fr0, true)
-		fr0 = t1
-	}
 	sess := &entry.Value
 	if req.Segment >= 0 {
 		sess.segment = int32(req.Segment)
@@ -463,12 +449,10 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	}
 
 	before := sess.ctrl.SolveStats()
-	t0 := time.Now()
+	fr.Ends[flightrec.StageArena] = s.clock()
 	decision := sess.ctrl.Decide(ctx)
-	elapsed := time.Since(t0)
-	if rec != nil {
-		rec.Record(flightrec.StageDecide, int32(entry.ID()), fr0, rec.Now()-fr0, true)
-	}
+	fr.Ends[flightrec.StageDecide] = s.clock()
+	fr.Stop = flightrec.StageDecide
 
 	res := DecideResult{SessionID: entry.ID(), Segment: int(sess.segment), Rung: decision.Rung}
 	ev := telemetry.DecisionEvent{
@@ -476,10 +460,10 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 		Segment:      sess.segment,
 		Rung:         int16(decision.Rung),
 		PrevRung:     int16(sess.prevRung),
-		AtSeconds:    units.Seconds(float64(now-s.epochNanos) / 1e9),
+		AtSeconds:    units.Seconds(float64(fr.Start) * 1e-9),
 		Buffer:       req.Buffer,
 		Throughput:   omega,
-		SolveSeconds: units.Seconds(elapsed.Seconds()),
+		SolveSeconds: units.Seconds(float64(fr.Ends[flightrec.StageDecide]-fr.Ends[flightrec.StageArena]) * 1e-9),
 		Timed:        true,
 	}
 	if decision.Rung == abr.NoRung {
@@ -502,7 +486,7 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, now int64) DecideResu
 	}
 	d := sess.ctrl.SolveStats().Delta(before)
 	entry.Mu.Unlock()
-	s.sessions.Release(entry, time.Now().UnixNano())
+	s.sessions.Release(entry, fr.Ends[flightrec.StageDecide])
 
 	ev.Solves, ev.Nodes = uint32(d.Solves), uint32(d.Nodes)
 	ev.SharedHits, ev.TableHits = uint32(d.SharedHits), uint32(d.TableHits)

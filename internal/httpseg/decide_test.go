@@ -3,6 +3,7 @@ package httpseg
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flightrec"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -618,5 +620,140 @@ func TestDecideServiceDrain(t *testing.T) {
 	}
 	if got := svc.rejectedDraining.Value(); got != 1 {
 		t.Errorf("rejected{draining} = %g, want 1", got)
+	}
+}
+
+// TestDecideServiceOneClock checks that the service stamps decisions and
+// flight-recorder spans from one clock, and pins the spans of four kinds of
+// request. The recorder is built 10 ms before the service, so a recorder
+// keeping its own origin would shift every span start by at least that.
+//
+//   - A served decision's at_s equals its respond span's start (to 1 µs),
+//     and never decreases within a session.
+//   - Each request holds exactly the stages it reached — all five when
+//     served, ratelimit alone when rate-limited (429), ratelimit and
+//     inflight when shed at the in-flight bound, ratelimit through session
+//     when rejected at capacity — back to back from the respond span's start
+//     and inside it.
+//   - Every stage before the last one reached admitted the request; the
+//     last and respond are OK only when served. A served request's session,
+//     arena, decide and respond spans name its session; every other span
+//     names flightrec.NoSession.
+func TestDecideServiceOneClock(t *testing.T) {
+	col := telemetry.NewCollector(nil, 1024)
+	rec := flightrec.NewRecorder(col.Registry, 1024)
+	time.Sleep(10 * time.Millisecond)
+	svc, err := NewDecideService(video.Mobile(), DecideOptions{
+		MaxSessions: 2, SessionTTL: -1, MaxInflight: 1,
+		// Two requests per client, with no refill within the test.
+		RPSPerClient: 1e-3, BurstPerClient: 2,
+		FlightRecorder: rec,
+	}, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []DecideResult
+	decide := func(session string, buffer float64) DecideResult {
+		res := svc.Decide(&DecideRequest{Session: session, Buffer: units.Seconds(buffer),
+			Throughput: units.Mbps(3), Segment: -1})
+		results = append(results, res)
+		return res
+	}
+	for i, want := range []DecideStatus{StatusOK, StatusOK, StatusRejectedRate} {
+		if res := decide("a", float64(4+i)); res.Status != want {
+			t.Fatalf("request %d of session a: status %d, want %d", i, res.Status, want)
+		}
+	}
+	if !svc.inflight.TryAcquire() {
+		t.Fatal("could not claim the in-flight slot")
+	}
+	if res := decide("b", 5); res.Status != StatusRejectedLoad {
+		t.Fatalf("request with the in-flight bound saturated: status %d", res.Status)
+	}
+	svc.inflight.Release()
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("1000 fresh sessions admitted into a two-session table")
+		}
+		res := decide(fmt.Sprintf("c%d", i), 6)
+		if res.Status == StatusRejectedCapacity {
+			break
+		}
+		if res.Status != StatusOK {
+			t.Fatalf("fresh session c%d: status %d", i, res.Status)
+		}
+	}
+
+	var by [flightrec.NumStages][]flightrec.Span
+	for _, sp := range rec.Snapshot() {
+		by[sp.Stage] = append(by[sp.Stage], sp)
+	}
+	if len(by[flightrec.StageRespond]) != len(results) {
+		t.Fatalf("%d respond spans for %d requests", len(by[flightrec.StageRespond]), len(results))
+	}
+	lastStage := map[DecideStatus]flightrec.Stage{
+		StatusOK:               flightrec.StageDecide,
+		StatusRejectedRate:     flightrec.StageRateLimit,
+		StatusRejectedLoad:     flightrec.StageInflight,
+		StatusRejectedCapacity: flightrec.StageSession,
+	}
+	var next [flightrec.NumStages]int
+	var served []flightrec.Span
+	for i, res := range results {
+		ok := res.Status == StatusOK
+		session := flightrec.NoSession
+		if ok {
+			session = int32(res.SessionID)
+		}
+		r := by[flightrec.StageRespond][i]
+		if r.OK != ok || r.Session != session {
+			t.Fatalf("request %d (status %d): respond span %+v, want ok %v session %d", i, res.Status, r, ok, session)
+		}
+		if ok {
+			served = append(served, r)
+		}
+		cursor := r.Start
+		stop := lastStage[res.Status]
+		for s := flightrec.Stage(0); s <= stop; s++ {
+			if next[s] == len(by[s]) {
+				t.Fatalf("request %d (status %d): no %s span left", i, res.Status, s)
+			}
+			sp := by[s][next[s]]
+			next[s]++
+			wantSession := flightrec.NoSession
+			if s >= flightrec.StageSession {
+				wantSession = session
+			}
+			if sp.Start != cursor || sp.Dur < 0 || sp.OK != (s < stop || ok) || sp.Session != wantSession {
+				t.Fatalf("request %d (status %d): %s span %+v, want start %d, ok %v, session %d",
+					i, res.Status, s, sp, cursor, s < stop || ok, wantSession)
+			}
+			cursor += sp.Dur
+		}
+		if cursor > r.Start+r.Dur {
+			t.Fatalf("request %d: stages end at %d, after the respond span %+v", i, cursor, r)
+		}
+	}
+	for s := range by[:flightrec.StageRespond] {
+		if next[s] != len(by[s]) {
+			t.Fatalf("stage %s holds %d spans, the requests reached it %d times", flightrec.Stage(s), len(by[s]), next[s])
+		}
+	}
+
+	events := col.Ring.Snapshot()
+	if len(events) != len(served) {
+		t.Fatalf("%d decision events for %d served requests", len(events), len(served))
+	}
+	last := map[int32]units.Seconds{}
+	for i, ev := range events {
+		r := served[i]
+		if gap := float64(ev.AtSeconds)*1e9 - float64(r.Start); ev.Session != r.Session || math.Abs(gap) > 1e3 {
+			t.Fatalf("decision %d: session %d at_s %.9f, respond span %+v (%.0f ns apart)",
+				i, ev.Session, float64(ev.AtSeconds), r, gap)
+		}
+		if prev, seen := last[ev.Session]; seen && ev.AtSeconds < prev {
+			t.Fatalf("decision %d: session %d at_s went back from %g to %g", i, ev.Session, float64(prev), float64(ev.AtSeconds))
+		}
+		last[ev.Session] = ev.AtSeconds
 	}
 }

@@ -14,7 +14,7 @@ const nanosPerSecond = 1e9
 // requests.
 type bucket struct {
 	tokens float64
-	last   int64 // unix nanos of the last refill
+	last   int64 // the caller's nanosecond clock at the last refill
 }
 
 // limiterShard is one independently locked partition of the per-client

@@ -22,9 +22,11 @@
 // of the list (a few pointer writes under the shard lock Acquire already
 // holds), two atomic updates, no channel operations under any lock.
 //
-// Clocks are injected: every method that needs time takes a caller-supplied
-// unix-nanosecond timestamp, so TTL boundary behaviour is testable without
-// sleeping and the package itself never reads the wall clock.
+// Clocks are injected: every method that needs time takes a timestamp on the
+// caller's nanosecond clock — any clock, so long as the caller uses the same
+// one throughout (soda-server's decide service passes nanoseconds since it
+// started, on the monotonic clock) — so TTL boundary behaviour is testable
+// without sleeping and the package itself never reads a clock.
 package sessiontable
 
 import (
@@ -72,8 +74,8 @@ type Session[V any] struct {
 	key string
 	id  int64
 
-	// lastUse is the unix-nano timestamp of the last Release; the TTL sweep
-	// reads it without the shard lock, so it is atomic.
+	// lastUse is the caller's nanosecond clock at the last Release; the TTL
+	// sweep reads it without the shard lock, so it is atomic.
 	lastUse atomic.Int64
 	// refs counts in-flight holders. Incremented under the shard lock in
 	// Acquire, decremented lock-free in Release; the sweep only evicts
@@ -199,7 +201,7 @@ func (t *Table[V]) shardFor(key string) *tableShard[V] {
 // Acquire returns the session stored under key, creating it with create when
 // absent. The returned session has its refcount raised: the caller must pair
 // every successful Acquire with exactly one Release. now is the caller's
-// unix-nano timestamp (used as the creation's initial last-use time).
+// nanosecond clock (used as the creation's initial last-use time).
 //
 // The create callback, when non-nil, receives the fresh Session (its ID and
 // Key already assigned, Value zero) and initialises Value in place; it runs

@@ -54,15 +54,17 @@ type DecisionEvent struct {
 	// Timed is set.
 	SolveSeconds units.Seconds `json:"solve_s,omitempty"`
 	// AtSeconds is the harness clock at the decision: the stream clock of a
-	// simulated session (sim.Run / sim.Fleet) or the service-relative wall
-	// clock of a serving decide. Timeline reconstruction and the Chrome
-	// trace export order events by it; 0 means the harness did not stamp.
+	// simulated session (sim.Run / sim.Fleet) or, for a serving decide, the
+	// service clock — monotonic time since the decide service started, the
+	// clock its flight-recorder spans share. Timeline reconstruction and the
+	// Chrome trace export order events by it; 0 means the harness did not
+	// stamp.
 	AtSeconds units.Seconds `json:"at_s,omitempty"`
 }
 
 // Ring is a fixed-capacity overwrite-oldest buffer of records — the one
 // recording substrate behind the decision trace, the flight recorder's
-// stage spans and the watchdog's incident log. A single mutex guards it:
+// request records and the watchdog's incident log. A single mutex guards it:
 // appends copy one record under the lock and batch appends amortise the lock
 // over many, so the ring never allocates after construction and never drops
 // a record.
