@@ -82,7 +82,9 @@ session-race:
 	$(GO) test -race -run 'TestSessionTableConformance|TestRecreatedSessionStartsFresh|TestSessionChurnSteadyState|TestHostileSessionKeyChurn|TestDecideService' ./internal/httpseg
 
 # cover fails when the statement coverage of a package listed in
-# cover_baseline.json drops below its committed floor.
+# cover_baseline.json drops below its committed floor: core, abrtest, the
+# analyzers, sessiontable, loadgen, arena, flightrec, telemetry, and the
+# player's packages sim and trace.
 cover:
 	$(GO) run ./cmd/soda-cover
 

@@ -14,15 +14,16 @@
 //     time, so queueing delay counts — the honest fleet-operator view,
 //     immune to coordinated omission.
 //
-// Each virtual session walks a bandwidth trace drawn from an
-// internal/tracegen profile (the paper-calibrated throughput processes) and
-// runs the fleet simulator's player model (sim.StepPlayer): decisions advance
-// a simulated buffer, which feeds back into the next request, and buffer
-// underflow is charged as stall time. Sessions share a bounded pool of traces
-// round-robin so 50k sessions do not need 50k trace syntheses, and their
-// player and watchdog state live in flat per-run slices rather than one heap
-// object per session. Both loops run on fixed worker pools: session count
-// scales the slices, not the goroutine count.
+// Each virtual session plays a bandwidth trace drawn from an
+// internal/tracegen profile (the paper-calibrated throughput processes) on
+// the simulator's player (sim.Player): it reports the bandwidth at its trace
+// position as its throughput and downloads what the server answers over the
+// trace, so its buffer feeds back into the next request and playback
+// outrunning the buffer is charged as stall time. Sessions share a bounded
+// pool of traces round-robin so 50k sessions do not need 50k trace
+// syntheses, and their player and watchdog state live in flat per-run slices
+// rather than one heap object per session. Both loops run on fixed worker
+// pools: session count scales the slices, not the goroutine count.
 //
 // Targets are pluggable: InProc drives a DecideService directly (no HTTP,
 // the configuration the allocation and p99 gates use), HTTPTarget drives a
@@ -44,6 +45,7 @@ import (
 	"repro/internal/sessiontable"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/units"
 )
@@ -72,12 +74,14 @@ type Target interface {
 	Decide(req *httpseg.DecideRequest) (httpseg.DecideResult, error)
 }
 
-// The virtual players' model: every request sends a 20 s buffer cap, and a
-// download deposits one 2 s segment.
+// The virtual players' model: every request sends a 20 s buffer cap, a
+// download deposits one 2 s segment, and playback starts with the first.
 const (
 	playerBufferCap = units.Seconds(20)
 	playerSegment   = units.Seconds(2)
 )
+
+var player = sim.Player{Segment: playerSegment, BufferCap: playerBufferCap, Startup: 1}
 
 // Config parameterises one load-generation run.
 type Config struct {
@@ -133,12 +137,11 @@ func (c Config) validate() error {
 }
 
 // runner is the per-run state shared by the worker pool. Each virtual
-// session is one index into parallel slices: its player state
-// (arena.State.Buffer/Trace/Cursor), its wire key, the lock serialising its
-// in-flight decide with its state update, and its watchdog state. In the
-// closed loop each worker owns a fixed residue class of session indices, so
-// those locks are uncontended there; the open loop dispatches arrivals to
-// arbitrary workers and relies on them.
+// session is one index into parallel slices: its player state, its wire
+// key, the lock serialising its in-flight decide with its state update, and
+// its watchdog state. In the closed loop each worker owns a fixed residue
+// class of session indices, so those locks are uncontended there; the open
+// loop dispatches arrivals to arbitrary workers and relies on them.
 type runner struct {
 	cfg     Config
 	target  Target
@@ -146,7 +149,7 @@ type runner struct {
 	keys    []string
 	locks   []sync.Mutex
 	watches []flightrec.SessionWatch
-	pool    [][]units.Mbps
+	pool    []*trace.Trace
 	latency *telemetry.Histogram
 	epoch   time.Time
 
@@ -238,9 +241,11 @@ func (r *runner) buildSessions() error {
 		r.watches = make([]flightrec.SessionWatch, r.cfg.Sessions)
 	}
 	for i := range r.states {
-		// Stagger cursors so pool-sharing sessions do not move in lockstep
-		// through identical throughput samples.
-		r.states[i] = arena.State{Trace: int32(i % len(pool)), Cursor: int32(i / len(pool)), PrevRung: int32(abr.NoRung)}
+		// Stagger entry samples so pool-sharing sessions do not move in
+		// lockstep through identical throughput samples.
+		tr := i % len(pool)
+		r.states[i] = arena.State{Trace: int32(tr), Cursor: int32(i / len(pool) % pool[tr].Len()),
+			PrevRung: int32(abr.NoRung)}
 		r.keys[i] = fmt.Sprintf("lg-%d", i)
 	}
 	return nil
@@ -254,13 +259,12 @@ func (r *runner) step(i int, start time.Time) {
 	defer r.locks[i].Unlock()
 
 	st := &r.states[i]
-	samples := r.pool[st.Trace]
-	throughput := samples[int(st.Cursor)%len(samples)]
-	st.Cursor++
+	tr := r.pool[st.Trace]
+	player.ToCap(st)
 	req := httpseg.DecideRequest{
 		Session:    r.keys[i],
 		Buffer:     st.Buffer,
-		Throughput: throughput,
+		Throughput: player.Throughput(st, tr),
 		BufferCap:  playerBufferCap,
 		Segment:    -1,
 	}
@@ -274,8 +278,12 @@ func (r *runner) step(i int, start time.Time) {
 		r.ok.Add(1)
 		r.latency.Observe(time.Since(start).Seconds())
 		prev := st.PrevRung
-		sim.StepPlayer(st, res.Rung, units.Mbps(res.BitrateMbps), units.Seconds(res.WaitSeconds),
-			throughput, playerSegment, playerBufferCap)
+		if res.Rung < 0 { // on an empty buffer the session stays put and asks again
+			player.Wait(st, units.Seconds(res.WaitSeconds))
+		} else { // TracePool's traces all carry data, so the download completes
+			dl, _ := player.Download(st, tr, st.Clock, units.Mbps(res.BitrateMbps).MegabitsIn(playerSegment))
+			player.Deposit(st, res.Rung, dl)
+		}
 		if r.watches != nil {
 			// Observe with the client-side view: the buffer reported in the
 			// request and the rung the server answered with.
@@ -406,8 +414,8 @@ type Report struct {
 	// sessions — the gate-schema denomination.
 	QoEIncidents      uint64  `json:"qoe_incidents"`
 	QoEIncidentsPer1k float64 `json:"qoe_incidents_per_1k_sessions"`
-	// StallSeconds is the rebuffering the virtual players' buffer model
-	// charged across all sessions (sim.StepPlayer).
+	// StallSeconds is the time the virtual players' playback outran their
+	// buffers after it had started, across all sessions (sim.Player).
 	StallSeconds float64 `json:"stall_seconds"`
 }
 

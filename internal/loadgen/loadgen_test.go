@@ -1,16 +1,18 @@
 package loadgen
 
 import (
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/abr"
 	"repro/internal/flightrec"
 	"repro/internal/httpseg"
+	"repro/internal/predictor"
+	"repro/internal/sim"
+	"repro/internal/tracegen"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -427,35 +429,50 @@ func TestWatchdogAttached(t *testing.T) {
 	}
 }
 
-// greedyTarget answers every decide with a fixed rung and bitrate and sums
-// the stall the shared player model must charge for it.
-type greedyTarget struct {
-	mu      sync.Mutex
-	bitrate float64
-	stall   float64
-}
+// greedyTarget answers every decide with rung 0 at a bitrate far above the
+// link.
+type greedyTarget struct{ bitrate float64 }
 
-func (g *greedyTarget) Decide(req *httpseg.DecideRequest) (httpseg.DecideResult, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	dl := g.bitrate * 2 / math.Max(float64(req.Throughput), 0.1)
-	g.stall += math.Max(0, dl-(float64(req.Buffer)+2))
+func (g greedyTarget) Decide(*httpseg.DecideRequest) (httpseg.DecideResult, error) {
 	return httpseg.DecideResult{Status: httpseg.StatusOK, Rung: 0, BitrateMbps: g.bitrate}, nil
 }
 
-// TestPlayerChargesStall proves the virtual players charge buffer underflow
-// as stall time: a target that always picks a rung far above the link drains
-// every buffer, and the report carries exactly the stall that implies.
+// rungZero is the single-session twin of greedyTarget.
+type rungZero struct{}
+
+func (rungZero) Name() string                     { return "rung-zero" }
+func (rungZero) Decide(*abr.Context) abr.Decision { return abr.Decision{Rung: 0} }
+func (rungZero) Reset()                           {}
+
+// TestPlayerChargesStall proves the virtual players run the simulator's
+// player: a session whose target always picks a rung far above the link
+// charges exactly the stall sim.Run charges on the same trace with a
+// controller that always picks that rung.
 func TestPlayerChargesStall(t *testing.T) {
-	target := &greedyTarget{bitrate: 4000}
-	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 4, Requests: 200, Seed: 3}, target)
+	const requests = 60
+	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 1, Requests: requests, Seed: 3}, greedyTarget{bitrate: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK != 200 || target.stall <= 0 {
-		t.Fatalf("ok = %d, target saw %g s of stall; want 200 and > 0", rep.OK, target.stall)
+	pool, err := sim.TracePool(tracegen.Profile{}, 1, units.Seconds(0), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(rep.StallSeconds-target.stall) > 1e-9*target.stall {
-		t.Fatalf("report stall = %g s, want %g s", rep.StallSeconds, target.stall)
+	res, err := sim.Run(pool[0], sim.Config{
+		Ladder:          video.NewLadder([]float64{4000}, playerSegment),
+		BufferCap:       playerBufferCap,
+		StartupSegments: 1,
+		SessionSeconds:  requests * playerSegment,
+		Controller:      rungZero{},
+		Predictor:       predictor.NewEMA(units.Seconds(4)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != requests || res.Metrics.RebufferSec <= 0 {
+		t.Fatalf("ok = %d, sim.Run stalled %g s; want %d and > 0", rep.OK, res.Metrics.RebufferSec, requests)
+	}
+	if rep.StallSeconds != float64(res.Metrics.RebufferSec) {
+		t.Fatalf("report stall = %g s, sim.Run stalled %g s", rep.StallSeconds, res.Metrics.RebufferSec)
 	}
 }

@@ -1,7 +1,8 @@
 // Package oracle computes the clairvoyant QoE-optimal bitrate schedule for a
 // session: the best sequence of rung choices achievable with full knowledge
 // of the future bandwidth, under the exact player dynamics of internal/sim
-// (buffer cap idling, startup, rebuffering).
+// (buffer cap idling, startup, rebuffering): its schedule is replayed on
+// sim.Player.
 //
 // This is the "offline optimal" reference of the Sabre toolchain: it upper
 // bounds every online controller and quantifies how much of the attainable
@@ -15,7 +16,9 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/arena"
 	"repro/internal/qoe"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -166,47 +169,25 @@ func Solve(tr *trace.Trace, cfg Config) (Result, error) {
 		value, next = next, value
 	}
 
-	// Replay the policy with exact continuous state to extract the schedule
-	// and its true metrics.
+	// Replay the policy on the simulator's player with exact continuous state
+	// to extract the schedule and its true metrics.
 	var tally qoe.SessionTally
-	buffer := units.Seconds(0)
-	clock := units.Seconds(0)
-	playing := false
-	prev := -1
-	rungs := make([]int, 0, n)
+	player := sim.Player{Segment: l, BufferCap: cfg.BufferCap, Startup: 1, Tally: &tally}
+	st := arena.State{PrevRung: -1}
 	for seg := 0; seg < n; seg++ {
-		if over := buffer + l - cfg.BufferCap; over > 1e-9 {
-			clock += over
-			buffer -= over
-			tally.AddPlayback(over)
-		}
-		idx := prev
-		if prev < 0 {
+		player.ToCap(&st)
+		idx := int(st.PrevRung)
+		if idx < 0 {
 			idx = nr
 		}
-		rung := int(choice[seg][idx][bucketOf(buffer)])
-		size := cfg.Ladder.SegmentMegabits(rung)
-		dl, err := tr.DownloadTime(clock, size)
+		rung := int(choice[seg][idx][bucketOf(st.Buffer)])
+		dl, err := player.Download(&st, tr, st.Clock, cfg.Ladder.SegmentMegabits(rung))
 		if err != nil {
 			return Result{}, fmt.Errorf("oracle: replay segment %d: %w", seg, err)
 		}
-		clock += dl
-		if !playing {
-			tally.AddStartup(dl)
-			playing = true
-		} else {
-			played := units.Seconds(math.Min(float64(dl), float64(buffer)))
-			buffer -= played
-			tally.AddPlayback(played)
-			if stall := dl - played; stall > 1e-12 {
-				tally.AddRebuffer(stall)
-			}
-		}
-		buffer += l
+		player.Deposit(&st, rung, dl)
 		tally.AddSegment(rung, utility(rung))
-		prev = rung
-		rungs = append(rungs, rung)
 	}
-	tally.AddPlayback(buffer)
-	return Result{Rungs: rungs, Metrics: tally.Finalize(weights)}, nil
+	player.Drain(&st)
+	return Result{Rungs: tally.Rungs(), Metrics: tally.Finalize(weights)}, nil
 }

@@ -7,6 +7,8 @@
 // the server's traffic shaper plays the bandwidth trace s× faster and the
 // player's clock advances s stream-seconds per wall second, so a 10-minute
 // session completes in 600/s wall seconds with identical controller inputs.
+// Buffer, start-up and stall accounting is the simulator's player
+// (sim.Player), advanced by the scaled wall clock instead of a trace.
 package player
 
 import (
@@ -15,9 +17,11 @@ import (
 	"time"
 
 	"repro/internal/abr"
+	"repro/internal/arena"
 	"repro/internal/predictor"
 	"repro/internal/proto"
 	"repro/internal/qoe"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/video"
 )
@@ -107,91 +111,47 @@ func Play(cfg Config) (Result, error) {
 
 	cfg.Controller.Reset()
 	cfg.Predictor.Reset()
-	quantile, _ := cfg.Predictor.(predictor.QuantilePredictor)
 
 	var (
-		tally      qoe.SessionTally
-		result     Result
-		buffer     units.Seconds
-		playing    bool
-		prevRung   = abr.NoRung
-		lastMbps   units.Mbps
-		wallStart  = time.Now()
-		lastStream units.Seconds
+		tally     qoe.SessionTally
+		result    Result
+		lastMbps  units.Mbps
+		wallStart = time.Now()
+		st        = arena.State{PrevRung: int32(abr.NoRung)}
 	)
 	result.Manifest = manifest
-	streamNow := func() units.Seconds { return units.Seconds(time.Since(wallStart).Seconds() * scale) }
-
-	// settle advances the accounting to the current stream time: the buffer
-	// drains in real (scaled) time while the player does anything else.
-	settle := func() units.Seconds {
-		now := streamNow()
-		dt := now - lastStream
-		lastStream = now
-		if dt <= 0 {
-			return now
-		}
-		if !playing {
-			tally.AddStartup(dt)
-			return now
-		}
-		played := dt
-		if played > buffer {
-			played = buffer
-		}
-		buffer -= played
-		tally.AddPlayback(played)
-		if stall := dt - played; stall > 1e-9 {
-			tally.AddRebuffer(stall)
-		}
-		return now
+	player := sim.Player{Segment: ladder.SegmentSeconds, BufferCap: cfg.BufferCap, Startup: 1, Tally: &tally}
+	// sinceSettled is the scaled wall time past the player's clock: the
+	// buffer drains in real time while the player does anything else.
+	sinceSettled := func() units.Seconds {
+		return units.Seconds(time.Since(wallStart).Seconds()*scale) - st.Clock
 	}
-	sleepStream := func(d units.Seconds) {
-		if d > 0 {
-			time.Sleep(time.Duration(float64(d) / scale * float64(time.Second)))
-		}
+	// idle sleeps through stream time the player has already played (none
+	// when d <= 0).
+	idle := func(d units.Seconds) {
+		time.Sleep(time.Duration(float64(d) / scale * float64(time.Second)))
+		player.Advance(&st, sinceSettled())
 	}
 
-	l := ladder.SegmentSeconds
+	ctx := &abr.Context{BufferCap: cfg.BufferCap, Ladder: ladder, TotalSegments: total,
+		Predict: func(h units.Seconds) units.Mbps { return cfg.Predictor.Predict(st.Clock, h) }}
+	if qp, ok := cfg.Predictor.(predictor.QuantilePredictor); ok {
+		ctx.PredictQuantile = func(q float64, h units.Seconds) units.Mbps { return qp.Quantile(st.Clock, h, q) }
+	}
 	for seg := 0; seg < total; seg++ {
-		now := settle()
-		// Idle at the buffer cap.
-		if over := buffer + l - cfg.BufferCap; over > 1e-9 {
-			sleepStream(over)
-			now = settle()
-		}
-
-		ctx := &abr.Context{
-			Now:            now,
-			Buffer:         buffer,
-			BufferCap:      cfg.BufferCap,
-			PrevRung:       prevRung,
-			Ladder:         ladder,
-			SegmentIndex:   seg,
-			TotalSegments:  total,
-			LastThroughput: lastMbps,
-		}
-		capturedNow := now
-		ctx.Predict = func(h units.Seconds) units.Mbps { return cfg.Predictor.Predict(capturedNow, h) }
-		if quantile != nil {
-			ctx.PredictQuantile = func(q float64, h units.Seconds) units.Mbps {
-				return quantile.Quantile(capturedNow, h, q)
-			}
-		}
+		player.Advance(&st, sinceSettled())
+		idle(player.ToCap(&st))
+		ctx.Now, ctx.Buffer, ctx.PrevRung = st.Clock, st.Buffer, int(st.PrevRung)
+		ctx.SegmentIndex, ctx.LastThroughput = seg, lastMbps
 		decision := cfg.Controller.Decide(ctx)
 		if decision.Rung == abr.NoRung {
-			if buffer <= 1e-9 {
-				decision.Rung = 0
-			} else {
+			if wait := player.Wait(&st, decision.WaitSeconds); wait > 0 {
 				result.Waits++
-				wait := decision.WaitSeconds
-				if wait <= 0 || wait > l {
-					wait = l / 2
-				}
-				sleepStream(wait)
+				idle(wait)
 				seg--
 				continue
 			}
+			decision.Rung = 0
 		}
 		rung := ladder.ClampIndex(decision.Rung)
 
@@ -199,26 +159,18 @@ func Play(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("player: segment %d: %w", seg, err)
 		}
-		settle()
-		buffer += l
-		if !playing {
-			playing = true
-		}
+		player.Deposit(&st, rung, sinceSettled())
 		streamElapsed := elapsed.Seconds() * scale
 		if streamElapsed <= 0 {
 			streamElapsed = 1e-6
 		}
 		lastMbps = units.Mbps(float64(nBytes) * 8 / 1e6 / streamElapsed)
-		cfg.Predictor.Observe(predictor.Sample{Mbps: lastMbps, Duration: units.Seconds(streamElapsed), EndTime: lastStream})
+		cfg.Predictor.Observe(predictor.Sample{Mbps: lastMbps, Duration: units.Seconds(streamElapsed), EndTime: st.Clock})
 		tally.AddSegment(rung, utility(rung))
-		prevRung = rung
 	}
 	// Drain the buffer without sleeping: the remaining playback is smooth by
 	// construction.
-	if playing && buffer > 0 {
-		tally.AddPlayback(buffer)
-		buffer = 0
-	}
+	player.Drain(&st)
 	result.Metrics = tally.Finalize(weights)
 	result.Rungs = append([]int(nil), tally.Rungs()...)
 	return result, nil

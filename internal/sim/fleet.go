@@ -2,11 +2,10 @@
 // worker pool, using a hierarchical time-wheel over segment-completion
 // events instead of one goroutine (or one full Run loop) per session.
 //
-// The single-session simulator in sim.go is the reference player; the fleet
-// trades its trace-integration fidelity for the loadgen player model (a
-// download occupies bitrate·L/throughput seconds of link time against the
-// session's current trace sample) so that one host can hold the entire
-// cohort's state in per-worker slices and touch only the sessions whose
+// Every session steps the same Player as the single-session simulator in
+// sim.go, over its own trace from a shared pool, and plans with the
+// bandwidth of its trace at its own position. One host holds the entire
+// cohort's state in per-worker slices and touches only the sessions whose
 // next event is due. Controllers are the real thing — every session runs its
 // own core.Controller in place in its worker's controller slice, sharing the
 // fleet decision tables and solve cache — so fleet cohorts exercise exactly
@@ -16,6 +15,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/units"
 	"repro/internal/video"
@@ -39,7 +40,7 @@ type FleetConfig struct {
 	Workers int
 	// Ladder is the bitrate ladder every session streams. Required.
 	Ladder video.Ladder
-	// BufferCap is the player buffer cap (default 20 s).
+	// BufferCap is the player buffer cap (0 means 20 s).
 	BufferCap units.Seconds
 	// Controller configures every session's controller. Nil gets the fleet
 	// defaults: the production config with compiled tables at quantum 0.5,
@@ -54,7 +55,7 @@ type FleetConfig struct {
 	// Seed makes trace synthesis — and therefore the whole cohort —
 	// reproducible.
 	Seed uint64
-	// TickSeconds is the time-wheel granularity (default 10 ms). Events
+	// TickSeconds is the time-wheel granularity (0 means 10 ms). Events
 	// quantize up to the next tick boundary.
 	TickSeconds units.Seconds
 	// Telemetry, when non-nil, receives one DecisionEvent per decision
@@ -91,11 +92,12 @@ type FleetReport struct {
 	Arena arena.Stats
 }
 
-// Time-wheel geometry: two levels of 256 buckets. At the default 10 ms tick
-// the inner wheel spans 2.56 s (one segment-download cadence) and the outer
-// 655 s; events beyond the outer span park in their outer bucket and lap.
+// Time-wheel geometry: two levels of 512 buckets. At the default 10 ms tick
+// the inner wheel spans 5.12 s, room for a session's event (its idle to the
+// cap and its download, about one 2 s segment), and the outer 43.7 min;
+// events beyond the outer span park in their outer bucket and lap.
 const (
-	wheelBits  = 8
+	wheelBits  = 9
 	wheelSlots = 1 << wheelBits
 	wheelMask  = wheelSlots - 1
 	noSession  = ^uint32(0)
@@ -177,14 +179,6 @@ func (w *wheel) advance(states []arena.State, to uint32, fire func(local uint32,
 	}
 }
 
-// constPredictor is the per-worker constant-throughput predictor. Binding
-// ctx.Predict to its method value once at worker setup — and mutating omega
-// per decision — avoids the per-decision closure allocation the
-// single-session simulator pays.
-type constPredictor struct{ omega units.Mbps }
-
-func (p *constPredictor) predict(units.Seconds) units.Mbps { return p.omega }
-
 // fleetWorker owns a contiguous run of sessions and drives their wheel.
 // Local session i lives at index i of ctrls, states and (with a watchdog)
 // watches, all sized once at setup, so the per-decision path indexes a slice
@@ -199,7 +193,7 @@ type fleetWorker struct {
 	rec     *telemetry.SessionRecorder
 	wheel   wheel
 	ctx     abr.Context
-	pred    constPredictor
+	omega   units.Mbps                      // the estimate ctx.Predict answers
 	fireFn  func(local uint32, tick uint32) // w.fire, bound once at setup
 
 	decisions uint64
@@ -215,7 +209,8 @@ type fleetWorker struct {
 // Methods are not safe for concurrent use with each other.
 type Fleet struct {
 	cfg     FleetConfig
-	pool    [][]units.Mbps
+	pool    []*trace.Trace
+	player  Player
 	workers []*fleetWorker
 	ticks   uint32 // absolute cohort clock, in wheel ticks
 	barrier sync.WaitGroup
@@ -232,27 +227,26 @@ func fleetControllerConfig() core.Config {
 }
 
 // TracePool synthesizes the min(sessions, 256) throughput traces a cohort of
-// sessions shares round-robin, as per-sample Mb/s. Zero arguments take the
-// defaults the fleet and the load generator share: the Puffer profile and
-// 120 s traces.
-func TracePool(profile tracegen.Profile, sessions int, length units.Seconds, seed uint64) ([][]units.Mbps, error) {
+// sessions shares round-robin. Zero arguments take the defaults the fleet and
+// the load generator share: the Puffer profile and 120 s traces. Every trace
+// carries data, so no download over one ends in trace.ErrStalled.
+func TracePool(profile tracegen.Profile, sessions int, length units.Seconds, seed uint64) ([]*trace.Trace, error) {
 	if profile.Name == "" {
 		profile = tracegen.Puffer()
 	}
 	if length <= 0 {
 		length = units.Seconds(120)
 	}
-	pool := make([][]units.Mbps, min(sessions, 256))
+	pool := make([]*trace.Trace, min(sessions, 256))
 	for i := range pool {
 		tr, err := profile.Session(length, seed, i)
 		if err != nil {
 			return nil, fmt.Errorf("sim: synthesizing trace %d: %w", i, err)
 		}
-		samples := tr.Samples()
-		pool[i] = make([]units.Mbps, len(samples))
-		for j, s := range samples {
-			pool[i][j] = s.Mbps
+		if !(tr.MeanMbps() > 0) {
+			return nil, fmt.Errorf("sim: trace %d carries no data", i)
 		}
+		pool[i] = tr
 	}
 	return pool, nil
 }
@@ -275,15 +269,17 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Workers > cfg.Sessions {
 		cfg.Workers = cfg.Sessions
 	}
-	if cfg.BufferCap <= 0 {
+	if cfg.BufferCap == 0 {
 		cfg.BufferCap = units.Seconds(20)
 	}
-	if cfg.BufferCap < cfg.Ladder.SegmentSeconds {
-		return nil, fmt.Errorf("sim: fleet buffer cap %v below one segment (%v s)",
-			cfg.BufferCap, cfg.Ladder.SegmentSeconds)
+	if !(cfg.BufferCap >= cfg.Ladder.SegmentSeconds) || math.IsInf(float64(cfg.BufferCap), 1) {
+		return nil, fmt.Errorf("sim: fleet buffer cap %v not finite and at least one segment", cfg.BufferCap)
 	}
-	if cfg.TickSeconds <= 0 {
+	if cfg.TickSeconds == 0 {
 		cfg.TickSeconds = units.Seconds(0.01)
+	}
+	if !(cfg.TickSeconds > 0) || math.IsInf(float64(cfg.TickSeconds), 1) {
+		return nil, fmt.Errorf("sim: fleet tick %v s not positive and finite", cfg.TickSeconds)
 	}
 	ctrlCfg := fleetControllerConfig()
 	if cfg.Controller != nil {
@@ -297,7 +293,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, pool: pool}
+	f := &Fleet{cfg: cfg, pool: pool,
+		player: Player{Segment: cfg.Ladder.SegmentSeconds, BufferCap: cfg.BufferCap, Startup: 1}}
 
 	// First events stagger across one segment duration so the cohort does
 	// not thunder onto a single tick.
@@ -333,24 +330,25 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			// Decide's only lazy allocations, and paying them at setup keeps
 			// the steady event path allocation-free from the first fire.
 			ctrl.Prewarm(cfg.BufferCap)
+			tr := global % len(pool)
 			w.states[local] = arena.State{
 				PrevRung: int32(abr.NoRung),
-				Trace:    int32(global % len(f.pool)),
-				// Stagger cursors so pool-sharing sessions do not walk
-				// identical sample sequences in lockstep.
-				Cursor: int32(global / len(f.pool)),
+				Trace:    int32(tr),
+				// Stagger entry samples so pool-sharing sessions do not
+				// walk identical sample sequences in lockstep.
+				Cursor: int32(global / len(pool) % pool[tr].Len()),
 				Next:   noSession,
 			}
 			w.wheel.schedule(w.states, uint32(local), 1+uint32(global)%ticksPerSegment)
 		}
-		// ctx invariants are set once; Predict binds the reusable
-		// constant predictor's method value here, not per decision.
+		// ctx invariants and the Predict binding are set once, not per
+		// decision.
 		w.ctx = abr.Context{
 			BufferCap:     cfg.BufferCap,
 			Ladder:        cfg.Ladder,
 			TotalSegments: 1 << 20, // an open-ended live stream
+			Predict:       func(units.Seconds) units.Mbps { return w.omega },
 		}
-		w.ctx.Predict = w.pred.predict
 		w.fireFn = w.fire
 		next += n
 		f.workers[wi] = w
@@ -369,20 +367,22 @@ func (w *fleetWorker) run() {
 	}
 }
 
-// fire handles one session's due event: charge playback since the decision
-// is instantaneous at event time, pull the session's next throughput sample,
-// run the real controller, apply the StepPlayer model, and schedule the
-// completion of whatever the decision started.
+// fire handles one session's due event on the player: idle to the cap, plan
+// with the bandwidth at the session's position, run the real controller,
+// then wait or download, and schedule the session again once the player's
+// clock has moved through what the decision started.
 //
 //soda:noalloc
 func (w *fleetWorker) fire(local uint32, tick uint32) {
 	st := &w.states[local]
-	samples := w.f.pool[st.Trace]
-	omega := samples[int(st.Cursor)%len(samples)]
-	st.Cursor++
+	tr := w.f.pool[st.Trace]
+	p := &w.f.player
+	clock := st.Clock
+	p.ToCap(st)
+	omega := p.Throughput(st, tr)
 
-	w.pred.omega = omega
-	w.ctx.Now = w.f.cfg.TickSeconds.Scale(float64(tick))
+	w.omega = omega
+	w.ctx.Now = st.Clock
 	w.ctx.Buffer = st.Buffer
 	w.ctx.PrevRung = int(st.PrevRung)
 	w.ctx.SegmentIndex = int(st.Segment)
@@ -391,32 +391,35 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 	decision := w.ctrls[local].Decide(&w.ctx)
 	w.decisions++
 
-	rung := abr.NoRung
-	var bitrate units.Mbps
-	if decision.Rung == abr.NoRung {
-		w.waits++
-	} else {
-		rung = w.f.cfg.Ladder.ClampIndex(decision.Rung)
-		bitrate = w.f.cfg.Ladder.Mbps(rung)
+	rung := decision.Rung
+	var wait units.Seconds
+	if rung == abr.NoRung {
+		if wait = p.Wait(st, decision.WaitSeconds); wait > 0 {
+			w.waits++
+		} else {
+			rung = 0 // the wait rule's rung on an empty buffer
+		}
+	}
+	if rung != abr.NoRung {
+		rung = w.f.cfg.Ladder.ClampIndex(rung)
+		// TracePool's traces all carry data, so the download completes.
+		dl, _ := p.Download(st, tr, st.Clock, w.f.cfg.Ladder.SegmentMegabits(rung))
+		w.stall += p.Deposit(st, rung, dl)
 		w.segments++
 	}
-	dt, stall := StepPlayer(st, rung, bitrate, decision.WaitSeconds, omega,
-		w.f.cfg.Ladder.SegmentSeconds, w.f.cfg.BufferCap)
-	w.stall += stall
 
 	if w.rec != nil {
 		ev := w.rec.Start()
 		ev.Session = int32(w.base) + int32(local)
 		ev.AtSeconds = w.ctx.Now
-		ev.Segment = st.Segment
+		ev.Segment = int32(w.ctx.SegmentIndex)
 		ev.Rung = int16(rung)
 		ev.PrevRung = int16(w.ctx.PrevRung)
 		ev.Buffer = w.ctx.Buffer
 		ev.Throughput = omega
-		if rung == abr.NoRung {
-			ev.WaitSeconds = dt
-		} else {
-			ev.Bitrate = bitrate
+		ev.WaitSeconds = wait
+		if rung != abr.NoRung {
+			ev.Bitrate = w.f.cfg.Ladder.Mbps(rung)
 		}
 		w.rec.Commit()
 	}
@@ -425,62 +428,18 @@ func (w *fleetWorker) fire(local uint32, tick uint32) {
 			w.ctx.Now, w.ctx.Buffer, int16(rung), int16(w.ctx.PrevRung))
 	}
 
-	due := tick + uint32(float64(dt)/float64(w.f.cfg.TickSeconds)+0.999999)
+	due := tick + uint32(float64(st.Clock-clock)/float64(w.f.cfg.TickSeconds)+0.999999)
 	w.wheel.schedule(w.states, local, due)
-}
-
-// StepPlayer applies one decision to a session's player state under the
-// one-throughput-sample-per-segment model sim.Fleet and loadgen share, and
-// returns the simulated time the decision spans and the stall it charged.
-//
-// A wait (rung < 0) idles for wait seconds (half a segment when wait is
-// outside (0, segment]), at most the buffer. A download of rung at bitrate
-// takes bitrate·segment/omega seconds of link time (omega floored at
-// 0.1 Mb/s), deposits one segment, charges any underflow to st.Stall, caps
-// the buffer at bufferCap and commits the rung and segment index.
-//
-//soda:noalloc
-func StepPlayer(st *arena.State, rung int, bitrate units.Mbps, wait units.Seconds, omega units.Mbps,
-	segment, bufferCap units.Seconds) (dt, stall units.Seconds) {
-	if rung < 0 {
-		if wait <= 0 || wait > segment {
-			wait = segment.Scale(0.5)
-		}
-		if wait > st.Buffer {
-			wait = st.Buffer
-		}
-		st.Buffer -= wait
-		return wait, 0
-	}
-	thr := float64(omega)
-	if thr < 0.1 {
-		thr = 0.1 // a stalled link still finishes the download eventually
-	}
-	dl := units.Seconds(float64(bitrate) * float64(segment) / thr)
-	// (Buffer + segment) − dl, in this order: the fleet's state is pinned
-	// bit-identical by its twin check.
-	buffer := st.Buffer + segment - dl
-	if buffer < 0 {
-		stall = -buffer
-		st.Stall += stall
-		buffer = 0
-	}
-	if buffer > bufferCap {
-		buffer = bufferCap
-	}
-	st.Buffer = buffer
-	st.PrevRung = int32(rung)
-	st.Segment++
-	return dl, stall
 }
 
 // Advance runs the whole cohort forward by window of simulated time, all
 // workers in parallel, and returns when every worker has reached the target
 // tick. The steady path allocates nothing: workers are persistent, commands
 // are unboxed channel sends, and all per-decision state lives in the
-// workers' session slices.
+// workers' session slices. A window that is not positive and finite is a
+// no-op.
 func (f *Fleet) Advance(window units.Seconds) {
-	if f.closed || window <= 0 {
+	if f.closed || !(window > 0) || math.IsInf(float64(window), 1) {
 		return
 	}
 	ticks := uint32(float64(window) / float64(f.cfg.TickSeconds))

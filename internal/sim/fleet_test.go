@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -26,6 +27,14 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet(FleetConfig{Sessions: 1, Ladder: video.Mobile(),
 		BufferCap: units.Seconds(0.5)}); err == nil {
 		t.Fatal("NewFleet accepted a sub-segment buffer cap")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewFleet(FleetConfig{Sessions: 1, Ladder: video.Mobile(), BufferCap: units.Seconds(x)}); err == nil {
+			t.Errorf("NewFleet accepted buffer cap %v", x)
+		}
+		if _, err := NewFleet(FleetConfig{Sessions: 1, Ladder: video.Mobile(), TickSeconds: units.Seconds(x)}); err == nil {
+			t.Errorf("NewFleet accepted tick %v s", x)
+		}
 	}
 	bad := core.DefaultConfig()
 	bad.Horizon = -3
@@ -77,6 +86,13 @@ func TestFleetAdvancesEverySession(t *testing.T) {
 	if rep.Segments == 0 {
 		t.Fatal("no segments downloaded")
 	}
+	// A window that is not positive and finite moves nothing.
+	for _, window := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Advance(units.Seconds(window))
+	}
+	if got := f.Report(); got.SimSeconds != units.Seconds(60) || got.Decisions != rep.Decisions {
+		t.Fatalf("non-finite windows moved the cohort to %v s and %d decisions", got.SimSeconds, got.Decisions)
+	}
 	if _, _, ok := f.Session(-1); ok {
 		t.Fatal("Session(-1) succeeded")
 	}
@@ -125,85 +141,65 @@ func TestFleetDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesSingleSessionDecisions cross-checks the fleet player
-// against a hand-rolled serial replay of the same model: one session, one
-// trace, identical decision inputs step by step.
+// traceBandwidth predicts the trace's bandwidth at the decision time: the
+// single-session stand-in for the fleet's throughput estimate.
+type traceBandwidth struct{ tr *trace.Trace }
+
+func (p traceBandwidth) Observe(predictor.Sample)                {}
+func (p traceBandwidth) Predict(now, _ units.Seconds) units.Mbps { return p.tr.BandwidthAt(now) }
+func (p traceBandwidth) Reset()                                  {}
+
+// TestFleetMatchesSingleSessionDecisions is the one-player contract: a
+// one-session Fleet and Run on the same Puffer trace, with the same ladder,
+// cap (6 s, so the session stalls) and controller config, start-up 1 and a
+// predictor returning the trace's bandwidth at the decision time, take the
+// same decisions and reach a bit-identical clock, buffer, stall, segment and
+// previous rung after each of the first 240 of Run's 300 segments (the last
+// ones plan over a shorter remaining session than the fleet's endless one).
 func TestFleetMatchesSingleSessionDecisions(t *testing.T) {
-	ladder := video.Mobile()
-	f, err := NewFleet(FleetConfig{
-		Sessions: 1,
-		Workers:  1,
-		Ladder:   ladder,
-		Seed:     11,
-	})
+	const compared = 240
+	ladder := video.YouTube4K()
+	f, err := NewFleet(FleetConfig{Sessions: 1, Workers: 1, Ladder: ladder, Seed: 11,
+		SessionLength: units.Seconds(600), BufferCap: units.Seconds(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.Advance(units.Seconds(45))
-	_, st, _ := f.Session(0)
-	rep := f.Report()
-	if rep.Decisions == 0 || st.Segment == 0 {
-		t.Fatalf("no progress: %+v", rep)
-	}
-
-	// Serial replay with the same trace pool, controller config and player
-	// arithmetic must land on the same (segment, prevRung, buffer) state.
-	tr, err := tracegen.Puffer().Session(units.Seconds(120), 11, 0)
+	pool, err := TracePool(tracegen.Profile{}, 1, units.Seconds(600), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := tr.Samples()
-	cfg := fleetControllerConfig()
-	ctrl := core.New(cfg, ladder)
-	pred := &constPredictor{}
-	var (
-		buffer  units.Seconds
-		prev    = int32(-1)
-		segment int32
-		cursor  int
-	)
-	segDur := ladder.SegmentSeconds
-	actx := newFleetContext(ladder, units.Seconds(20), pred)
-	for n := uint64(0); n < rep.Decisions; n++ {
-		omega := samples[cursor%len(samples)].Mbps
-		cursor++
-		pred.omega = omega
-		actx.Buffer = buffer
-		actx.PrevRung = int(prev)
-		actx.SegmentIndex = int(segment)
-		actx.LastThroughput = omega
-		d := ctrl.Decide(actx)
-		if d.Rung < 0 {
-			wait := d.WaitSeconds
-			if wait <= 0 || wait > segDur {
-				wait = segDur.Scale(0.5)
-			}
-			if wait > buffer {
-				wait = buffer
-			}
-			buffer -= wait
-			continue
-		}
-		rung := ladder.ClampIndex(d.Rung)
-		thr := float64(omega)
-		if thr < 0.1 {
-			thr = 0.1
-		}
-		dl := units.Seconds(float64(ladder.Mbps(rung)) * float64(segDur) / thr)
-		buffer += segDur - dl
-		if buffer < 0 {
-			buffer = 0
-		}
-		if buffer > 20 {
-			buffer = 20
-		}
-		prev = int32(rung)
-		segment++
+	res, err := Run(pool[0], Config{
+		Ladder:           ladder,
+		BufferCap:        units.Seconds(6),
+		StartupSegments:  1,
+		Controller:       core.New(fleetControllerConfig(), ladder),
+		Predictor:        traceBandwidth{pool[0]},
+		RecordTrajectory: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if segment != st.Segment || prev != st.PrevRung {
-		t.Fatalf("serial replay (segment=%d prev=%d) != fleet (segment=%d prev=%d)",
-			segment, prev, st.Segment, st.PrevRung)
+	bits := func(s units.Seconds) uint64 { return math.Float64bits(float64(s)) }
+	_, st, _ := f.Session(0)
+	var stall units.Seconds
+	for i, pt := range res.Trajectory[:compared] {
+		for ticks := 0; int(st.Segment) <= i; ticks++ {
+			if ticks > 1e5 {
+				t.Fatalf("fleet session stuck before segment %d: %+v", i, *st)
+			}
+			f.Advance(f.cfg.TickSeconds)
+		}
+		stall += pt.RebufferSec
+		if int(st.Segment) != i+1 || int(st.PrevRung) != pt.Rung || bits(st.Clock) != bits(pt.Time) ||
+			bits(st.Buffer) != bits(pt.Buffer) || bits(st.Stall) != bits(stall) {
+			t.Fatalf("after segment %d: fleet (segment %d, rung %d, clock %v, buffer %v, stall %v) != "+
+				"Run (segment %d, rung %d, clock %v, buffer %v, stall %v)", i, st.Segment, st.PrevRung, st.Clock,
+				st.Buffer, st.Stall, i+1, pt.Rung, pt.Time, pt.Buffer, stall)
+		}
+	}
+	if stall == 0 {
+		t.Fatal("the compared segments charged no stall: the contract does not cover stall accounting")
 	}
 }
 
@@ -374,17 +370,6 @@ func TestWheelLongHorizons(t *testing.T) {
 	}
 }
 
-// newFleetContext mirrors the worker's reusable context setup for the serial
-// replay test.
-func newFleetContext(ladder video.Ladder, bufferCap units.Seconds, pred *constPredictor) *abr.Context {
-	return &abr.Context{
-		BufferCap:     bufferCap,
-		Ladder:        ladder,
-		TotalSegments: 1 << 20,
-		Predict:       pred.predict,
-	}
-}
-
 // synthTraces builds n deterministic traces from a tracegen profile.
 func synthTraces(t *testing.T, profile tracegen.Profile, n int) []*trace.Trace {
 	t.Helper()
@@ -431,48 +416,5 @@ func TestRunManyDeterministicAcrossRepeats(t *testing.T) {
 		if len(first[i].Rungs) == 0 {
 			t.Fatalf("session %d recorded no rungs", i)
 		}
-	}
-}
-
-func TestStepPlayer(t *testing.T) {
-	const segment, bufferCap = units.Seconds(2), units.Seconds(10)
-	// Seconds and Mb/s as plain numbers: buffer, wait, dt, stall and the
-	// buffer after in seconds, bitrate and omega in Mb/s.
-	cases := []struct {
-		name                            string
-		buffer                          float64
-		rung                            int
-		bitrate, wait, omega            float64
-		wantDT, wantStall, wantBufferAt float64
-	}{
-		{name: "wait drains", buffer: 5, rung: abr.NoRung, wait: 1.5, wantDT: 1.5, wantBufferAt: 3.5},
-		{name: "wait capped at the buffer", buffer: 0.5, rung: abr.NoRung, wait: 1.5, wantDT: 0.5},
-		{name: "non-positive wait is half a segment", buffer: 5, rung: abr.NoRung, wantDT: 1, wantBufferAt: 4},
-		{name: "over-long wait is half a segment", buffer: 5, rung: abr.NoRung, wait: 3, wantDT: 1, wantBufferAt: 4},
-		{name: "download deposits a segment", buffer: 4, rung: 1, bitrate: 2, omega: 4, wantDT: 1, wantBufferAt: 5},
-		{name: "download capped", buffer: 9, rung: 1, bitrate: 2, omega: 4, wantDT: 1, wantBufferAt: 10},
-		{name: "underflow charged as stall", buffer: 1, rung: 2, bitrate: 8, omega: 2, wantDT: 8, wantStall: 5},
-		{name: "dead link floored", rung: 0, bitrate: 0.1, wantDT: 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := arena.State{Buffer: units.Seconds(tc.buffer), Stall: units.Seconds(1), PrevRung: 7, Segment: 3}
-			dt, stall := StepPlayer(&st, tc.rung, units.Mbps(tc.bitrate), units.Seconds(tc.wait),
-				units.Mbps(tc.omega), segment, bufferCap)
-			if float64(dt) != tc.wantDT || float64(stall) != tc.wantStall || float64(st.Buffer) != tc.wantBufferAt {
-				t.Fatalf("dt, stall, buffer = %g, %g, %g; want %g, %g, %g",
-					dt, stall, st.Buffer, tc.wantDT, tc.wantStall, tc.wantBufferAt)
-			}
-			if want := 1 + tc.wantStall; float64(st.Stall) != want {
-				t.Fatalf("state stall = %g, want %g", st.Stall, want)
-			}
-			wantPrev, wantSeg := int32(7), int32(3)
-			if tc.rung >= 0 {
-				wantPrev, wantSeg = int32(tc.rung), 4
-			}
-			if st.PrevRung != wantPrev || st.Segment != wantSeg {
-				t.Fatalf("prev rung, segment = %d, %d; want %d, %d", st.PrevRung, st.Segment, wantPrev, wantSeg)
-			}
-		})
 	}
 }

@@ -8,17 +8,19 @@
 // rebuffering when the buffer empties, enforcing the buffer cap (20 s for the
 // paper's live configuration) by idling, and feeding measured throughput back
 // into the session's predictor. Startup delay (before the first frame) is
-// tracked separately from rebuffering, as in Sabre.
+// tracked separately from rebuffering, as in Sabre. Player holds the rules.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/abr"
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/predictor"
@@ -72,12 +74,13 @@ type Config struct {
 	// RecordTrajectory retains the per-segment buffer/rung trajectory
 	// (needed by the Figure 3 pathology plot).
 	RecordTrajectory bool
-	// OnResult, when non-nil, is invoked by RunDataset once per completed
-	// session with the trace index, the controller that ran it, and the
-	// session Result — the hook harnesses use to collect per-session solver
-	// statistics before the controller is discarded. It runs on the worker
-	// goroutines, so it must be safe for concurrent use. Run itself ignores
-	// it (a single-session caller already holds both values).
+	// OnResult, when non-nil, is invoked by RunMany (and so RunDataset) once
+	// per completed session with the trace index, the controller that ran
+	// it, and the session Result — the hook harnesses use to collect
+	// per-session solver statistics before the controller is discarded. It
+	// runs on the worker goroutines, so it must be safe for concurrent use.
+	// Run itself ignores it (a single-session caller already holds both
+	// values).
 	OnResult func(index int, ctrl abr.Controller, res Result)
 	// Telemetry, when non-nil, receives one DecisionEvent per Decide plus
 	// per-session solver/QoE aggregates. Recording is strictly pull-based —
@@ -131,8 +134,8 @@ func (c *Config) validate() error {
 	if c.Ladder.Len() == 0 {
 		return errors.New("sim: empty ladder")
 	}
-	if c.BufferCap < c.Ladder.SegmentSeconds {
-		return fmt.Errorf("sim: buffer cap %v below one segment (%v s)", c.BufferCap, c.Ladder.SegmentSeconds)
+	if !(c.BufferCap >= c.Ladder.SegmentSeconds) || math.IsInf(float64(c.BufferCap), 1) {
+		return fmt.Errorf("sim: buffer cap %v not finite and at least one segment (%v s)", c.BufferCap, c.Ladder.SegmentSeconds)
 	}
 	if c.LatencySeconds < 0 {
 		return fmt.Errorf("sim: negative latency %v", c.LatencySeconds)
@@ -196,65 +199,25 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	var (
 		tally    qoe.SessionTally
 		result   Result
-		now      units.Seconds // stream clock
-		buffer   units.Seconds // video buffered
-		playing  bool
-		prevRung = abr.NoRung
 		lastMbps units.Mbps
-		segStall units.Seconds          // stall charged since the last segment completed
 		watch    flightrec.SessionWatch // per-session QoE detector state
+		st       = arena.State{PrevRung: int32(abr.NoRung)}
 	)
-	quantile, _ := cfg.Predictor.(predictor.QuantilePredictor)
-
-	// advance moves the stream clock while the player is (possibly) playing,
-	// charging playback, rebuffering or startup as appropriate.
-	advance := func(dt units.Seconds) {
-		if dt <= 0 {
-			return
-		}
-		now += dt
-		if !playing {
-			tally.AddStartup(dt)
-			return
-		}
-		played := dt
-		if played > buffer {
-			played = buffer
-		}
-		buffer -= played
-		tally.AddPlayback(played)
-		if stall := dt - played; stall > 1e-12 {
-			tally.AddRebuffer(stall)
-			segStall += stall
-		}
+	player := Player{Segment: l, BufferCap: cfg.BufferCap, Startup: int32(startup), Tally: &tally}
+	// One context per session: its bindings forecast at the clock, which no
+	// Decide moves, and each decision rewrites the fields that change.
+	ctx := &abr.Context{BufferCap: cfg.BufferCap, Ladder: ladder, TotalSegments: totalSegments,
+		Predict: func(h units.Seconds) units.Mbps { return cfg.Predictor.Predict(st.Clock, h) }}
+	if q, ok := cfg.Predictor.(predictor.QuantilePredictor); ok {
+		ctx.PredictQuantile = func(p float64, h units.Seconds) units.Mbps { return q.Quantile(st.Clock, h, p) }
 	}
 
 	maxIters := 20*totalSegments + 1000
 	iters := 0
 	for seg := 0; seg < totalSegments; seg++ {
-		// Enforce the buffer cap before asking for another segment: idle
-		// until there is room for one more segment of video.
-		if over := buffer + l - cfg.BufferCap; over > 1e-9 {
-			advance(over)
-		}
-
-		ctx := &abr.Context{
-			Now:            now,
-			Buffer:         buffer,
-			BufferCap:      cfg.BufferCap,
-			PrevRung:       prevRung,
-			Ladder:         ladder,
-			SegmentIndex:   seg,
-			TotalSegments:  totalSegments,
-			LastThroughput: lastMbps,
-		}
-		capturedNow := now
-		ctx.Predict = func(h units.Seconds) units.Mbps { return cfg.Predictor.Predict(capturedNow, h) }
-		if quantile != nil {
-			ctx.PredictQuantile = func(q float64, h units.Seconds) units.Mbps {
-				return quantile.Quantile(capturedNow, h, q)
-			}
-		}
+		player.ToCap(&st)
+		ctx.Now, ctx.Buffer, ctx.PrevRung = st.Clock, st.Buffer, int(st.PrevRung)
+		ctx.SegmentIndex, ctx.LastThroughput = seg, lastMbps
 
 		var (
 			ev    *telemetry.DecisionEvent
@@ -276,11 +239,11 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			// the sub-microsecond decision loop.
 			ev = rec.Start()
 			ev.Segment = int32(seg)
-			ev.PrevRung = int16(prevRung)
-			ev.Buffer = buffer
+			ev.PrevRung = int16(ctx.PrevRung)
+			ev.Buffer = ctx.Buffer
 			ev.Throughput = lastMbps
 			ev.Timed = timed
-			ev.AtSeconds = now
+			ev.AtSeconds = ctx.Now
 			if timed {
 				ev.SolveSeconds = units.Seconds(time.Since(t0).Seconds())
 			}
@@ -293,29 +256,18 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			}
 		}
 		if decision.Rung == abr.NoRung {
-			if buffer <= 1e-9 {
-				// Waiting on an empty buffer deadlocks the session; force
-				// the defensive lowest rung instead.
-				decision.Rung = 0
-			} else {
+			if wait := player.Wait(&st, decision.WaitSeconds); wait > 0 {
 				result.Waits++
-				wait := decision.WaitSeconds
-				if wait <= 0 || wait > l {
-					wait = l / 2
-				}
-				if wait > buffer {
-					wait = buffer
-				}
 				if rec != nil {
 					ev.Rung = abr.NoRung
 					ev.WaitSeconds = wait
 					rec.Commit()
 				}
-				cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, buffer, abr.NoRung, int16(prevRung))
-				advance(wait)
+				cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), ctx.Now, ctx.Buffer, abr.NoRung, int16(ctx.PrevRung))
 				seg-- // retry the same segment index after idling
 				continue
 			}
+			decision.Rung = 0 // the wait rule's rung on an empty buffer
 		}
 		rung := ladder.ClampIndex(decision.Rung)
 		if rec != nil {
@@ -323,71 +275,60 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			ev.Bitrate = ladder.Mbps(rung)
 			rec.Commit()
 		}
-		cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), now, buffer, int16(rung), int16(prevRung))
+		cfg.Watchdog.Observe(&watch, int32(cfg.TelemetrySession), ctx.Now, ctx.Buffer, int16(rung), int16(ctx.PrevRung))
 
 		// Live-edge availability: the broadcast has not produced this
 		// segment yet; idle until it appears.
+		var segStall units.Seconds // stall charged to this segment
 		if cfg.Live {
 			offset := cfg.LiveEdgeOffsetSeconds
 			if offset <= 0 {
 				offset = cfg.BufferCap
 			}
-			if avail := units.Seconds(seg)*l - offset; now < avail {
-				advance(avail - now)
+			if avail := units.Seconds(seg)*l - offset; st.Clock < avail {
+				segStall = player.Advance(&st, avail-st.Clock)
 			}
 		}
 
 		size := sizes.SegmentMegabits(rung, seg)
-		dl, err := tr.DownloadTime(now+cfg.LatencySeconds, size)
+		dl, err := player.Download(&st, tr, st.Clock+cfg.LatencySeconds, size)
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: segment %d: %w", seg, err)
 		}
 		dlTime := cfg.LatencySeconds + dl
-		if cfg.Abandonment && playing && rung > 0 && dlTime > buffer+1e-9 {
+		if cfg.Abandonment && player.playing(&st) && rung > 0 && dlTime > st.Buffer+1e-9 {
 			// The download would outlast the buffer: play out the buffer,
 			// abandon the in-flight segment at the moment the buffer runs
 			// dry, and refetch at the lowest rung (dash.js abandonment).
 			result.Abandons++
-			wasted := buffer
-			advance(wasted) // drains the buffer exactly
+			player.Advance(&st, st.Buffer) // drains the buffer exactly
 			rung = 0
 			size = sizes.SegmentMegabits(rung, seg)
-			dl, err = tr.DownloadTime(now+cfg.LatencySeconds, size)
+			dl, err = player.Download(&st, tr, st.Clock+cfg.LatencySeconds, size)
 			if err != nil {
 				return Result{}, fmt.Errorf("sim: segment %d (abandoned): %w", seg, err)
 			}
 			dlTime = cfg.LatencySeconds + dl
 		}
-		advance(dlTime)
-		buffer += l
-		if !playing && seg+1 >= startup {
-			playing = true
-		}
+		segStall += player.Deposit(&st, rung, dlTime)
 
 		lastMbps = size.Over(dlTime)
-		cfg.Predictor.Observe(predictor.Sample{Mbps: lastMbps, Duration: dlTime, EndTime: now})
+		cfg.Predictor.Observe(predictor.Sample{Mbps: lastMbps, Duration: dlTime, EndTime: st.Clock})
 		tally.AddSegment(rung, utility(rung))
-		prevRung = rung
 		if cfg.RecordTrajectory {
 			result.Trajectory = append(result.Trajectory, TrajectoryPoint{
-				Time:        now,
-				Buffer:      buffer,
+				Time:        st.Clock,
+				Buffer:      st.Buffer,
 				Rung:        rung,
 				RebufferSec: segStall,
 			})
 		}
-		segStall = 0
 	}
-	// Drain the remaining buffer to finish the session.
-	if playing {
-		tally.AddPlayback(buffer)
-		now += buffer
-		buffer = 0
-	}
+	player.Drain(&st)
 
 	result.Metrics = tally.Finalize(weights)
 	result.Rungs = append([]int(nil), tally.Rungs()...)
-	result.Duration = now
+	result.Duration = st.Clock
 	if rec != nil {
 		// No Decide ran after the last snapshot, so stats is the session's
 		// total.

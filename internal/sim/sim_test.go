@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/abr"
+	"repro/internal/flightrec"
 	"repro/internal/predictor"
 	"repro/internal/qoe"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/units"
@@ -184,6 +186,9 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Predictor = nil },
 		func(c *Config) { c.Ladder = video.Ladder{} },
 		func(c *Config) { c.BufferCap = 0.5 },
+		func(c *Config) { c.BufferCap = units.Seconds(math.NaN()) },
+		func(c *Config) { c.BufferCap = units.Seconds(math.Inf(1)) },
+		func(c *Config) { c.BufferCap = units.Seconds(math.Inf(-1)) },
 		func(c *Config) { c.LatencySeconds = -1 },
 		func(c *Config) { c.SessionSeconds = 0.5 },
 	}
@@ -373,4 +378,75 @@ func TestVBRSizesAffectDownloads(t *testing.T) {
 func newRegistered(t *testing.T, name string) (abr.Controller, error) {
 	t.Helper()
 	return abr.New(name, video.Mobile())
+}
+
+// clockPredictor forecasts the decision time it is asked at, so a context's
+// prediction bindings show which clock they were made at.
+type clockPredictor struct{}
+
+func (clockPredictor) Observe(predictor.Sample)                {}
+func (clockPredictor) Predict(now, _ units.Seconds) units.Mbps { return units.Mbps(float64(now)) }
+func (clockPredictor) Quantile(now, _ units.Seconds, _ float64) units.Mbps {
+	return units.Mbps(float64(now))
+}
+func (clockPredictor) Reset() {}
+
+// clockChecker records the contexts it is handed and the forecasts made
+// through them, and waits on its second decision.
+type clockChecker struct {
+	contexts map[*abr.Context]bool
+	stale    int
+	n        int
+}
+
+func (c *clockChecker) Name() string { return "clock-checker" }
+func (c *clockChecker) Decide(ctx *abr.Context) abr.Decision {
+	c.contexts[ctx] = true
+	h := units.Seconds(2)
+	if ctx.Predict(h) != units.Mbps(float64(ctx.Now)) || ctx.PredictQuantile(0.5, h) != units.Mbps(float64(ctx.Now)) {
+		c.stale++
+	}
+	if c.n++; c.n == 2 {
+		return abr.Wait(units.Seconds(0.5))
+	}
+	return abr.Decision{Rung: 0}
+}
+func (c *clockChecker) Reset() {}
+
+// TestRunBindsPredictionsOncePerSession pins Run's per-session context: one
+// abr.Context serves every decision, its Predict and PredictQuantile forecast
+// at each decision's own clock, and a session allocates far less than once
+// per decision. Telemetry and a watchdog ride along and count every
+// decision, the wait included.
+func TestRunBindsPredictionsOncePerSession(t *testing.T) {
+	tr := trace.Constant(units.Mbps(10), units.Seconds(1000))
+	ctrl := &clockChecker{contexts: map[*abr.Context]bool{}}
+	cfg := baseConfig(ctrl)
+	cfg.Predictor = clockPredictor{}
+	cfg.Telemetry = telemetry.NewCollector(nil, 64)
+	cfg.Watchdog = flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{})
+	res, err := Run(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ctrl.contexts) != 1 || ctrl.stale != 0 || res.Waits != 1 {
+		t.Fatalf("%d contexts, %d stale forecasts, %d waits; want 1, 0, 1", len(ctrl.contexts), ctrl.stale, res.Waits)
+	}
+	if got, want := cfg.Telemetry.Decisions.Value(), float64(res.Metrics.Segments+res.Waits); got != want {
+		t.Fatalf("collector counted %g decisions, want %g", got, want)
+	}
+
+	cfg = baseConfig(&fixedController{rung: 1})
+	cfg.SessionSeconds = units.Seconds(1000)
+	decisions := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := Run(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions = res.Metrics.Segments + res.Waits
+	})
+	if allocs > float64(decisions)/10 {
+		t.Fatalf("a %d-decision session allocates %g times, want under one per ten decisions", decisions, allocs)
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,6 +51,7 @@ type Trace struct {
 // use Validate for error-returning checks on untrusted input.
 func New(samples []Sample) *Trace {
 	t := &Trace{}
+	t.Grow(len(samples))
 	for _, s := range samples {
 		t.Append(s)
 	}
@@ -60,6 +62,9 @@ func New(samples []Sample) *Trace {
 func Constant(mbps units.Mbps, duration units.Seconds) *Trace {
 	return New([]Sample{{Duration: duration, Mbps: mbps}})
 }
+
+// Grow makes room for n more samples.
+func (t *Trace) Grow(n int) { t.samples = slices.Grow(t.samples, n) }
 
 // Append adds one sample to the end of the trace.
 // It panics on non-positive duration or negative bandwidth.
@@ -90,17 +95,23 @@ func (t *Trace) BandwidthAt(tsec units.Seconds) units.Mbps {
 	if len(t.samples) == 0 || t.total == 0 {
 		return 0
 	}
-	tt := units.Seconds(math.Mod(float64(tsec), float64(t.total)))
-	if tt < 0 {
-		tt += t.total
+	idx, _ := t.locate(tsec)
+	return t.samples[idx].Mbps
+}
+
+// locate maps stream time at into the non-empty trace, with wrap-around, by
+// math.Mod and a walk from sample 0: the sample holding it and the offset.
+func (t *Trace) locate(at units.Seconds) (int, units.Seconds) {
+	off := units.Seconds(math.Mod(float64(at), float64(t.total)))
+	if off < 0 {
+		off += t.total
 	}
-	for _, s := range t.samples {
-		if tt < s.Duration {
-			return s.Mbps
-		}
-		tt -= s.Duration
+	idx := 0
+	for idx < len(t.samples)-1 && off >= t.samples[idx].Duration {
+		off -= t.samples[idx].Duration
+		idx++
 	}
-	return t.samples[len(t.samples)-1].Mbps
+	return idx, off
 }
 
 // MeanOver returns the average bandwidth over [start, start+length), with
@@ -118,17 +129,7 @@ func (t *Trace) TransferableMegabits(start, length units.Seconds) units.Megabits
 	if len(t.samples) == 0 || length <= 0 || t.total == 0 {
 		return 0
 	}
-	pos := units.Seconds(math.Mod(float64(start), float64(t.total)))
-	if pos < 0 {
-		pos += t.total
-	}
-	// Locate the sample containing pos.
-	idx := 0
-	off := pos
-	for off >= t.samples[idx].Duration {
-		off -= t.samples[idx].Duration
-		idx++
-	}
+	idx, off := t.locate(start)
 	remaining := length
 	megabits := units.Megabits(0)
 	for remaining > 0 {
@@ -163,15 +164,39 @@ func (t *Trace) DownloadTime(start units.Seconds, megabits units.Megabits) (unit
 	if len(t.samples) == 0 || t.total == 0 {
 		return 0, ErrStalled
 	}
-	pos := units.Seconds(math.Mod(float64(start), float64(t.total)))
-	if pos < 0 {
-		pos += t.total
+	idx, off := t.locate(start)
+	return t.TransferTime(idx, off, megabits)
+}
+
+// Seek moves a forward-moving position to the sample holding stream time at,
+// which must not precede start. A position is a sample index and the stream
+// time its sample began, the running sum of the durations passed, wraps
+// included; at − start is the offset into the sample. On whole-second
+// samples every step is exact, so the offset has the bits locate's has and
+// TransferTime from it returns what DownloadTime(at, …) returns.
+//
+//soda:noalloc
+func (t *Trace) Seek(idx int, start, at units.Seconds) (int, units.Seconds) {
+	for len(t.samples) > 0 && at-start >= t.samples[idx].Duration {
+		start += t.samples[idx].Duration
+		if idx++; idx == len(t.samples) {
+			idx = 0
+		}
 	}
-	idx := 0
-	off := pos
-	for off >= t.samples[idx].Duration {
-		off -= t.samples[idx].Duration
-		idx++
+	return idx, start
+}
+
+// TransferTime returns the seconds needed to transfer megabits from off
+// seconds into sample idx: the integration DownloadTime runs once it has
+// located its start.
+//
+//soda:noalloc
+func (t *Trace) TransferTime(idx int, off units.Seconds, megabits units.Megabits) (units.Seconds, error) {
+	if megabits <= 0 {
+		return 0, nil
+	}
+	if len(t.samples) == 0 || t.total == 0 {
+		return 0, ErrStalled
 	}
 	elapsed := units.Seconds(0)
 	remaining := megabits
@@ -208,16 +233,7 @@ func (t *Trace) Slice(start, length units.Seconds) *Trace {
 	if len(t.samples) == 0 || length <= 0 {
 		return out
 	}
-	pos := units.Seconds(math.Mod(float64(start), float64(t.total)))
-	if pos < 0 {
-		pos += t.total
-	}
-	idx := 0
-	off := pos
-	for off >= t.samples[idx].Duration {
-		off -= t.samples[idx].Duration
-		idx++
-	}
+	idx, off := t.locate(start)
 	remaining := length
 	for remaining > 1e-12 {
 		s := t.samples[idx]

@@ -285,3 +285,43 @@ func TestBandwidthsAndSummary(t *testing.T) {
 		t.Errorf("Summary = %+v", s)
 	}
 }
+
+// TestSeekMatchesDownloadTime pins the position rule on an integer-second
+// trace: walking a forward position through nondecreasing stream times, over
+// several wraps, TransferTime from the position equals DownloadTime from the
+// stream time bit for bit.
+func TestSeekMatchesDownloadTime(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	tr := &Trace{}
+	for i := 0; i < 40; i++ {
+		tr.Append(Sample{Duration: units.Seconds(1 + rng.IntN(3)), Mbps: units.Mbps(rng.Float64() * 9)})
+	}
+	idx, start := 0, units.Seconds(0)
+	for at := units.Seconds(0); at < 5*tr.Duration(); at += units.Seconds(rng.Float64() * 2.5) {
+		idx, start = tr.Seek(idx, start, at)
+		if off := at - start; off < 0 || off >= tr.Samples()[idx].Duration {
+			t.Fatalf("at %v s: offset %v s outside sample %d", at, off, idx)
+		}
+		mb := units.Megabits(rng.Float64() * 20)
+		got, err := tr.TransferTime(idx, at-start, mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tr.DownloadTime(at, mb)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("at %v s: TransferTime %v s, DownloadTime %v s", at, got, want)
+		}
+	}
+	if start < 4*tr.Duration() {
+		t.Fatalf("position start %v s: the walk did not wrap the %v s trace", start, tr.Duration())
+	}
+	if got, err := tr.TransferTime(3, units.Seconds(0), units.Megabits(0)); got != 0 || err != nil {
+		t.Fatalf("empty transfer = %v, %v; want 0, nil", got, err)
+	}
+	if _, err := (&Trace{}).TransferTime(0, units.Seconds(0), units.Megabits(1)); err != ErrStalled {
+		t.Fatalf("transfer over an empty trace: %v, want ErrStalled", err)
+	}
+	if idx, start := (&Trace{}).Seek(0, units.Seconds(0), units.Seconds(5)); idx != 0 || start != 0 {
+		t.Fatalf("seek on an empty trace moved to %d at %v s", idx, start)
+	}
+}

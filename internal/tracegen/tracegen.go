@@ -241,6 +241,7 @@ func (p Profile) Session(length units.Seconds, seed uint64, index int) (*trace.T
 	seconds := float64(length)
 	steps := int(math.Ceil(seconds / p.StepSeconds))
 	tr := &trace.Trace{}
+	tr.Grow(steps)
 
 	// Draw the initial regime from the stationary distribution.
 	state := sampleIndex(rng, cal.pi)
