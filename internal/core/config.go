@@ -176,11 +176,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// CostModel precomputes the per-rung cost ingredients for one (ladder,
-// buffer-cap) pair. Distortion values are normalized to [0, 1] across the
-// ladder so Beta and Gamma transfer between ladders; the paper notes the
-// cost function choices are flexible (§3.1).
-type CostModel struct {
+// costParams are a cost model's immutable parameters: the per-rung cost
+// ingredients for one (ladder, buffer-cap) pair. Distortion values are
+// normalized to [0, 1] across the ladder so Beta and Gamma transfer between
+// ladders; the paper notes the cost function choices are flexible (§3.1).
+//
+// They depend on nothing modelFingerprint leaves out, so every controller of
+// one table identity shares the set the table was compiled with
+// (decisionTable.params). Nothing writes a set after newCostParams returns;
+// a solve that needs different weights copies it (searchMonotonicTerminal).
+type costParams struct {
 	ladder video.Ladder
 	dt     units.Seconds
 	xmax   units.Seconds
@@ -205,18 +210,29 @@ type CostModel struct {
 	rateMin []float64
 	// noPrune disables the branch-and-bound cut (Config.DisablePruning).
 	noPrune bool
-	// scratch and stats are the solver's reusable search state and work
-	// counters; like the model itself they are not safe for concurrent use.
-	scratch solveScratch
-	stats   SolveStats
+}
+
+// CostModel binds a set of cost parameters to the work counters of whoever
+// solves with them. A controller holds one by value: its parameters are the
+// bound table's (or private ones when it has no table), its counters are the
+// controller's own. The solver keeps its search state on the solving
+// goroutine's stack, so a model carries nothing else; like the counters, it
+// is not safe for concurrent use.
+type CostModel struct {
+	*costParams
+	stats SolveStats
 }
 
 func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *CostModel {
+	return &CostModel{costParams: newCostParams(cfg, ladder, bufferCap)}
+}
+
+func newCostParams(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *costParams {
 	target := cfg.TargetBuffer
 	if target == 0 {
 		target = units.Seconds(cfg.TargetFraction * float64(bufferCap))
 	}
-	m := &CostModel{
+	m := &costParams{
 		ladder: ladder,
 		dt:     ladder.SegmentSeconds,
 		xmax:   bufferCap,
@@ -265,7 +281,7 @@ func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Cos
 
 // bufferCost is b(x) of §3.1: a quadratic well around the target with a
 // gentler ε roll-off above it.
-func (m *CostModel) bufferCost(x units.Seconds) float64 {
+func (m *costParams) bufferCost(x units.Seconds) float64 {
 	d := float64(x - m.target)
 	if d <= 0 {
 		return d * d
@@ -275,7 +291,7 @@ func (m *CostModel) bufferCost(x units.Seconds) float64 {
 
 // nextBuffer advances the buffer dynamics one interval:
 // x1 = x0 + ω̂Δt/r − Δt.
-func (m *CostModel) nextBuffer(x0 units.Seconds, omega units.Mbps, rung int) units.Seconds {
+func (m *costParams) nextBuffer(x0 units.Seconds, omega units.Mbps, rung int) units.Seconds {
 	return x0 + omega.MegabitsIn(m.dt).AtRate(m.ladder.Mbps(rung)) - m.dt
 }
 
@@ -293,7 +309,9 @@ func (m *CostModel) nextBuffer(x0 units.Seconds, omega units.Mbps, rung int) uni
 // in-the-wild throughput routinely exceeds the top rung, and treating
 // overflow as infeasible would forbid the smooth "park at a sustainable rung
 // and idle" behaviour the controller needs there.
-func (m *CostModel) stepCost(rung, prevRung int, x0 units.Seconds, omega units.Mbps) (cost float64, x1 units.Seconds, feasible bool) {
+//
+//soda:noalloc
+func (m *costParams) stepCost(rung, prevRung int, x0 units.Seconds, omega units.Mbps) (cost float64, x1 units.Seconds, feasible bool) {
 	x1 = m.nextBuffer(x0, omega, rung)
 	if x1 < 0 {
 		return 0, x1, false
@@ -314,7 +332,7 @@ func (m *CostModel) stepCost(rung, prevRung int, x0 units.Seconds, omega units.M
 // sequenceCost evaluates a full K-step rung sequence from (x0, prevRung)
 // under per-step bandwidth predictions, returning +Inf when any step is
 // infeasible. Used by tests and the brute-force solver.
-func (m *CostModel) sequenceCost(rungs []int, prevRung int, x0 units.Seconds, omegas []units.Mbps) float64 {
+func (m *costParams) sequenceCost(rungs []int, prevRung int, x0 units.Seconds, omegas []units.Mbps) float64 {
 	total := 0.0
 	x := x0
 	prev := prevRung

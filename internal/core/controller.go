@@ -13,32 +13,25 @@ import (
 // and implements abr.Controller. Controllers are not safe for concurrent use;
 // each session gets its own instance.
 type Controller struct {
-	cfg     Config
-	ladder  video.Ladder
-	model   *CostModel // rebuilt lazily when the buffer cap changes
-	capFor  units.Seconds
-	scratch [1]units.Mbps // constant-prediction slice, reused across decisions
+	cfg    Config
+	ladder video.Ladder
+	// model binds the cost parameters for the buffer cap capFor — the bound
+	// table's when Config.DecisionTable is set, private ones otherwise,
+	// re-bound when the cap changes — to this controller's one set of work
+	// counters, which also counts its table and shared-cache traffic.
+	model  CostModel
+	capFor units.Seconds
 
-	// shared is the optional fleet-wide solve cache (Config.SharedCache),
-	// consulted after a table miss. fp is the model fingerprint that scopes
-	// this controller's shared-cache keys; it is recomputed alongside the
-	// cost model because it covers the buffer cap.
-	shared        *SolveCache
-	fp            uint64
-	sharedLookups uint64
-	sharedHits    uint64
-
-	// tables is the optional fleet-wide compiled-table set
-	// (Config.DecisionTable); table is the compiled table bound for the
-	// current buffer cap, re-bound alongside the cost model. tq is the
-	// planning quantum Decide rounds its inputs to (TableQuantum when a
-	// table is attached, MemoQuantum otherwise; 0 plans at exact floats).
-	tables         *DecisionTables
-	table          *decisionTable
-	tq             float64
-	tableLookups   uint64
-	tableHits      uint64
-	tableFallbacks uint64
+	// fp is the model fingerprint that scopes this controller's shared-cache
+	// keys (Config.SharedCache) and table identity; it is recomputed at each
+	// re-bind because it covers the buffer cap.
+	fp uint64
+	// table is the compiled table bound for the current buffer cap from
+	// Config.DecisionTable. tq is the planning quantum Decide rounds its
+	// inputs to (TableQuantum when a table is attached, MemoQuantum
+	// otherwise; 0 plans at exact floats).
+	table *decisionTable
+	tq    float64
 }
 
 func init() {
@@ -71,30 +64,24 @@ func (c *Controller) Init(cfg Config, ladder video.Ladder) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = Controller{cfg: cfg, ladder: ladder, shared: cfg.SharedCache, tables: cfg.DecisionTable}
+	*c = Controller{cfg: cfg, ladder: ladder}
 	c.tq = cfg.MemoQuantum
-	if c.tables != nil {
+	if cfg.DecisionTable != nil {
 		c.tq = cfg.tableQuantum()
 	}
 }
 
-// Prewarm eagerly binds everything Decide would otherwise build lazily on
-// first use: the cost model for this buffer cap (and with it the decision
-// table and shared-cache fingerprint) plus the solver scratch sized for the
-// largest horizon this configuration can plan. Decisions are unaffected —
-// the same structures appear on first Decide either way — but a fleet that
-// prewarms its sessions at setup pays every per-session allocation up front
-// and runs the steady decide path allocation-free from the first event.
+// Prewarm eagerly binds what Decide would otherwise bind lazily on first
+// use: the cost parameters for this buffer cap, and with them the decision
+// table and shared-cache fingerprint. A table-backed controller shares the
+// table's parameters, so its binding allocates nothing once the table is
+// compiled; a controller without tables builds private ones. Decisions are
+// unaffected — the same binding appears on first Decide either way — but a
+// fleet that prewarms its sessions at setup pays the compile up front, and
+// the solver keeps its search state on the stack, so the decide path is
+// allocation-free from the first event.
 func (c *Controller) Prewarm(bufferCap units.Seconds) {
-	m := c.modelFor(bufferCap)
-	k := c.cfg.Horizon
-	if maxK := int(c.cfg.MaxHorizonSeconds / c.ladder.SegmentSeconds); maxK >= 1 && k > maxK {
-		k = maxK
-	}
-	if k < 1 {
-		k = 1
-	}
-	m.scratch.ensure(k)
+	c.bind(bufferCap)
 }
 
 // Name implements abr.Controller.
@@ -102,31 +89,17 @@ func (c *Controller) Name() string { return "soda" }
 
 // Reset implements abr.Controller. It does nothing: a decision is a pure
 // function of its context and the configuration, and what a controller keeps
-// between decisions — the cost model and table bound for the current buffer
-// cap, and the work counters — never changes one.
+// between decisions — the cost parameters and table bound for the current
+// buffer cap, and the work counters — never changes one.
 func (c *Controller) Reset() {}
 
-// SolveStats reports the solver work counters of the active cost model plus
-// this controller's table and shared-cache traffic. Counters accumulate
-// across Decide calls until ResetSolveStats.
-func (c *Controller) SolveStats() SolveStats {
-	var s SolveStats
-	if c.model != nil {
-		s = c.model.stats
-	}
-	s.SharedLookups, s.SharedHits = c.sharedLookups, c.sharedHits
-	s.TableLookups, s.TableHits, s.TableFallbacks = c.tableLookups, c.tableHits, c.tableFallbacks
-	return s
-}
+// SolveStats reports this controller's solver work and its table and
+// shared-cache traffic. Counters accumulate across Decide calls, and across
+// buffer-cap changes, until ResetSolveStats.
+func (c *Controller) SolveStats() SolveStats { return c.model.stats }
 
 // ResetSolveStats zeroes the solver, table and shared-cache work counters.
-func (c *Controller) ResetSolveStats() {
-	if c.model != nil {
-		c.model.ResetSolveStats()
-	}
-	c.sharedLookups, c.sharedHits = 0, 0
-	c.tableLookups, c.tableHits, c.tableFallbacks = 0, 0, 0
-}
+func (c *Controller) ResetSolveStats() { c.model.ResetSolveStats() }
 
 // quantize rounds x to the nearest multiple of step (identity when step <= 0),
 // preserving the unit type of its argument.
@@ -156,29 +129,29 @@ func (c *Controller) horizon(ctx *abr.Context) int {
 	return k
 }
 
-func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
-	if c.model == nil || c.capFor != bufferCap {
-		// The solver counters live on the model; carry them across the
-		// rebuild so SolveStats never goes down when a session changes cap.
-		var stats SolveStats
-		if c.model != nil {
-			stats = c.model.stats
-		}
-		c.model = newCostModel(c.cfg, c.ladder, bufferCap)
-		c.model.stats = stats
+// bind returns the controller's cost model for bufferCap, re-binding its
+// parameters — and with them the table and the shared-cache fingerprint —
+// when the cap changes. The counters stay with the controller, so SolveStats
+// never goes down when a session changes cap.
+func (c *Controller) bind(bufferCap units.Seconds) *CostModel {
+	if c.model.costParams == nil || c.capFor != bufferCap {
 		c.capFor = bufferCap
-		if c.shared != nil || c.tables != nil {
+		if c.cfg.SharedCache != nil || c.cfg.DecisionTable != nil {
 			// The shared-cache key and the table identity must include the
 			// cap, and do so through the fingerprint — which therefore tracks
-			// the model rebuilds.
+			// the re-binds.
 			c.fp = modelFingerprint(c.cfg, c.ladder, bufferCap)
 		}
-		if c.tables != nil {
-			// Bind (compiling on first use) the table for the new cap.
-			c.table = c.tables.tableFor(c.fp, c.cfg, c.ladder, bufferCap)
+		if c.cfg.DecisionTable != nil {
+			// Bind (compiling on first use) the table for the new cap and
+			// the parameters it was compiled with.
+			c.table = c.cfg.DecisionTable.tableFor(c.fp, c.cfg, c.ladder, bufferCap)
+			c.model.costParams = c.table.params
+		} else {
+			c.model.costParams = newCostParams(c.cfg, c.ladder, bufferCap)
 		}
 	}
-	return c.model
+	return &c.model
 }
 
 // Decide implements abr.Controller: solve the K-step predictive problem and
@@ -186,7 +159,7 @@ func (c *Controller) modelFor(bufferCap units.Seconds) *CostModel {
 //
 //soda:noalloc
 func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
-	m := c.modelFor(ctx.BufferCap)
+	m := c.bind(ctx.BufferCap)
 
 	// No room for another segment: idle until the buffer drains — the blank
 	// no-download region of Fig. 5. (Player harnesses typically enforce this
@@ -201,8 +174,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	k := c.horizon(ctx)
 	omega := quantize(ctx.PredictSafe(m.dt.Scale(float64(k))), c.tq)
 	x0 := quantize(ctx.Buffer, c.tq)
-	c.scratch[0] = omega
-	omegas := c.scratch[:]
+	omegas := [1]units.Mbps{omega}
 
 	maxRung := c.ladder.Len() - 1
 	if c.cfg.CapToThroughput {
@@ -225,33 +197,34 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// through to the shared-cache/solver pipeline on the same quantized
 	// values — the fallback is literally the table-free path.
 	if c.table != nil {
-		c.tableLookups++
+		m.stats.TableLookups++
 		if r, ok := c.table.lookup(x0, omega, ctx.PrevRung, k); ok {
-			c.tableHits++
+			m.stats.TableHits++
 			return abr.Decision{Rung: r}
 		}
-		c.tableFallbacks++
+		m.stats.TableFallbacks++
 	}
 
 	// Then the fleet-wide cache. The key holds exactly the values the solver
 	// below would receive, so a hit returns precisely what a miss would
 	// compute — decisions are bit-identical with the shared cache on or off.
 	var key cacheKey
-	if c.shared != nil {
+	shared := c.cfg.SharedCache
+	if shared != nil {
 		key = cacheKey{
 			fp: c.fp, x: x0, w: omega,
 			prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
 		}
-		c.sharedLookups++
-		if r, ok := c.shared.get(key); ok {
-			c.sharedHits++
+		m.stats.SharedLookups++
+		if r, ok := shared.get(key); ok {
+			m.stats.SharedHits++
 			return abr.Decision{Rung: int(r)}
 		}
 	}
 
-	rung := solveFirstRung(m, c.cfg.UseBruteForce, omegas, x0, ctx.PrevRung, k, maxRung)
-	if c.shared != nil {
-		c.shared.put(key, int32(rung))
+	rung := solveFirstRung(m, c.cfg.UseBruteForce, omegas[:], x0, ctx.PrevRung, k, maxRung)
+	if shared != nil {
+		shared.put(key, int32(rung))
 	}
 	return abr.Decision{Rung: rung}
 }

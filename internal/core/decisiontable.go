@@ -98,7 +98,9 @@ func NewDecisionTablesSized(maxTables int) *DecisionTables {
 // decisionTable is one compiled table, immutable once ready is closed.
 // rungs holds the committed first decision for every (prev+1, buffer bin,
 // throughput bin) cell; a stub has no cells and answers every lookup with a
-// fallback.
+// fallback. params are the cost parameters the cells were compiled with;
+// every controller bound to the table solves its fallbacks with them, so an
+// identity's sessions share one set instead of building their own.
 type decisionTable struct {
 	fp              uint64
 	quantum         float64
@@ -108,9 +110,11 @@ type decisionTable struct {
 	wBins           int32
 	planes          int32
 	rungs           []int8
+	params          *costParams
 	stub            bool
-	// ready is closed once rungs is filled; nothing reads rungs before. A
-	// stub has none: it is never stored, so no other binder waits on it.
+	// ready is closed once params and rungs are filled; nothing reads them
+	// before. A stub has none: it is never stored, so no other binder waits
+	// on it, and its params are private to the binding that got it.
 	ready chan struct{}
 }
 
@@ -157,12 +161,14 @@ func (c Config) tableQuantum() float64 {
 
 // tableFor returns the compiled table for the configuration, compiling it
 // on first use. The first binder of an identity reserves it, and counts it
-// against the budget, under the set lock, then fills the cells outside it;
-// later binders of that identity wait for that one compile. A binding past
-// the budget, or of a geometry too large to compile, gets a fresh stub that
-// the set does not store, so every such binding counts in Stats().Stubs and
-// none grows the set. fp must be modelFingerprint(cfg, ladder, bufferCap) —
-// the caller (modelFor) already maintains it.
+// against the budget, under the set lock, then builds its cost parameters
+// and fills the cells outside it; later binders of that identity wait for
+// that one compile and share its parameters. A binding past the budget, or
+// of a geometry too large to compile, gets a fresh stub with private
+// parameters that the set does not store, so every such binding counts in
+// Stats().Stubs and none grows the set. fp must be
+// modelFingerprint(cfg, ladder, bufferCap) — the caller (Controller.bind)
+// already maintains it.
 func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bufferCap units.Seconds) *decisionTable {
 	q := cfg.tableQuantum()
 	k := steadyHorizon(cfg, ladder)
@@ -183,6 +189,7 @@ func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bu
 	if s.compiled >= s.maxTables || !t.planGeometry(ladder, bufferCap) {
 		s.stats.Stubs++
 		s.mu.Unlock()
+		t.params = newCostParams(cfg, ladder, bufferCap)
 		return t
 	}
 	s.compiled++
@@ -191,7 +198,8 @@ func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bu
 	s.tables[id] = t
 	s.mu.Unlock()
 	defer close(t.ready)
-	solves := t.compile(cfg, ladder, bufferCap)
+	t.params = newCostParams(cfg, ladder, bufferCap)
+	solves := t.compile(cfg, ladder)
 	s.mu.Lock()
 	s.stats.Tables++
 	s.stats.Cells += len(t.rungs)
@@ -223,10 +231,10 @@ func (t *decisionTable) planGeometry(ladder video.Ladder, bufferCap units.Second
 // the same quantized values (bin index times quantum — the identical
 // expression quantize produces), the same §5.1 throughput cap, the same
 // receding-horizon infeasibility fallback (solveFirstRung). It returns the
-// number of planning problems solved. A private cost model keeps compilation
-// work out of any controller's SolveStats.
-func (t *decisionTable) compile(cfg Config, ladder video.Ladder, bufferCap units.Seconds) uint64 {
-	m := newCostModel(cfg, ladder, bufferCap)
+// number of planning problems solved. The table's parameters with private
+// counters keep compilation work out of any controller's SolveStats.
+func (t *decisionTable) compile(cfg Config, ladder video.Ladder) uint64 {
+	m := CostModel{costParams: t.params}
 	t.rungs = make([]int8, int(t.planes)*int(t.xBins)*int(t.wBins))
 	var scratch [1]units.Mbps
 	idx := 0
@@ -243,7 +251,7 @@ func (t *decisionTable) compile(cfg Config, ladder video.Ladder, bufferCap units
 					}
 				}
 				scratch[0] = omega
-				t.rungs[idx] = int8(solveFirstRung(m, cfg.UseBruteForce, scratch[:], x0, prev, int(t.k), maxRung))
+				t.rungs[idx] = int8(solveFirstRung(&m, cfg.UseBruteForce, scratch[:], x0, prev, int(t.k), maxRung))
 				idx++
 			}
 		}

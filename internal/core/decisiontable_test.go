@@ -512,3 +512,89 @@ func TestTableCompileStallsOnlyItsIdentity(t *testing.T) {
 		t.Fatalf("large-cap binders solved %d problems, one compile solves %d", got, once)
 	}
 }
+
+// TestTableBindingSharesParams pins what a table-backed controller holds:
+// bound at the compiled cap it shares the parameters the table was compiled
+// with, so seating a session and its first decision allocate nothing, at a
+// table hit and at a fallback that runs the solver alike. A stub binding
+// and a controller without tables build private parameters; TableConformance
+// and TestDecisionTableStubsAndBudget pin that all of them decide the same.
+func TestTableBindingSharesParams(t *testing.T) {
+	ladder := video.YouTube4K()
+	const bufferCap = units.Seconds(20)
+	tables := NewDecisionTablesSized(1)
+	cfg := tableTestConfig(tables)
+	if _, err := tables.CompileTable(cfg, ladder, bufferCap); err != nil {
+		t.Fatal(err)
+	}
+	a, b := New(cfg, ladder), New(cfg, ladder)
+	a.Prewarm(bufferCap)
+	b.Prewarm(bufferCap)
+	if a.table != b.table || a.table.stub {
+		t.Fatalf("controllers of one identity bound tables %p and %p (stub %v)", a.table, b.table, a.table.stub)
+	}
+	if p := a.table.params; p == nil || a.model.costParams != p || b.model.costParams != p {
+		t.Fatalf("bound parameters %p and %p, table's %p", a.model.costParams, b.model.costParams, p)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		omega units.Mbps
+		hit   bool
+	}{
+		{"table-hit", units.Mbps(30), true},
+		{"fallback", units.Mbps(500), false}, // beyond 2x the 60 Mb/s top rung
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &abr.Context{
+				Buffer:    units.Seconds(11),
+				BufferCap: bufferCap,
+				PrevRung:  3,
+				Ladder:    ladder,
+				Predict:   func(units.Seconds) units.Mbps { return tc.omega },
+			}
+			var c Controller
+			allocs := testing.AllocsPerRun(20, func() {
+				c.Init(cfg, ladder)
+				c.Decide(ctx)
+			})
+			if allocs != 0 {
+				t.Errorf("Init plus the first Decide allocate %.1f times", allocs)
+			}
+			st := c.SolveStats()
+			if hit := st.TableHits == 1; hit != tc.hit || st.TableLookups != 1 || (st.Solves > 0) == tc.hit {
+				t.Fatalf("first decision's traffic %+v, want hit %v", st, tc.hit)
+			}
+		})
+	}
+
+	// Past the budget a binding gets a stub, whose parameters are its own.
+	stubA, stubB := New(cfg, ladder), New(cfg, ladder)
+	stubA.Prewarm(units.Seconds(15))
+	stubB.Prewarm(units.Seconds(15))
+	if !stubA.table.stub || !stubB.table.stub {
+		t.Fatal("bindings past the budget got compiled tables")
+	}
+	plainA, plainB := New(plainTestConfig(), ladder), New(plainTestConfig(), ladder)
+	plainA.Prewarm(bufferCap)
+	plainB.Prewarm(bufferCap)
+	seen := map[*costParams]string{a.table.params: "the compiled table"}
+	for _, c := range []struct {
+		name string
+		p    *costParams
+	}{
+		{"stub A", stubA.model.costParams}, {"stub B", stubB.model.costParams},
+		{"tables-off A", plainA.model.costParams}, {"tables-off B", plainB.model.costParams},
+	} {
+		if c.p == nil {
+			t.Fatalf("%s bound no parameters", c.name)
+		}
+		if other, ok := seen[c.p]; ok {
+			t.Fatalf("%s shares its parameters with %s", c.name, other)
+		}
+		seen[c.p] = c.name
+	}
+	if ts := tables.Stats(); ts.Tables != 1 {
+		t.Fatalf("set holds %d tables after stub bindings, want 1", ts.Tables)
+	}
+}

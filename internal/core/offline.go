@@ -179,7 +179,7 @@ func RecedingHorizonCost(m *CostModel, omegas []units.Mbps, x0 units.Seconds, k 
 // stepCostUnchecked evaluates the step cost without the feasibility check,
 // used only when replaying a committed decision whose realized buffer
 // brushed the boundary.
-func (m *CostModel) stepCostUnchecked(rung, prevRung int, x0 units.Seconds, omega units.Mbps) (cost float64, x1 units.Seconds, feasible bool) {
+func (m *costParams) stepCostUnchecked(rung, prevRung int, x0 units.Seconds, omega units.Mbps) (cost float64, x1 units.Seconds, feasible bool) {
 	x1 = m.nextBuffer(x0, omega, rung)
 	downloaded := omega.MegabitsIn(m.dt).AtRate(m.ladder.Mbps(rung))
 	cost = m.v[rung]*float64(downloaded) + m.beta*m.bufferCost(x1)
@@ -193,14 +193,17 @@ func (m *CostModel) stepCostUnchecked(rung, prevRung int, x0 units.Seconds, omeg
 // searchMonotonicTerminal is the Algorithm 2 variant: monotone search with a
 // terminal preference pulling the final buffer toward the target x̄. The
 // indicator terminal cost of the theory is softened into a stiff quadratic so
-// the discrete search remains total.
+// the discrete search remains total. It solves with its own copy of the
+// parameters, since the model's may be shared and are never written.
 func (m *CostModel) searchMonotonicTerminal(omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) solveResult {
-	saved := m.beta
-	defer func() { m.beta = saved }()
+	p := *m.costParams
 	// A stiffer pull toward the target approximates the terminal constraint
 	// within the discrete search.
-	m.beta = saved * 4
-	return m.searchMonotonic(omegas, x0, prevRung, k, maxRung)
+	p.beta *= 4
+	term := CostModel{costParams: &p, stats: m.stats}
+	res := term.searchMonotonic(omegas, x0, prevRung, k, maxRung)
+	m.stats = term.stats
+	return res
 }
 
 // NewCostModel exposes the internal cost model for the theory experiments

@@ -91,28 +91,34 @@ func (m *CostModel) SolveStats() SolveStats { return m.stats }
 // ResetSolveStats zeroes the work counters.
 func (m *CostModel) ResetSolveStats() { m.stats = SolveStats{} }
 
-// solveScratch is the preallocated search state reused across solves so the
-// steady-state solve path performs no allocations. Slices grow monotonically
-// to the largest horizon seen by this model.
-type solveScratch struct {
-	cur   []int           // next rung to try at each depth (the DFS cursor)
-	rung  []int           // committed rung per depth on the current path
-	stepC []float64       // cost of the committed step per depth
-	x     []units.Seconds // buffer level entering each depth; x[0] = x0
-	pref  []float64       // left-associated prefix cost of steps [0, d)
-	wsum  []units.Mbps    // suffix sums of ω̂: wsum[d] = Σ_{j>=d} omegaAt(omegas, j)
+// stackHorizon is the deepest plan whose search state lives on the solving
+// goroutine's stack. It must be at least 10: the Table 1 theory experiment
+// plans at K = 10 (RecedingHorizonCost), BenchmarkSolverPruned at K = 8 and
+// DefaultConfig at K = 5. Deeper plans allocate their state per solve
+// (newSearchState). A deeper bound makes every solve zero a larger frame.
+const stackHorizon = 10
+
+// depthState is the search state of one depth of a plan. A k-step solve
+// uses k+1 of them, the last holding the state after the final step; the
+// state belongs to the solve, not to the model, so any number of goroutines
+// can solve against one shared set of cost parameters.
+type depthState struct {
+	cur   int           // next rung to try at this depth (the DFS cursor)
+	rung  int           // committed rung at this depth on the current path
+	stepC float64       // cost of the committed step at this depth
+	x     units.Seconds // buffer level entering this depth; x0 at depth 0
+	pref  float64       // left-associated prefix cost of the steps before this depth
+	wsum  units.Mbps    // suffix sum of ω̂: Σ_{j>=d} omegaAt(omegas, j)
 }
 
-func (s *solveScratch) ensure(k int) {
-	if len(s.cur) >= k {
-		return
-	}
-	s.cur = make([]int, k)
-	s.rung = make([]int, k)
-	s.stepC = make([]float64, k)
-	s.x = make([]units.Seconds, k+1)
-	s.pref = make([]float64, k+1)
-	s.wsum = make([]units.Mbps, k+1)
+// newSearchState allocates the search state of a plan deeper than
+// stackHorizon, the monotone solver's only allocation. It is kept out of
+// line so the compiler reports the allocation here, not in the
+// //soda:noalloc search that would otherwise inline it.
+//
+//go:noinline
+func newSearchState(k int) []depthState {
+	return make([]depthState, k+1)
 }
 
 // omegaAt returns the bandwidth prediction for planning step depth. A
@@ -143,24 +149,30 @@ func omegaAt(omegas []units.Mbps, depth int) units.Mbps {
 // ladder.Len()-1 to disable. prevRung < 0 (session start) admits any first
 // rung with no switching charge, then monotonic continuations in both
 // directions.
+//
+//soda:noalloc
 func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevRung, k, maxRung int) solveResult {
 	if k <= 0 || len(omegas) == 0 || maxRung < 0 {
 		return solveResult{rung: -1}
 	}
+	p := m.costParams
 	m.stats.Solves++
-	s := &m.scratch
-	s.ensure(k)
+	var buf [stackHorizon + 1]depthState
+	s := buf[:]
+	if k > stackHorizon {
+		s = newSearchState(k)
+	}
 	// Suffix sums of the per-step predictions feed the remainder bound.
-	s.wsum[k] = 0
+	s[k].wsum = 0
 	for d := k - 1; d >= 0; d-- {
-		s.wsum[d] = s.wsum[d+1] + omegaAt(omegas, d)
+		s[d].wsum = s[d+1].wsum + omegaAt(omegas, d)
 	}
 	best := solveResult{rung: -1, obj: math.Inf(1)}
 	if prevRung < 0 {
 		// No previous bitrate: any first rung, then monotone either way.
 		for r := 0; r <= maxRung; r++ {
 			m.stats.Nodes++
-			c, x1, ok := m.stepCost(r, -1, x0, omegaAt(omegas, 0))
+			c, x1, ok := p.stepCost(r, -1, x0, omegaAt(omegas, 0))
 			if !ok {
 				continue
 			}
@@ -173,15 +185,15 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 			}
 			// The continuation may go either way, so the remainder bound uses
 			// the full rung range [0, maxRung].
-			if !m.noPrune && best.rung >= 0 &&
-				c+m.rateMin[maxRung]*float64(s.wsum[1]) >= best.obj+pruneGuard {
+			if !p.noPrune && best.rung >= 0 &&
+				c+p.rateMin[maxRung]*float64(s[1].wsum) >= best.obj+pruneGuard {
 				m.stats.Pruned++
 				continue
 			}
-			s.rung[0], s.stepC[0] = r, c
-			s.x[1], s.pref[1] = x1, c
-			m.searchDirBB(omegas, prevRung, 1, k, maxRung, +1, math.Inf(1), &best)
-			m.searchDirBB(omegas, prevRung, 1, k, maxRung, -1, math.Inf(1), &best)
+			s[0].rung, s[0].stepC = r, c
+			s[1].x, s[1].pref = x1, c
+			m.searchDirBB(s, omegas, prevRung, 1, k, maxRung, +1, math.Inf(1), &best)
+			m.searchDirBB(s, omegas, prevRung, 1, k, maxRung, -1, math.Inf(1), &best)
 		}
 		return best
 	}
@@ -191,11 +203,11 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 	// guard exempts plans within pruneGuard of the threshold), so tie-breaking
 	// stays bit-identical to the reference recursion.
 	seed := math.Inf(1)
-	if !m.noPrune && prevRung <= maxRung {
+	if !p.noPrune && prevRung <= maxRung {
 		total, x := 0.0, x0
 		for d := 0; d < k; d++ {
 			m.stats.Nodes++
-			c, x1, ok := m.stepCost(prevRung, prevRung, x, omegaAt(omegas, d))
+			c, x1, ok := p.stepCost(prevRung, prevRung, x, omegaAt(omegas, d))
 			if !ok {
 				total = math.Inf(1)
 				break
@@ -205,9 +217,9 @@ func (m *CostModel) searchMonotonic(omegas []units.Mbps, x0 units.Seconds, prevR
 		}
 		seed = total
 	}
-	s.x[0], s.pref[0] = x0, 0
-	m.searchDirBB(omegas, prevRung, 0, k, maxRung, +1, seed, &best)
-	m.searchDirBB(omegas, prevRung, 0, k, maxRung, -1, seed, &best)
+	s[0].x, s[0].pref = x0, 0
+	m.searchDirBB(s, omegas, prevRung, 0, k, maxRung, +1, seed, &best)
+	m.searchDirBB(s, omegas, prevRung, 0, k, maxRung, -1, seed, &best)
 	return best
 }
 
@@ -233,7 +245,9 @@ func dirRange(prev, maxRung, dir int) (lo, hi int) {
 // min_{r' ≤ hi} (v[r']·Δt/mbps[r']) · Σ remaining ω̂. The per-rung minimum is
 // precomputed as rateMin (a prefix minimum, tight because the distortion rate
 // is non-increasing in the rung index).
-func (m *CostModel) remainderBound(r, maxRung, dir int, wsumRest units.Mbps) float64 {
+//
+//soda:noalloc
+func (m *costParams) remainderBound(r, maxRung, dir int, wsumRest units.Mbps) float64 {
 	hi := maxRung
 	if dir < 0 && r < hi {
 		hi = r
@@ -244,35 +258,37 @@ func (m *CostModel) remainderBound(r, maxRung, dir int, wsumRest units.Mbps) flo
 // searchDirBB is the iterative branch-and-bound core shared by both
 // directions: an explicit depth-first search over monotone continuations from
 // startDepth, updating *best in place. The path state for depths below
-// startDepth must already be in the scratch (used by the session-start case,
-// which pins the first rung before exploring continuations). seed is an
-// upper bound on the optimal objective used only to tighten pruning (the
-// flat-plan cost, or +Inf); the incumbent itself is updated exclusively from
-// evaluated leaves so ties resolve in reference order.
-func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, maxRung, dir int, seed float64, best *solveResult) {
-	s := &m.scratch
-	prune := !m.noPrune
+// startDepth must already be in s (used by the session-start case, which
+// pins the first rung before exploring continuations). seed is an upper
+// bound on the optimal objective used only to tighten pruning (the flat-plan
+// cost, or +Inf); the incumbent itself is updated exclusively from evaluated
+// leaves so ties resolve in reference order.
+//
+//soda:noalloc
+func (m *CostModel) searchDirBB(s []depthState, omegas []units.Mbps, basePrev, startDepth, k, maxRung, dir int, seed float64, best *solveResult) {
+	p := m.costParams
+	prune := !p.noPrune
 	d := startDepth
 	prev := basePrev
 	if d > 0 {
-		prev = s.rung[d-1]
+		prev = s[d-1].rung
 	}
 	lo, _ := dirRange(prev, maxRung, dir)
-	s.cur[d] = lo
+	s[d].cur = lo
 	for {
 		prev = basePrev
 		if d > 0 {
-			prev = s.rung[d-1]
+			prev = s[d-1].rung
 		}
 		_, hi := dirRange(prev, maxRung, dir)
-		r := s.cur[d]
+		r := s[d].cur
 		if r > hi {
 			// This depth is exhausted: backtrack.
 			d--
 			if d < startDepth {
 				return
 			}
-			s.cur[d]++
+			s[d].cur++
 			continue
 		}
 		limit := best.obj
@@ -284,47 +300,47 @@ func (m *CostModel) searchDirBB(omegas []units.Mbps, basePrev, startDepth, k, ma
 			// ω̂·rate[r] in distortion and at least its switching charge;
 			// the buffer term and the remainder are bounded below. When even
 			// that exceeds the threshold, skip without evaluating the step.
-			opt := s.pref[d] + float64(omegaAt(omegas, d))*m.rate[r]
-			dv := (m.v[r] - m.v[prev]) * m.gapInv
-			opt += m.gamma * dv * dv
-			opt += m.remainderBound(r, maxRung, dir, s.wsum[d+1])
+			opt := s[d].pref + float64(omegaAt(omegas, d))*p.rate[r]
+			dv := (p.v[r] - p.v[prev]) * p.gapInv
+			opt += p.gamma * dv * dv
+			opt += p.remainderBound(r, maxRung, dir, s[d+1].wsum)
 			if opt >= limit+pruneGuard {
 				m.stats.Pruned++
-				s.cur[d]++
+				s[d].cur++
 				continue
 			}
 		}
 		m.stats.Nodes++
-		c, x1, ok := m.stepCost(r, prev, s.x[d], omegaAt(omegas, d))
+		c, x1, ok := p.stepCost(r, prev, s[d].x, omegaAt(omegas, d))
 		if !ok {
-			s.cur[d]++
+			s[d].cur++
 			continue
 		}
-		pref := s.pref[d] + c
-		if prune && pref+m.remainderBound(r, maxRung, dir, s.wsum[d+1]) >= limit+pruneGuard {
+		pref := s[d].pref + c
+		if prune && pref+p.remainderBound(r, maxRung, dir, s[d+1].wsum) >= limit+pruneGuard {
 			m.stats.Pruned++
-			s.cur[d]++
+			s[d].cur++
 			continue
 		}
-		s.rung[d], s.stepC[d] = r, c
+		s[d].rung, s[d].stepC = r, c
 		if d == k-1 {
 			// Complete plan: score it with the right-associated sum the
 			// recursive reference produces, so ties break identically.
 			m.stats.Leaves++
 			total := 0.0
 			for i := k - 1; i >= 0; i-- {
-				total = s.stepC[i] + total
+				total = s[i].stepC + total
 			}
 			if total < best.obj {
-				*best = solveResult{rung: s.rung[0], obj: total}
+				*best = solveResult{rung: s[0].rung, obj: total}
 			}
-			s.cur[d]++
+			s[d].cur++
 			continue
 		}
-		s.x[d+1], s.pref[d+1] = x1, pref
+		s[d+1].x, s[d+1].pref = x1, pref
 		d++
 		lo, _ = dirRange(r, maxRung, dir)
-		s.cur[d] = lo
+		s[d].cur = lo
 	}
 }
 

@@ -115,3 +115,51 @@ func FuzzSolverEquivalence(f *testing.F) {
 		// different enumeration orders.
 	})
 }
+
+// TestSolverEquivalenceAcrossStackBound holds the solver to the retained
+// recursive reference bit for bit, rung and objective, on both sides of the
+// stack bound: at K = stackHorizon the search state lives on the stack, at
+// K = stackHorizon+1 it is allocated per solve (newSolveScratch).
+// FuzzSolverEquivalence draws K <= 4 only. The stack-side solve must not
+// allocate either.
+func TestSolverEquivalenceAcrossStackBound(t *testing.T) {
+	const bufferCap = 20.0
+	for _, lad := range []struct {
+		name   string
+		ladder video.Ladder
+	}{{"youtube4k", video.YouTube4K()}, {"mobile", video.Mobile()}} {
+		n := lad.ladder.Len()
+		for _, pruned := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.DisablePruning = !pruned
+			m := NewCostModel(cfg, lad.ladder, bufferCap)
+			for _, k := range []int{stackHorizon, stackHorizon + 1} {
+				for _, prev := range []int{-1, n / 2} { // session start, mid-session
+					for _, st := range []struct {
+						x0     units.Seconds
+						omegas []units.Mbps
+					}{
+						{units.Seconds(2), []units.Mbps{lad.ladder.Min() * 0.8}},
+						{units.Seconds(11), []units.Mbps{lad.ladder.Mbps(n / 2), lad.ladder.Mbps(n/2) * 1.3}},
+						{units.Seconds(19.5), []units.Mbps{lad.ladder.Max() * 1.5, lad.ladder.Max() * 0.4}},
+					} {
+						for _, maxRung := range []int{n - 1, n / 2} {
+							got := m.searchMonotonic(st.omegas, st.x0, prev, k, maxRung)
+							want := m.searchMonotonicRef(st.omegas, st.x0, prev, k, maxRung)
+							if got.rung != want.rung || (want.rung >= 0 && math.Float64bits(got.obj) != math.Float64bits(want.obj)) {
+								t.Fatalf("%s pruned=%v K=%d prev=%d x0=%v ω=%v cap=%d: solver %+v != reference %+v",
+									lad.name, pruned, k, prev, st.x0, st.omegas, maxRung, got, want)
+							}
+						}
+					}
+				}
+			}
+			omegas := []units.Mbps{lad.ladder.Mbps(n / 2)}
+			if allocs := testing.AllocsPerRun(10, func() {
+				m.searchMonotonic(omegas, units.Seconds(11), n/2, stackHorizon, n-1)
+			}); allocs != 0 {
+				t.Errorf("%s pruned=%v: a K=%d solve allocates %.1f times", lad.name, pruned, stackHorizon, allocs)
+			}
+		}
+	}
+}

@@ -199,7 +199,8 @@ func TestSolveStatsMonotoneAcrossCapChange(t *testing.T) {
 }
 
 // TestDecideSteadyStateZeroAlloc pins the allocation-free steady-state solve
-// path at K=5: after warmup, Decide must not allocate.
+// path at K=5: once the controller has bound its cost parameters, Decide
+// must not allocate.
 func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 	c := New(DefaultConfig(), video.YouTube4K())
 	ctx := &abr.Context{
@@ -209,7 +210,7 @@ func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 		Ladder:    video.YouTube4K(),
 		Predict:   func(units.Seconds) units.Mbps { return units.Mbps(30) },
 	}
-	c.Decide(ctx) // warmup: grows the solver scratch once
+	c.Decide(ctx) // warmup: binds the cost parameters once
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Decide(ctx)
 	})
@@ -220,9 +221,10 @@ func TestDecideSteadyStateZeroAlloc(t *testing.T) {
 
 // TestPrewarmZeroAllocFirstDecide pins the Prewarm contract: after Prewarm
 // at the session's buffer cap, even the very first Decide is allocation-free
-// — the cost model and solver scratch, Decide's only lazy allocations, are
-// already bound. The fleet simulator relies on this to keep its decide path
-// at zero allocs from the first event.
+// — the cost parameters, Decide's only lazy allocation, are already bound,
+// and the solver keeps its search state on the stack. The fleet simulator
+// relies on this to keep its decide path at zero allocs from the first
+// event.
 func TestPrewarmZeroAllocFirstDecide(t *testing.T) {
 	cfg := DefaultConfig()
 	c := New(cfg, video.YouTube4K())

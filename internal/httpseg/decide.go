@@ -502,10 +502,12 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, fr *flightrec.Request
 
 // newSession is the sessiontable create callback: initialise the fresh
 // entry's controller in place, with no previous rung. It runs under the
-// table's shard lock, so it builds no cost model: the session's first Decide
-// binds one, once, at the buffer cap the client sent, outside that lock.
-// Init on a zero controller is exactly what core.New does, so a recreated
-// session decides like a fresh one.
+// table's shard lock, so it binds no cost parameters: the session's first
+// Decide binds them, once, at the buffer cap the client sent, outside that
+// lock — the compiled table's own parameters with tables on, which
+// allocates nothing, or private ones with tables off. Init on a zero
+// controller is exactly what core.New does, so a recreated session decides
+// like a fresh one.
 func (s *DecideService) newSession(sess *sessiontable.Session[decideSession]) {
 	sess.Value.ctrl.Init(s.sessionConfig(), s.ladder)
 	sess.Value.prevRung = int32(abr.NoRung)

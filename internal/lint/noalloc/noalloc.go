@@ -196,15 +196,39 @@ func escapeDiagnostics(dir string) ([]escapeDiag, error) {
 		if !heapEscape(msg) {
 			continue
 		}
-		file := m[1]
-		if !filepath.IsAbs(file) {
-			file = filepath.Join(dir, file)
-		}
 		ln, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
-		diags = append(diags, escapeDiag{file: filepath.Clean(file), line: ln, col: col, msg: msg})
+		diags = append(diags, escapeDiag{file: resolveFile(dir, m[1]), line: ln, col: col, msg: msg})
 	}
 	return diags, nil
+}
+
+// resolveFile returns the absolute path of a file named in the compiler's
+// output. The go command prints paths relative to its working directory, and
+// a build-cache hit replays the text recorded by the build that filled the
+// cache, whose working directory may not have been dir: after
+// go build -gcflags=-m ./internal/core/ at the module root, the build in
+// internal/core replays internal/core/solver.go, which joined to dir names
+// no file, so every finding in the package went unmatched. The name is
+// therefore tried against dir and each of its ancestors, and the first
+// existing file wins.
+func resolveFile(dir, file string) string {
+	if filepath.IsAbs(file) {
+		return filepath.Clean(file)
+	}
+	for d := dir; ; d = filepath.Dir(d) {
+		if p := filepath.Join(d, file); fileExists(p) {
+			return p
+		}
+		if filepath.Dir(d) == d {
+			return filepath.Join(dir, file)
+		}
+	}
+}
+
+func fileExists(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && !st.IsDir()
 }
 
 // heapEscape reports whether one -m message documents a heap allocation:

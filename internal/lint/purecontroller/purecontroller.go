@@ -23,8 +23,8 @@
 //     stdout/stderr).
 //
 // Receiver-field mutation is allowed: controllers legitimately carry caches
-// and error windows across decisions (core's lazily built cost model and work
-// counters, RobustMPC's error history). Determinism requires a pure function
+// and error windows across decisions (core's lazily bound cost parameters and
+// work counters, RobustMPC's error history). Determinism requires a pure function
 // of the session's observation history, which receiver state preserves and
 // global state does not.
 package purecontroller

@@ -326,9 +326,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			global := next + local
 			ctrl := &w.ctrls[local]
 			ctrl.Init(ctrlCfg, cfg.Ladder)
-			// Bind the cost model, table and solver scratch now: these are
-			// Decide's only lazy allocations, and paying them at setup keeps
-			// the steady event path allocation-free from the first fire.
+			// Bind the cost parameters now, Decide's only lazy work: with
+			// tables (the fleet default) the first bind compiles the table
+			// and every controller shares its parameters, so a session
+			// allocates nothing past its slice elements. The solver keeps its
+			// search state on the stack, so the event path is
+			// allocation-free from the first fire.
 			ctrl.Prewarm(cfg.BufferCap)
 			tr := global % len(pool)
 			w.states[local] = arena.State{

@@ -299,6 +299,34 @@ func TestFleetTelemetrySetupIsFlat(t *testing.T) {
 	}
 }
 
+// TestFleetSessionSetupCeiling pins what seating one more session costs:
+// its controller, player state and watchdog state in the worker's slices,
+// and nothing on the heap besides. Table-backed controllers bind the
+// compiled table's cost parameters and the solver keeps its search state on
+// the stack, so a session allocates about 350 B at setup. The 512 B ceiling
+// fails a controller that builds its own cost model and solver scratch,
+// which costs about 1.2 KB a session.
+func TestFleetSessionSetupCeiling(t *testing.T) {
+	wd := flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{})
+	setupBytes := func(sessions int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := NewFleet(FleetConfig{Sessions: sessions, Workers: 1, Ladder: video.YouTube4K(), Seed: 3, Watchdog: wd})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := setupBytes(1000), setupBytes(4000)
+	perSession := (int64(large) - int64(small)) / 3000
+	if perSession > 512 {
+		t.Errorf("each session past 1000 allocates %d B at setup, want at most 512", perSession)
+	}
+	t.Logf("%d B per session", perSession)
+}
+
 // TestFleetWatchLifecycle pins the per-session watchdog state: every
 // session starts with a zeroed watch of its own, so one session's detector
 // latches never leak into another's.
