@@ -91,32 +91,32 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-gate runs the BenchmarkSolver* suite plus the shared solve-cache,
-# decision-table, telemetry, flight-recorder, session-table and
-# fleet-simulator benchmarks with fixed iteration budgets and writes
-# bench-out/bench.json (gitignored, so a local run never rewrites a committed
-# report). It fails if nodes/solve regresses more than 10% against
-# the committed bench_baseline.json, if allocs/op regresses at all (the
-# telemetry, flight-recorder, decision-table, session decide and fleet event
-# hot paths are pinned at 0), if the dataset-scale shared cache stops cutting
-# solver invocations by at least 2x, if attaching telemetry or the QoE
-# watchdog costs more than 5% ns/decision at dataset scale, if the compiled
-# decision table stops beating the cached path by at least 5x per decision,
-# or if the fleet simulator drops below the FleetSim entry's session floor or
-# ns/decision ratio against the single-session path. The LoadgenOpenLoop
-# thresholds gate loadgen-gate's run alone.
+# bench-gate runs soda-bench's fixed table of benchmark runs (the
+# BenchmarkSolver* suite plus the shared solve-cache, decision-table,
+# telemetry, flight-recorder, session-table and fleet-simulator benchmarks,
+# each with its own iteration budget) and writes bench-out/bench.json
+# (gitignored, so a local run never rewrites a committed report). It fails if
+# nodes/solve regresses more than 10% against the committed
+# bench_baseline.json, if allocs/op regresses at all (the telemetry,
+# flight-recorder, decision-table, session decide and fleet event hot paths
+# are pinned at 0), if a baseline benchmark vanishes, if the dataset-scale
+# shared cache stops cutting solver invocations by at least 2x, if attaching
+# telemetry or the QoE watchdog costs more than 5% ns/decision at dataset
+# scale, if the compiled decision table stops beating the cached path by at
+# least 5x per decision, if session reclaim at 32768 entries costs more than
+# 4x reclaim at 512, or if the fleet simulator sustains fewer than 100000
+# sessions or costs more than 1.1x the single-session path per decision.
 bench-gate:
-	$(GO) run ./cmd/soda-bench -out bench-out/bench.json
+	$(GO) run ./cmd/soda-bench
 
 # loadgen-gate is the standalone loadgen smoke + p99 gate: open-loop Poisson
-# arrivals against an in-process DecideService at fleet scale, gated on the
-# LoadgenOpenLoop thresholds (p99 decide latency, rejection rate, QoE
-# incidents per 1k sessions) recorded in bench_baseline.json. The report goes
-# to the gitignored bench-out/loadgen.json.
+# arrivals against an in-process DecideService at fleet scale, failing past
+# 100 ms p99 decide latency, any rejected request, or 1500 QoE incidents per
+# 1k sessions. The report goes to the gitignored bench-out/loadgen.json.
 loadgen-gate:
 	mkdir -p bench-out
 	$(GO) run ./cmd/soda-loadgen -mode open -sessions 50000 -requests 75000 -rps 40000 \
-		-baseline bench_baseline.json -out bench-out/loadgen.json
+		-max-p99-ms 100 -max-rejected-pct 0 -max-incidents-per-1k 1500 -out bench-out/loadgen.json
 
 # fuzz is the CI smoke budget; raise -fuzztime locally for a real campaign.
 fuzz:

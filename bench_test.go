@@ -397,57 +397,17 @@ func benchStream(ladder video.Ladder, n int) []*abr.Context {
 	return out
 }
 
-// BenchmarkSharedCacheParallel measures the shared cache under concurrent
-// decision traffic: a pool of pre-warmed controllers (as a fleet of sessions
-// would be) decides over a fixed context stream via b.RunParallel. The cache
-// is warmed before the timer starts, so the loop exercises the steady state —
-// lookups and hits across the shard mutexes, allocation-free.
-func BenchmarkSharedCacheParallel(b *testing.B) {
-	ladder := video.YouTube4K()
-	cache := core.NewSolveCache(1 << 15)
-	cfg := core.DefaultConfig()
-	cfg.SharedCache = cache
-	const streamMask = 1<<12 - 1
-	ctxs := benchStream(ladder, streamMask+1)
-	warm := core.New(cfg, ladder)
-	for _, ctx := range ctxs {
-		warm.Decide(ctx)
-	}
-	pool := make(chan *core.Controller, 32)
-	for i := 0; i < cap(pool); i++ {
-		pool <- core.New(cfg, ladder)
-	}
-	warmSt := cache.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		ctrl := <-pool
-		defer func() { pool <- ctrl }()
-		i := 0
-		for pb.Next() {
-			ctrl.Decide(ctxs[i&streamMask])
-			i++
-		}
-	})
-	b.StopTimer()
-	// Report the timed loop's own traffic, net of the warm-up pass.
-	st := cache.Stats()
-	if lookups := st.Lookups - warmSt.Lookups; lookups > 0 {
-		b.ReportMetric(100*float64(st.Hits-warmSt.Hits)/float64(lookups), "shared-hit-%")
-	}
-	b.ReportMetric(float64(st.Conflicts-warmSt.Conflicts), "shared-conflicts")
-}
-
 // BenchmarkDecisionTable compares the warm cached decision path (the fleet
 // solve cache alone, the dataset steady state) against the compiled
-// decision-table path at the same fleetQuantum, over the same pre-warmed
-// context stream and controller-pool setup as BenchmarkSharedCacheParallel.
-// Every cached decision pays the state-key hash plus a shard lookup, while
-// the table arm quantizes and reads one int8 from a flat array; both timed
-// loops are allocation-free. soda-bench gates the
-// ns/op ratio (table must be at least -min-table-speedup times faster) and
-// both arms at 0 allocs/op; internal/abrtest.TableConformance separately
-// proves the two paths decide bit-identically.
+// decision-table path at the same fleetQuantum: a pool of pre-warmed
+// controllers, as a fleet of sessions would be, decides over a fixed context
+// stream via b.RunParallel. Every cached decision pays the state-key hash
+// plus a shard lookup across the shard mutexes, while the table arm
+// quantizes and reads one int8 from a flat array; both timed loops are
+// allocation-free. soda-bench holds both arms at 0 allocs/op and gates the
+// table arm's ns/op against BenchmarkDatasetSharedCache/on's ns/decision
+// (at least 5x faster); internal/abrtest.TableConformance separately proves
+// the two paths decide bit-identically.
 func BenchmarkDecisionTable(b *testing.B) {
 	ladder := video.YouTube4K()
 	const streamMask = 1<<12 - 1
@@ -499,6 +459,9 @@ func BenchmarkDecisionTable(b *testing.B) {
 			}
 			if st.TableLookups > 0 {
 				b.ReportMetric(100*float64(st.TableHits)/float64(st.TableLookups), "table-hit-%")
+			}
+			if st.SharedLookups > 0 {
+				b.ReportMetric(100*float64(st.SharedHits)/float64(st.SharedLookups), "shared-hit-%")
 			}
 		})
 	}
@@ -615,9 +578,9 @@ func BenchmarkDatasetSharedCache(b *testing.B) {
 
 // The telemetry instruments sit on the per-decision hot path of every
 // instrumented harness, so they must not allocate. The four micro-benchmarks
-// below are gated at exactly 0 allocs/op by cmd/soda-bench (bench_baseline
-// entries telemetry-*), and BenchmarkTelemetryOverhead bounds the end-to-end
-// cost at <=5% of the uninstrumented decision loop.
+// below are gated at exactly 0 allocs/op by cmd/soda-bench (their
+// bench_baseline.json entries), and BenchmarkTelemetryOverhead bounds the
+// end-to-end cost at <=5% of the uninstrumented decision loop.
 
 func BenchmarkTelemetryCounter(b *testing.B) {
 	reg := telemetry.NewRegistry()
@@ -666,10 +629,11 @@ func BenchmarkTelemetryRecorder(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead runs the same default-Scale Puffer dataset as
-// BenchmarkDatasetSharedCache with telemetry detached ("off") and attached
-// ("on"). The arms are PAIRED inside one timed loop, alternating which runs
-// first, so slow drift on a shared machine cancels instead of drowning a
+// pairedOverhead measures what attach adds to a dataset run: the same
+// default-Scale Puffer dataset as BenchmarkDatasetSharedCache, with nothing
+// attached ("off") and with attach applied to the run's sim.Config ("on").
+// The arms are PAIRED inside one timed loop, alternating which runs first,
+// so slow drift on a shared machine cancels instead of drowning a
 // few-percent signal. The headline "overhead-%" metric — what the soda-bench
 // gate bounds at 5% — compares the MINIMUM ns/decision of each arm: timer
 // noise, GC pauses and scheduler stalls only ever inflate a sample, so over
@@ -677,9 +641,7 @@ func BenchmarkTelemetryRecorder(b *testing.B) {
 // stall landing in any single run cannot move the gate. The median of the
 // per-pair overheads is reported alongside as a dispersion check (a median
 // far from the min-based figure means the run count was too low to trust).
-// internal/abrtest.TelemetryConformance separately proves the decisions
-// themselves are bit-identical.
-func BenchmarkTelemetryOverhead(b *testing.B) {
+func pairedOverhead(b *testing.B, attach func(*sim.Config)) {
 	scale := scaleForBench()
 	ds, err := tracegen.Generate(tracegen.Puffer(), scale.SessionsPerDataset, scale.SessionSeconds, scale.Seed)
 	if err != nil {
@@ -692,29 +654,27 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	// inside the sample shrinks that variance where robust statistics over
 	// noisy pairs cannot.
 	const passesPerArm = 3
-	runArm := func(col *telemetry.Collector) (decisions uint64, elapsed time.Duration) {
+	perDecision := func(on bool) float64 {
 		tally := &datasetSolveTally{}
 		factory := func() (abr.Controller, predictor.Predictor) {
 			return core.New(core.DefaultConfig(), ladder), predictor.NewEMA(units.Seconds(4))
 		}
+		cfg := sim.Config{
+			Ladder:         ladder,
+			BufferCap:      units.Seconds(20),
+			SessionSeconds: scale.SessionSeconds,
+			OnResult:       tally.hook,
+		}
+		if on {
+			attach(&cfg)
+		}
 		start := time.Now()
 		for pass := 0; pass < passesPerArm; pass++ {
-			if _, err := sim.RunDataset(ds.Sessions, factory, sim.Config{
-				Ladder:         ladder,
-				BufferCap:      units.Seconds(20),
-				SessionSeconds: scale.SessionSeconds,
-				OnResult:       tally.hook,
-				Telemetry:      col,
-			}); err != nil {
+			if _, err := sim.RunDataset(ds.Sessions, factory, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
-		return tally.decisions, time.Since(start)
-	}
-	// One long-lived collector for the whole benchmark, as a fleet would run.
-	col := telemetry.NewCollector(nil, telemetry.DefaultRingCapacity)
-	perDecision := func(d uint64, e time.Duration) float64 {
-		return float64(e.Nanoseconds()) / float64(d)
+		return float64(time.Since(start).Nanoseconds()) / float64(tally.decisions)
 	}
 	minOff, minOn := math.Inf(1), math.Inf(1)
 	var pairOverheads []float64
@@ -722,18 +682,15 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var off, on float64
 		if i%2 == 0 {
-			off = perDecision(runArm(nil))
-			on = perDecision(runArm(col))
+			off = perDecision(false)
+			on = perDecision(true)
 		} else {
-			on = perDecision(runArm(col))
-			off = perDecision(runArm(nil))
+			on = perDecision(true)
+			off = perDecision(false)
 		}
 		minOff = math.Min(minOff, off)
 		minOn = math.Min(minOn, on)
 		pairOverheads = append(pairOverheads, 100*(on-off)/off)
-		if col.Decisions.Value() == 0 {
-			b.Fatal("telemetry attached but no decisions recorded")
-		}
 	}
 	b.StopTimer()
 	if n := len(pairOverheads); n > 0 {
@@ -749,14 +706,26 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkTelemetryOverhead is pairedOverhead with a telemetry collector
+// attached. internal/abrtest.TelemetryConformance separately proves the
+// decisions themselves are bit-identical.
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	// One long-lived collector for the whole benchmark, as a fleet would run.
+	col := telemetry.NewCollector(nil, telemetry.DefaultRingCapacity)
+	pairedOverhead(b, func(cfg *sim.Config) { cfg.Telemetry = col })
+	if col.Decisions.Value() == 0 {
+		b.Fatal("telemetry attached but no decisions recorded")
+	}
+}
+
 // --- Flight recorder: hot-path cost and end-to-end overhead ---------------
 //
 // The flight-recorder hot path is two calls: Recorder.Record (a locked ring
 // append) and Watchdog.Observe (branchy integer detectors over per-session
 // watch state). Both are gated at 0 allocs/op in bench_baseline.json, and
 // BenchmarkFlightRecOverhead bounds the end-to-end watchdog cost at <=5% of
-// the uninstrumented decision loop with the same paired-minimum methodology
-// as BenchmarkTelemetryOverhead.
+// the uninstrumented decision loop through pairedOverhead, as
+// BenchmarkTelemetryOverhead bounds the collector's.
 
 func BenchmarkFlightRecRecord(b *testing.B) {
 	rec := flightrec.NewRecorder(nil, 0)
@@ -790,72 +759,13 @@ func BenchmarkFlightRecWatchdogObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkFlightRecOverhead runs the default-Scale Puffer dataset with the
-// QoE-consistency watchdog detached ("off") and attached ("on"), paired and
-// alternating inside one timed loop exactly like BenchmarkTelemetryOverhead
-// (see that benchmark's comment for why the gate compares per-arm minima).
-// internal/abrtest.FlightRecConformance separately proves the decisions are
-// bit-identical with the watchdog attached.
+// BenchmarkFlightRecOverhead is pairedOverhead with the QoE-consistency
+// watchdog attached. internal/abrtest.FlightRecConformance separately proves
+// the decisions are bit-identical with the watchdog attached.
 func BenchmarkFlightRecOverhead(b *testing.B) {
-	scale := scaleForBench()
-	ds, err := tracegen.Generate(tracegen.Puffer(), scale.SessionsPerDataset, scale.SessionSeconds, scale.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ladder := video.YouTube4K()
-	const passesPerArm = 3
-	runArm := func(w *flightrec.Watchdog) (decisions uint64, elapsed time.Duration) {
-		tally := &datasetSolveTally{}
-		factory := func() (abr.Controller, predictor.Predictor) {
-			return core.New(core.DefaultConfig(), ladder), predictor.NewEMA(units.Seconds(4))
-		}
-		start := time.Now()
-		for pass := 0; pass < passesPerArm; pass++ {
-			if _, err := sim.RunDataset(ds.Sessions, factory, sim.Config{
-				Ladder:         ladder,
-				BufferCap:      units.Seconds(20),
-				SessionSeconds: scale.SessionSeconds,
-				OnResult:       tally.hook,
-				Watchdog:       w,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return tally.decisions, time.Since(start)
-	}
 	// One long-lived watchdog for the whole benchmark, as a fleet would run.
 	watchdog := flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{})
-	perDecision := func(d uint64, e time.Duration) float64 {
-		return float64(e.Nanoseconds()) / float64(d)
-	}
-	minOff, minOn := math.Inf(1), math.Inf(1)
-	var pairOverheads []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var off, on float64
-		if i%2 == 0 {
-			off = perDecision(runArm(nil))
-			on = perDecision(runArm(watchdog))
-		} else {
-			on = perDecision(runArm(watchdog))
-			off = perDecision(runArm(nil))
-		}
-		minOff = math.Min(minOff, off)
-		minOn = math.Min(minOn, on)
-		pairOverheads = append(pairOverheads, 100*(on-off)/off)
-	}
-	b.StopTimer()
-	if n := len(pairOverheads); n > 0 {
-		sort.Float64s(pairOverheads)
-		median := pairOverheads[n/2]
-		if n%2 == 0 {
-			median = (pairOverheads[n/2-1] + pairOverheads[n/2]) / 2
-		}
-		b.ReportMetric(minOff, "ns/decision-off")
-		b.ReportMetric(minOn, "ns/decision-on")
-		b.ReportMetric(100*(minOn-minOff)/minOff, "overhead-%")
-		b.ReportMetric(median, "overhead-median-%")
-	}
+	pairedOverhead(b, func(cfg *sim.Config) { cfg.Watchdog = watchdog })
 }
 
 // --- Design-choice ablations on realized QoE -----------------------------
@@ -933,19 +843,19 @@ func BenchmarkOracleGap(b *testing.B) {
 
 // BenchmarkFleetSim drives the fleet simulator at host scale: 100k
 // concurrent virtual players held in per-worker session slices, advanced by
-// per-worker hierarchical time-wheels over segment-completion
-// events, every decision running the real controller on the compiled-table
-// path. Both arms step the same player (sim.Player). The "single" arm runs
-// 32 sessions one at a time through sim.Run at the same controller
-// configuration, with its decision table compiled before the timer starts,
-// and reports its ns/decision — the figure the fleet is gated against:
-// cmd/soda-bench requires the fleet arm, in the same run, to sustain at least
-// the baseline FleetSim entry's min_sessions with ns/decision at most
-// max_ns_ratio times the single arm's, at exactly 0 allocs/op (the steady
-// fleet path must generate no garbage, or GC owns the host long before 100k
-// sessions do). The fleet arm, two workers against one session at a time,
-// reads between about half and the same ns/decision as the single arm, so a
-// fleet event path 30x slower fails the ratio.
+// per-worker time-wheels over segment-completion events, every decision
+// running the real controller on the compiled-table path. Both arms step the
+// same player (sim.Player). The "single" arm runs 32 sessions one at a time
+// through sim.Run at the same controller configuration, with its decision
+// table compiled before the timer starts, and reports its ns/decision — the
+// figure the fleet is gated against: cmd/soda-bench requires the fleet arm,
+// in the same run, to sustain at least 100000 sessions with ns/decision at
+// most 1.1 times the single arm's, and its bench_baseline.json entry holds it
+// at exactly 0 allocs/op (the steady fleet path must generate no garbage, or
+// GC owns the host long before 100k sessions do). The fleet arm, two workers
+// against one session at a time, reads between about half and the same
+// ns/decision as the single arm, so a fleet event path 30x slower fails the
+// ratio.
 func BenchmarkFleetSim(b *testing.B) {
 	ladder := video.Mobile()
 	const sessionSeconds = 300

@@ -17,12 +17,13 @@
 //	soda-loadgen -target http://127.0.0.1:9090 -sessions 100 -requests 5000
 //	soda-loadgen -requests 50000 -max-p99-ms 1 -max-rejected-pct 0
 //
-// With -max-p99-ms or -max-rejected-pct set, the exit status is the gate:
-// 0 when the run meets the thresholds, 1 when it does not.
+// With -max-p99-ms, -max-rejected-pct or -max-incidents-per-1k set, the exit
+// status is the gate: 0 when the run meets the thresholds, 1 when it does
+// not. `make loadgen-gate` runs the open loop at 50000 sessions with all
+// three.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -52,13 +53,13 @@ func run(args []string, stdout *os.File) error {
 	rps := fs.Float64("rps", 1000, "open-loop target arrival rate")
 	think := fs.Duration("think", 0, "closed-loop pause between a session's decides")
 	workers := fs.Int("workers", 16, "open-loop dispatch pool size")
-	profile := fs.String("profile", "puffer", "throughput calibration: puffer, fiveg, fourg")
+	profile := fs.String("profile", "puffer", "throughput calibration: puffer, 5g, 4g")
 	sessionLength := fs.Float64("session-length", 120, "synthesized trace length per session, seconds")
 	seed := fs.Uint64("seed", 1, "seed for trace synthesis and Poisson arrivals")
 	target := fs.String("target", "", "server base URL; empty runs an in-process DecideService")
 
 	// In-process server knobs, mirroring soda-server's flags.
-	ladderName := fs.String("ladder", "prototype", "in-process ladder: youtube4k, mobile, prototype, prime")
+	ladderName := fs.String("ladder", "prototype", "in-process ladder: youtube4k, mobile, prototype, primevideo")
 	decideCache := fs.Int("decide-cache", 1<<16, "in-process shared solve-cache entries (0 disables)")
 	tableQuantum := fs.Float64("decide-table-quantum", 0.5, "in-process decision-table quantum (0 disables)")
 	maxSessions := fs.Int("max-sessions", httpseg.DefaultMaxSessions, "in-process session cap")
@@ -69,25 +70,9 @@ func run(args []string, stdout *os.File) error {
 	maxP99Ms := fs.Float64("max-p99-ms", 0, "fail when p99 decide latency exceeds this many ms (0 disables)")
 	maxRejectedPct := fs.Float64("max-rejected-pct", -1, "fail when the rejection percentage exceeds this (negative disables)")
 	maxIncidents := fs.Float64("max-incidents-per-1k", 0, "fail when QoE-watchdog incidents per 1k sessions exceed this (0 disables)")
-	baselinePath := fs.String("baseline", "", "take the gate thresholds from this bench baseline's LoadgenOpenLoop entry (explicit flags win)")
 	out := fs.String("out", "", "write the JSON report here instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *baselinePath != "" {
-		p99, rejected, incidents, err := baselineThresholds(*baselinePath)
-		if err != nil {
-			return err
-		}
-		if *maxP99Ms == 0 {
-			*maxP99Ms = p99
-		}
-		if *maxRejectedPct < 0 {
-			*maxRejectedPct = rejected
-		}
-		if *maxIncidents == 0 {
-			*maxIncidents = incidents
-		}
 	}
 
 	cfg := loadgen.Config{
@@ -110,33 +95,18 @@ func run(args []string, stdout *os.File) error {
 	default:
 		return fmt.Errorf("unknown mode %q (want closed or open)", *mode)
 	}
-	switch *profile {
-	case "puffer":
-		cfg.Profile = tracegen.Puffer()
-	case "fiveg":
-		cfg.Profile = tracegen.FiveG()
-	case "fourg":
-		cfg.Profile = tracegen.FourG()
-	default:
-		return fmt.Errorf("unknown profile %q (want puffer, fiveg, fourg)", *profile)
+	var err error
+	if cfg.Profile, err = tracegen.ProfileNamed(*profile); err != nil {
+		return err
 	}
 
 	var tgt loadgen.Target
 	if *target != "" {
 		tgt = &loadgen.HTTPTarget{BaseURL: *target}
 	} else {
-		var ladder video.Ladder
-		switch *ladderName {
-		case "youtube4k":
-			ladder = video.YouTube4K()
-		case "mobile":
-			ladder = video.Mobile()
-		case "prototype":
-			ladder = video.Prototype()
-		case "prime":
-			ladder = video.PrimeVideo()
-		default:
-			return fmt.Errorf("unknown ladder %q", *ladderName)
+		ladder, err := video.LadderNamed(*ladderName)
+		if err != nil {
+			return err
 		}
 		svc, err := httpseg.NewDecideService(ladder, httpseg.DecideOptions{
 			CacheEntries: *decideCache,
@@ -170,27 +140,4 @@ func run(args []string, stdout *os.File) error {
 		fmt.Fprintf(stdout, "%s\n", text)
 	}
 	return rep.Gate(*maxP99Ms, *maxRejectedPct, *maxIncidents)
-}
-
-// baselineThresholds reads the LoadgenOpenLoop gate thresholds from the
-// committed bench baseline, so CI's loadgen step and soda-bench enforce the
-// same numbers from the same file.
-func baselineThresholds(path string) (maxP99Ms, maxRejectedPct, maxIncidentsPer1k float64, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var baseline map[string]struct {
-		MaxP99DecideMs    float64 `json:"max_p99_decide_ms"`
-		MaxRejectedPct    float64 `json:"max_rejected_pct"`
-		MaxIncidentsPer1k float64 `json:"max_qoe_incidents_per_1k"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return 0, 0, 0, fmt.Errorf("%s: %v", path, err)
-	}
-	entry, ok := baseline["LoadgenOpenLoop"]
-	if !ok || entry.MaxP99DecideMs <= 0 {
-		return 0, 0, 0, fmt.Errorf("%s: no LoadgenOpenLoop threshold entry", path)
-	}
-	return entry.MaxP99DecideMs, entry.MaxRejectedPct, entry.MaxIncidentsPer1k, nil
 }

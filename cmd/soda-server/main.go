@@ -52,7 +52,7 @@ func main() {
 	segments := flag.Int("segments", 300, "segments in the stream")
 	traceFile := flag.String("trace", "", "CSV trace to shape delivery (unshaped if empty)")
 	timeScale := flag.Float64("timescale", 1, "stream-time compression factor")
-	ladderName := flag.String("ladder", "prototype", "ladder: youtube4k, mobile, prototype, prime")
+	ladderName := flag.String("ladder", "prototype", "ladder: youtube4k, mobile, prototype, primevideo")
 	writeMPD := flag.String("write-mpd", "", "also write an MPEG-DASH MPD describing the stream to this file")
 	httpAddr := flag.String("http", "", "also serve HTTP: DASH transport, /decide, /metrics, /debug/decisions")
 	decideCache := flag.Int("decide-cache", 1<<16, "shared solve-cache entries for /decide sessions (0 disables)")
@@ -75,18 +75,9 @@ func main() {
 		logger.Fatal(err)
 	}
 
-	var ladder video.Ladder
-	switch *ladderName {
-	case "youtube4k":
-		ladder = video.YouTube4K()
-	case "mobile":
-		ladder = video.Mobile()
-	case "prototype":
-		ladder = video.Prototype()
-	case "prime":
-		ladder = video.PrimeVideo()
-	default:
-		logger.Fatalf("unknown ladder %q", *ladderName)
+	ladder, err := video.LadderNamed(*ladderName)
+	if err != nil {
+		logger.Fatal(err)
 	}
 
 	srv, err := proto.NewServer(ladder, nil, *segments, logger)

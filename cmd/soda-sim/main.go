@@ -52,7 +52,7 @@ func main() {
 	sessions := flag.Int("sessions", 40, "number of sessions to simulate")
 	sessionSeconds := flag.Float64("session-seconds", 600, "session length")
 	bufferCap := flag.Float64("buffer", 20, "buffer cap in seconds (live: 20)")
-	ladderName := flag.String("ladder", "", "ladder: youtube4k, mobile, prototype, prime (default: per dataset)")
+	ladderName := flag.String("ladder", "", "ladder: youtube4k, mobile, prototype, primevideo (default: per dataset)")
 	controllers := flag.String("controllers", "soda,hyb,bola,dynamic,mpc", "comma-separated controllers")
 	tableQuantum := flag.Float64("table-quantum", 0, "compiled decision-table quantum for the soda controller, seconds and Mb/s per cell (0 disables)")
 	seed := flag.Uint64("seed", 42, "generator seed")
@@ -116,7 +116,7 @@ func runFleet(ladderName, dataset string, sessions, workers int, fleetSeconds, s
 	if err != nil {
 		return err
 	}
-	profile, err := pickProfile(dataset)
+	profile, err := tracegen.ProfileNamed(dataset)
 	if err != nil {
 		return err
 	}
@@ -190,7 +190,7 @@ func buildTraces(traceFile, dataset string, sessions int, sessionSeconds float64
 		}
 		return []*trace.Trace{tr}, sess, nil
 	}
-	profile, err := pickProfile(dataset)
+	profile, err := tracegen.ProfileNamed(dataset)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -265,19 +265,9 @@ func tableConfig(tables *core.DecisionTables, quantum float64) core.Config {
 	return cfg
 }
 
-func pickProfile(name string) (tracegen.Profile, error) {
-	switch name {
-	case "puffer":
-		return tracegen.Puffer(), nil
-	case "5g":
-		return tracegen.FiveG(), nil
-	case "4g":
-		return tracegen.FourG(), nil
-	default:
-		return tracegen.Profile{}, fmt.Errorf("unknown dataset %q (puffer, 5g, 4g)", name)
-	}
-}
-
+// pickLadder looks the -ladder name up in video.NamedLadders; an empty name
+// takes the dataset's ladder: YouTube4K for Puffer, Mobile for the cellular
+// datasets.
 func pickLadder(name, dataset string) (video.Ladder, error) {
 	if name == "" {
 		if dataset == "puffer" {
@@ -285,18 +275,7 @@ func pickLadder(name, dataset string) (video.Ladder, error) {
 		}
 		return video.Mobile(), nil
 	}
-	switch name {
-	case "youtube4k":
-		return video.YouTube4K(), nil
-	case "mobile":
-		return video.Mobile(), nil
-	case "prototype":
-		return video.Prototype(), nil
-	case "prime":
-		return video.PrimeVideo(), nil
-	default:
-		return video.Ladder{}, fmt.Errorf("unknown ladder %q", name)
-	}
+	return video.LadderNamed(name)
 }
 
 func fatal(err error) {

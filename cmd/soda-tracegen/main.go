@@ -24,16 +24,9 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generator seed")
 	flag.Parse()
 
-	var profile tracegen.Profile
-	switch *dataset {
-	case "puffer":
-		profile = tracegen.Puffer()
-	case "5g":
-		profile = tracegen.FiveG()
-	case "4g":
-		profile = tracegen.FourG()
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dataset))
+	profile, err := tracegen.ProfileNamed(*dataset)
+	if err != nil {
+		fatal(err)
 	}
 
 	ds, err := tracegen.Generate(profile, *sessions, units.Seconds(*sessionSeconds), *seed)

@@ -8,6 +8,7 @@
 package abrtest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -49,55 +50,8 @@ func Conformance(t *testing.T, name string, factory Factory) {
 // state is correctly synchronised.
 func SharedStateConformance(t *testing.T, name string, plain, shared Factory) {
 	t.Helper()
-	for _, nl := range video.NamedLadders() {
-		nl := nl
-		t.Run(name+"/shared-bit-identical/"+nl.Name, func(t *testing.T) {
-			const sessions, steps = 6, 80
-			streams := make([][]*abr.Context, sessions)
-			want := make([][]int, sessions)
-			for i := range streams {
-				streams[i] = contextStream(nl.Ladder, 1000+uint64(i)*13, steps)
-				want[i] = replay(plain(nl.Ladder), streams[i])
-			}
-			check := func(pass string, got [][]int) {
-				t.Helper()
-				for i := range want {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("%s: stream %d decision %d: shared %d != plain %d",
-								pass, i, j, got[i][j], want[i][j])
-						}
-					}
-				}
-			}
-			concurrent := func() [][]int {
-				got := make([][]int, sessions)
-				var wg sync.WaitGroup
-				for i := range streams {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						got[i] = replay(shared(nl.Ladder), streams[i])
-					}(i)
-				}
-				wg.Wait()
-				return got
-			}
-			prev := runtime.GOMAXPROCS(0)
-			defer runtime.GOMAXPROCS(prev)
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				check("cold/warm concurrent", concurrent())
-				check("warm concurrent", concurrent())
-			}
-			runtime.GOMAXPROCS(prev)
-			serial := make([][]int, sessions)
-			for i := range streams {
-				serial[i] = replay(shared(nl.Ladder), streams[i])
-			}
-			check("warm serial", serial)
-		})
-	}
+	twin{contract: "shared-bit-identical", seed: 1000, seedStep: 13, got: "shared", want: "plain"}.
+		run(t, name, plain, shared)
 }
 
 // TableConformance checks a controller wired to fleet-wide compiled decision
@@ -119,73 +73,39 @@ func SharedStateConformance(t *testing.T, name string, plain, shared Factory) {
 // clamps instead of falling back both fail loudly.
 func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 	t.Helper()
-	for _, nl := range video.NamedLadders() {
-		nl := nl
-		t.Run(name+"/table-bit-identical/"+nl.Name, func(t *testing.T) {
-			const sessions, steps = 6, 80
-			streams := make([][]*abr.Context, sessions)
-			want := make([][]int, sessions)
-			for i := range streams {
-				streams[i] = contextStream(nl.Ladder, 5000+uint64(i)*19, steps)
-				want[i] = replay(plain(nl.Ladder), streams[i])
-			}
-			check := func(pass string, got [][]int) {
-				t.Helper()
-				for i := range want {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("%s: stream %d decision %d: tabled %d != plain %d",
-								pass, i, j, got[i][j], want[i][j])
-						}
-					}
-				}
-			}
-			concurrent := func() [][]int {
-				got := make([][]int, sessions)
-				var wg sync.WaitGroup
-				for i := range streams {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						got[i] = replay(tabled(nl.Ladder), streams[i])
-					}(i)
-				}
-				wg.Wait()
-				return got
-			}
-			prev := runtime.GOMAXPROCS(0)
-			defer runtime.GOMAXPROCS(prev)
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				check("cold/warm concurrent", concurrent())
-				check("warm concurrent", concurrent())
-			}
-			runtime.GOMAXPROCS(prev)
-			serial := make([][]int, sessions)
-			var traffic core.SolveStats
-			for i := range streams {
-				c := tabled(nl.Ladder)
-				serial[i] = replay(c, streams[i])
-				if sc, ok := c.(interface{ SolveStats() core.SolveStats }); ok {
-					traffic.Add(sc.SolveStats())
-				}
-			}
-			check("warm serial", serial)
-			if traffic.TableLookups == 0 {
-				t.Fatal("tabled controllers performed no table lookups; factory is not table-backed")
-			}
-			if traffic.TableLookups != traffic.TableHits+traffic.TableFallbacks {
-				t.Fatalf("table traffic books broken: %d lookups != %d hits + %d fallbacks",
-					traffic.TableLookups, traffic.TableHits, traffic.TableFallbacks)
-			}
-			if traffic.TableHits == 0 {
-				t.Fatal("no table hits: the in-domain states never reached the table")
-			}
-			if traffic.TableFallbacks == 0 {
-				t.Fatal("no table fallbacks: the stream never left the domain, so the fallback path went unchecked")
-			}
-		})
+	twin{contract: "table-bit-identical", seed: 5000, seedStep: 19, got: "tabled", want: "plain", audit: auditTableTraffic}.
+		run(t, name, plain, tabled)
+}
+
+// auditTableTraffic checks the serial pass's table books (TableConformance).
+func auditTableTraffic(t *testing.T, serial []abr.Controller) {
+	t.Helper()
+	var traffic core.SolveStats
+	for _, c := range serial {
+		if sc, ok := c.(interface{ SolveStats() core.SolveStats }); ok {
+			traffic.Add(sc.SolveStats())
+		}
 	}
+	if err := tableTrafficError(traffic); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tableTrafficError reports what is wrong with a table-backed run's books:
+// lookups must equal hits plus fallbacks, and both must occur.
+func tableTrafficError(s core.SolveStats) error {
+	switch {
+	case s.TableLookups == 0:
+		return errors.New("tabled controllers performed no table lookups; factory is not table-backed")
+	case s.TableLookups != s.TableHits+s.TableFallbacks:
+		return fmt.Errorf("table traffic books broken: %d lookups != %d hits + %d fallbacks",
+			s.TableLookups, s.TableHits, s.TableFallbacks)
+	case s.TableHits == 0:
+		return errors.New("no table hits: the in-domain states never reached the table")
+	case s.TableFallbacks == 0:
+		return errors.New("no table fallbacks: the stream never left the domain, so the fallback path went unchecked")
+	}
+	return nil
 }
 
 // ArenaConformance is the in-place purity contract: controllers Init-ed in
@@ -199,25 +119,40 @@ func TableConformance(t *testing.T, name string, plain, tabled Factory) {
 // passes and in the serial pass.
 func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Factory) {
 	t.Helper()
+	twin{contract: "arena-bit-identical", seed: 9000, seedStep: 23, got: "arena", want: "heap"}.
+		run(t, name, plain, arenaBacked)
+}
+
+// twin is one bit-identity contract between controllers from a reference
+// factory and controllers from a factory wired to the state under test.
+type twin struct {
+	contract       string // subtest name between the caller's name and the ladder's
+	seed, seedStep uint64 // stream i replays contextStream(seed + i*seedStep)
+	got, want      string // the two sides' labels in a failure
+	// audit, when set, checks the serial pass's controllers.
+	audit func(t *testing.T, serial []abr.Controller)
+}
+
+// run checks, on every registered ladder, that six 80-step streams decide
+// the same on both sides: twice concurrently at each of GOMAXPROCS 1, 2 and
+// 4 (the first pass meets any shared state cold), then serially.
+func (tw twin) run(t *testing.T, name string, plain, other Factory) {
+	t.Helper()
 	for _, nl := range video.NamedLadders() {
 		nl := nl
-		t.Run(name+"/arena-bit-identical/"+nl.Name, func(t *testing.T) {
+		t.Run(name+"/"+tw.contract+"/"+nl.Name, func(t *testing.T) {
 			const sessions, steps = 6, 80
 			streams := make([][]*abr.Context, sessions)
 			want := make([][]int, sessions)
 			for i := range streams {
-				streams[i] = contextStream(nl.Ladder, 9000+uint64(i)*23, steps)
+				streams[i] = contextStream(nl.Ladder, tw.seed+uint64(i)*tw.seedStep, steps)
 				want[i] = replay(plain(nl.Ladder), streams[i])
 			}
 			check := func(pass string, got [][]int) {
 				t.Helper()
-				for i := range want {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("%s: stream %d decision %d: arena %d != heap %d",
-								pass, i, j, got[i][j], want[i][j])
-						}
-					}
+				if i, j, differ := mismatch(want, got); differ {
+					t.Fatalf("%s: stream %d decision %d: %s %d != %s %d",
+						pass, i, j, tw.got, got[i][j], tw.want, want[i][j])
 				}
 			}
 			concurrent := func() [][]int {
@@ -227,7 +162,7 @@ func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Fact
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						got[i] = replay(arenaBacked(nl.Ladder), streams[i])
+						got[i] = replay(other(nl.Ladder), streams[i])
 					}(i)
 				}
 				wg.Wait()
@@ -237,17 +172,35 @@ func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Fact
 			defer runtime.GOMAXPROCS(prev)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				check("concurrent", concurrent())
-				check("concurrent again", concurrent())
+				check(fmt.Sprintf("concurrent at GOMAXPROCS %d", procs), concurrent())
+				check(fmt.Sprintf("concurrent again at GOMAXPROCS %d", procs), concurrent())
 			}
 			runtime.GOMAXPROCS(prev)
 			serial := make([][]int, sessions)
+			ctrls := make([]abr.Controller, sessions)
 			for i := range streams {
-				serial[i] = replay(arenaBacked(nl.Ladder), streams[i])
+				ctrls[i] = other(nl.Ladder)
+				serial[i] = replay(ctrls[i], streams[i])
 			}
 			check("serial", serial)
+			if tw.audit != nil {
+				tw.audit(t, ctrls)
+			}
 		})
 	}
+}
+
+// mismatch returns the first stream and decision at which got differs from
+// want.
+func mismatch(want, got [][]int) (stream, decision int, differ bool) {
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // decisionsTotal checks the controller returns an in-range rung or a

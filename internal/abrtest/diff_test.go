@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/qoe"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -47,5 +48,34 @@ func TestDiffRuns(t *testing.T) {
 				t.Fatalf("diff %q does not mention %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestTwinChecksCanFail pins the two checks the twin contracts rest on:
+// the first differing decision is found, and the table audit rejects every
+// broken set of books.
+func TestTwinChecksCanFail(t *testing.T) {
+	want := [][]int{{0, 1, 2}, {3, 3, 3}}
+	if _, _, differ := mismatch(want, [][]int{{0, 1, 2}, {3, 3, 3}}); differ {
+		t.Error("identical decisions reported as differing")
+	}
+	if i, j, differ := mismatch(want, [][]int{{0, 1, 2}, {3, 2, 3}}); !differ || i != 1 || j != 1 {
+		t.Errorf("mismatch = %d, %d, %v, want stream 1 decision 1", i, j, differ)
+	}
+	for _, tc := range []struct {
+		name                     string
+		lookups, hits, fallbacks uint64
+		want                     string // substring of the error, "" for sound books
+	}{
+		{"sound", 10, 7, 3, ""},
+		{"not table-backed", 0, 0, 0, "no table lookups"},
+		{"books broken", 10, 7, 2, "books broken"},
+		{"no hits", 3, 0, 3, "no table hits"},
+		{"no fallbacks", 7, 7, 0, "no table fallbacks"},
+	} {
+		err := tableTrafficError(core.SolveStats{TableLookups: tc.lookups, TableHits: tc.hits, TableFallbacks: tc.fallbacks})
+		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: tableTrafficError = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -491,12 +491,7 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, fr *flightrec.Request
 	ev.Solves, ev.Nodes = uint32(d.Solves), uint32(d.Nodes)
 	ev.SharedHits, ev.TableHits = uint32(d.SharedHits), uint32(d.TableHits)
 	s.col.RecordDecision(ev)
-	s.col.RecordSolverStats(telemetry.SolverStats{
-		Solves: d.Solves, Nodes: d.Nodes,
-		SharedLookups: d.SharedLookups, SharedHits: d.SharedHits,
-		TableLookups: d.TableLookups, TableHits: d.TableHits,
-		TableFallbacks: d.TableFallbacks,
-	})
+	s.col.RecordSolverStats(d)
 	return res
 }
 

@@ -1,6 +1,6 @@
 // Fleet mode: advance hundreds of thousands of virtual players on a fixed
-// worker pool, using a hierarchical time-wheel over segment-completion
-// events instead of one goroutine (or one full Run loop) per session.
+// worker pool, using a time-wheel over segment-completion events instead of
+// one goroutine (or one full Run loop) per session.
 //
 // Every session steps the same Player as the single-session simulator in
 // sim.go, over its own trace from a shared pool, and plans with the
@@ -92,10 +92,11 @@ type FleetReport struct {
 	Arena arena.Stats
 }
 
-// Time-wheel geometry: two levels of 512 buckets. At the default 10 ms tick
-// the inner wheel spans 5.12 s, room for a session's event (its idle to the
-// cap and its download, about one 2 s segment), and the outer 43.7 min;
-// events beyond the outer span park in their outer bucket and lap.
+// Time-wheel geometry: one level of 512 slots. At the default 10 ms tick the
+// wheel spans 5.12 s, room for a session's event (its idle to the cap and its
+// download, about one 2 s segment). An event due beyond the span parks in
+// its slot and is re-parked each time the wheel visits that slot before it
+// is due; such events are rare.
 const (
 	wheelBits  = 9
 	wheelSlots = 1 << wheelBits
@@ -103,19 +104,17 @@ const (
 	noSession  = ^uint32(0)
 )
 
-// wheel is one worker's hierarchical time-wheel. Buckets chain sessions
-// intrusively through their State.Next links, so scheduling allocates
-// nothing; State.DueTick disambiguates bucket collisions on expiry.
+// wheel is one worker's time-wheel. Slots chain sessions intrusively through
+// their State.Next links, so scheduling allocates nothing; State.DueTick
+// tells a due session from one that laps the wheel.
 type wheel struct {
-	now uint32 // current tick
-	l0  [wheelSlots]uint32
-	l1  [wheelSlots]uint32
+	now   uint32 // current tick
+	slots [wheelSlots]uint32
 }
 
 func (w *wheel) init() {
-	for i := range w.l0 {
-		w.l0[i] = noSession
-		w.l1[i] = noSession
+	for i := range w.slots {
+		w.slots[i] = noSession
 	}
 }
 
@@ -127,14 +126,9 @@ func (w *wheel) schedule(states []arena.State, local uint32, due uint32) {
 	}
 	st := &states[local]
 	st.DueTick = due
-	var bucket *uint32
-	if due-w.now < wheelSlots {
-		bucket = &w.l0[due&wheelMask]
-	} else {
-		bucket = &w.l1[(due>>wheelBits)&wheelMask]
-	}
-	st.Next = *bucket
-	*bucket = local
+	slot := &w.slots[due&wheelMask]
+	st.Next = *slot
+	*slot = local
 }
 
 // advance runs the wheel forward to absolute tick `to`, invoking fire for
@@ -143,35 +137,15 @@ func (w *wheel) advance(states []arena.State, to uint32, fire func(local uint32,
 	for w.now < to {
 		w.now++
 		tick := w.now
-		if tick&wheelMask == 0 {
-			// Entering a new outer-wheel slot: cascade its chain. Sessions
-			// due at the boundary tick itself fire now (re-parking would
-			// clamp them a tick late); sessions due within the new inner
-			// span re-park in level 0; sessions lapping the outer span land
-			// back in level 1.
-			slot := (tick >> wheelBits) & wheelMask
-			chain := w.l1[slot]
-			w.l1[slot] = noSession
-			for chain != noSession {
-				st := &states[chain]
-				next := st.Next
-				if st.DueTick == tick {
-					fire(chain, tick)
-				} else {
-					w.schedule(states, chain, st.DueTick)
-				}
-				chain = next
-			}
-		}
-		chain := w.l0[tick&wheelMask]
-		w.l0[tick&wheelMask] = noSession
+		chain := w.slots[tick&wheelMask]
+		w.slots[tick&wheelMask] = noSession
 		for chain != noSession {
 			st := &states[chain]
 			next := st.Next
 			if st.DueTick == tick {
 				fire(chain, tick)
 			} else {
-				// Bucket collision from a cascade: not due yet, re-park.
+				// Due a lap or more later: re-park in the same slot.
 				w.schedule(states, chain, st.DueTick)
 			}
 			chain = next
@@ -512,7 +486,7 @@ func (f *Fleet) Close() {
 		}
 		for local := range w.ctrls {
 			st := &w.states[local]
-			col.RecordSolverStats(solverStats(w.ctrls[local].SolveStats()))
+			col.RecordSolverStats(w.ctrls[local].SolveStats())
 			col.RecordSession(int(st.Segment), st.Stall)
 		}
 		w.rec.Release()

@@ -366,9 +366,10 @@ func TestFleetWatchLifecycle(t *testing.T) {
 	}
 }
 
-// TestWheelLongHorizons drives the wheel directly: events beyond the inner
-// span cascade from the outer wheel, and events beyond even the outer span
-// lap it and still fire at their exact tick.
+// TestWheelLongHorizons drives the wheel directly: events due beyond the
+// wheel's span, one lap or a thousand, park in their slot, are re-parked on
+// every visit before they are due, and fire exactly once, at their exact
+// tick.
 func TestWheelLongHorizons(t *testing.T) {
 	states := make([]arena.State, 5)
 	var w wheel

@@ -332,20 +332,9 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	if rec != nil {
 		// No Decide ran after the last snapshot, so stats is the session's
 		// total.
-		rec.Finish(solverStats(stats), result.Metrics.Segments, result.Metrics.RebufferSec)
+		rec.Finish(stats, result.Metrics.Segments, result.Metrics.RebufferSec)
 	}
 	return result, nil
-}
-
-// solverStats copies a controller's counters into the telemetry layer's
-// mirror of them.
-func solverStats(s core.SolveStats) telemetry.SolverStats {
-	return telemetry.SolverStats{
-		Solves: s.Solves, Nodes: s.Nodes,
-		SharedLookups: s.SharedLookups, SharedHits: s.SharedHits,
-		TableLookups: s.TableLookups, TableHits: s.TableHits,
-		TableFallbacks: s.TableFallbacks,
-	}
 }
 
 // SessionFactory builds a fresh controller and predictor for each session of

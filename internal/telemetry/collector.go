@@ -5,21 +5,9 @@ import (
 	"os"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/units"
 )
-
-// SolverStats mirrors core.SolveStats without importing it, keeping the
-// telemetry layer free of controller dependencies (harnesses copy the fields
-// at the call site). All counters are per-session deltas.
-type SolverStats struct {
-	Solves         uint64
-	Nodes          uint64
-	SharedLookups  uint64
-	SharedHits     uint64
-	TableLookups   uint64
-	TableHits      uint64
-	TableFallbacks uint64
-}
 
 // Collector bundles the standard SODA instruments on one registry plus the
 // decision trace ring. All methods are safe for concurrent use and nil-safe:
@@ -119,7 +107,8 @@ func (c *Collector) RecordDecision(ev DecisionEvent) {
 }
 
 // RecordSolverStats folds a per-session solver-work delta into the counters.
-func (c *Collector) RecordSolverStats(s SolverStats) {
+// The deprecated memo counters are not read: they are always 0.
+func (c *Collector) RecordSolverStats(s core.SolveStats) {
 	if c == nil {
 		return
 	}
@@ -307,7 +296,7 @@ func (r *SessionRecorder) flush() {
 // Finish flushes buffered events, records the session's solver-work totals
 // and aggregates, and recycles the recorder. Call exactly once when the
 // session completes; the recorder must not be used afterwards.
-func (r *SessionRecorder) Finish(stats SolverStats, segments int, rebuffer units.Seconds) {
+func (r *SessionRecorder) Finish(stats core.SolveStats, segments int, rebuffer units.Seconds) {
 	if r == nil {
 		return
 	}

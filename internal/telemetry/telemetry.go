@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer of the reproduction: a
-// stdlib-only metrics registry (atomic counters, gauges and log-linear
+// metrics registry (atomic counters, gauges and log-linear
 // histograms with Prometheus text exposition), a per-decision trace ring
 // buffer with JSONL export, and a Collector bundling the standard SODA
 // instruments.
@@ -9,7 +9,8 @@
 //   - Purity: controllers never see the telemetry layer. Recording is
 //     pull-based — harnesses (sim, prod, httpseg, the cmd binaries) snapshot
 //     SolveStats/CacheStats after Decide returns and feed the collector from
-//     the call site, so the purecontroller analyzer keeps holding.
+//     the call site, so the purecontroller analyzer keeps holding. The
+//     collector takes core.SolveStats as is; core imports no telemetry.
 //   - Zero allocation on the hot path: counter/gauge/histogram updates and
 //     ring appends allocate nothing in steady state (gated by cmd/soda-bench),
 //     and the per-session recorder batches its flushes so a dataset-scale

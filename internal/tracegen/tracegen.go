@@ -111,6 +111,19 @@ func FourG() Profile {
 // Profiles returns the three dataset profiles in paper order.
 func Profiles() []Profile { return []Profile{Puffer(), FiveG(), FourG()} }
 
+// ProfileNamed returns the profile of Profiles whose Name is name; the
+// commands' -dataset and -profile flags take these names.
+func ProfileNamed(name string) (Profile, error) {
+	var names []string
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p, nil
+		}
+		names = append(names, p.Name)
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q (want one of %v)", name, names)
+}
+
 // Validate checks profile invariants.
 func (p Profile) Validate() error {
 	n := len(p.States)

@@ -287,3 +287,19 @@ func TestEmptyDatasetStats(t *testing.T) {
 		t.Error("empty dataset stats should be 0")
 	}
 }
+
+// TestProfileNamed looks every profile up by its own Name and rejects the
+// spellings the table does not use.
+func TestProfileNamed(t *testing.T) {
+	for _, want := range Profiles() {
+		p, err := ProfileNamed(want.Name)
+		if err != nil || p.Name != want.Name || p.TargetMeanMbps != want.TargetMeanMbps {
+			t.Errorf("ProfileNamed(%q) = %q, %v", want.Name, p.Name, err)
+		}
+	}
+	for _, name := range []string{"", "fiveg", "fourg", "Puffer"} {
+		if _, err := ProfileNamed(name); err == nil {
+			t.Errorf("ProfileNamed(%q) accepted", name)
+		}
+	}
+}

@@ -103,6 +103,19 @@ func NamedLadders() []NamedLadder {
 	}
 }
 
+// LadderNamed returns the ladder NamedLadders lists under name; the
+// commands' -ladder flags take these names.
+func LadderNamed(name string) (Ladder, error) {
+	var names []string
+	for _, nl := range NamedLadders() {
+		if nl.Name == name {
+			return nl.Ladder, nil
+		}
+		names = append(names, nl.Name)
+	}
+	return Ladder{}, fmt.Errorf("unknown ladder %q (want one of %v)", name, names)
+}
+
 // Len returns the number of rungs.
 func (l Ladder) Len() int { return len(l.Rungs) }
 

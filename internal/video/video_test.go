@@ -214,3 +214,19 @@ func TestNormalizedUtility(t *testing.T) {
 		t.Errorf("degenerate normalization = %v", got)
 	}
 }
+
+// TestLadderNamed looks every registered name up and rejects the spellings
+// the table does not use.
+func TestLadderNamed(t *testing.T) {
+	for _, nl := range NamedLadders() {
+		l, err := LadderNamed(nl.Name)
+		if err != nil || l.Len() != nl.Ladder.Len() || l.Max() != nl.Ladder.Max() {
+			t.Errorf("LadderNamed(%q) = %v, %v", nl.Name, l, err)
+		}
+	}
+	for _, name := range []string{"", "prime", "YouTube4K", "bogus"} {
+		if _, err := LadderNamed(name); err == nil {
+			t.Errorf("LadderNamed(%q) accepted", name)
+		}
+	}
+}
