@@ -75,7 +75,9 @@ smoke:
 # reclaim under concurrent churn at capacity (ten times over), token-bucket
 # admission, inflight shedding, graceful drain, the conformance proof that
 # idle eviction never changes decisions, a swept-out session coming back
-# fresh, and hostile session-key churn against honest sessions.
+# fresh, and hostile session-key churn and hostile cap churn (buffer above
+# the cap, a full table budget, overflow throughputs) against honest
+# sessions.
 session-race:
 	$(GO) test -race ./internal/sessiontable
 	$(GO) test -race -count=10 -run 'TestConcurrentChurnAtCapacity' ./internal/sessiontable
@@ -83,8 +85,8 @@ session-race:
 
 # cover fails when the statement coverage of a package listed in
 # cover_baseline.json drops below its committed floor: core, abrtest, the
-# analyzers, sessiontable, loadgen, arena, flightrec, telemetry, and the
-# player's packages sim and trace.
+# analyzers, sessiontable, loadgen, arena, flightrec, telemetry, the
+# player's packages sim and trace, and the /decide service httpseg.
 cover:
 	$(GO) run ./cmd/soda-cover
 

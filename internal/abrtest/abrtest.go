@@ -108,13 +108,15 @@ func tableTrafficError(s core.SolveStats) error {
 	return nil
 }
 
-// ArenaConformance is the in-place purity contract: controllers Init-ed in
+// ArenaConformance is the in-place purity contract: controllers seated in
 // place in flat controller slices, the fleet's per-worker layout
-// (arenaBacked seats each one on a fresh element), must reproduce
-// heap-backed decision sequences bit-for-bit on every registered ladder. The
-// concurrent passes seat and drive neighbouring controllers from racing
-// goroutines under several GOMAXPROCS settings (run with -race to also prove
-// they share no state); the serial pass seats them one stream at a time.
+// (arenaBacked seats each one on a fresh element, and may seat all of a
+// ladder's controllers on one shared policy, as the fleet does), must
+// reproduce heap-backed decision sequences bit-for-bit on every registered
+// ladder. The concurrent passes seat and drive neighbouring controllers from
+// racing goroutines under several GOMAXPROCS settings (run with -race to
+// also prove they share no mutable state); the serial pass seats them one
+// stream at a time.
 // Each ladder seats 42 controllers: six streams in each of six concurrent
 // passes and in the serial pass.
 func ArenaConformance(t *testing.T, name string, plain Factory, arenaBacked Factory) {

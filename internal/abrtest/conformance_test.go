@@ -1,6 +1,7 @@
 package abrtest
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -80,13 +81,28 @@ func TestSodaSharedCacheFullSuite(t *testing.T) {
 }
 
 // sodaInPlace builds registry-default-configured SODA controllers, each
-// Init-ed in place on the next element of one shared controller slice — the
-// layout a fleet worker seats its sessions in. Concurrent callers claim
-// neighbouring elements.
+// seated in place on the next element of one shared controller slice and on
+// its ladder's one shared policy — the layout a fleet worker seats its
+// sessions in. Concurrent callers claim neighbouring elements and share the
+// policy.
 func sodaInPlace(slots []core.Controller, next *atomic.Int32) Factory {
+	// Ladders are values, so a policy is found by its ladder's printed form;
+	// the map is filled before any caller runs and only read after.
+	policies := map[string]*core.Policy{}
+	for _, nl := range video.NamedLadders() {
+		p, err := core.NewPolicy(core.DefaultConfig(), nl.Ladder)
+		if err != nil {
+			panic(err)
+		}
+		policies[fmt.Sprint(nl.Ladder)] = p
+	}
 	return func(ladder video.Ladder) abr.Controller {
+		p, ok := policies[fmt.Sprint(ladder)]
+		if !ok {
+			panic(fmt.Sprintf("abrtest: no shared policy for ladder %v", ladder))
+		}
 		ctrl := &slots[next.Add(1)-1]
-		ctrl.Init(core.DefaultConfig(), ladder)
+		ctrl.Init(p)
 		return ctrl
 	}
 }

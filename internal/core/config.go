@@ -210,6 +210,10 @@ type costParams struct {
 	rateMin []float64
 	// noPrune disables the branch-and-bound cut (Config.DisablePruning).
 	noPrune bool
+	// fp is modelFingerprint of the configuration, ladder and buffer cap
+	// the parameters were built for: the shared-cache key's model scope and
+	// the table identity's base.
+	fp uint64
 }
 
 // CostModel binds a set of cost parameters to the work counters of whoever
@@ -266,6 +270,7 @@ func newCostParams(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *co
 		m.gapInv = 1
 	}
 	m.noPrune = cfg.DisablePruning
+	m.fp = modelFingerprint(cfg, ladder, bufferCap)
 	m.rate = make([]float64, ladder.Len())
 	m.rateMin = make([]float64, ladder.Len())
 	running := math.Inf(1)

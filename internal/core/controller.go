@@ -9,29 +9,67 @@ import (
 	"repro/internal/video"
 )
 
-// Controller is the SODA ABR controller. It is created per session via New
-// and implements abr.Controller. Controllers are not safe for concurrent use;
-// each session gets its own instance.
-type Controller struct {
+// Policy is one controller configuration, validated once and shared by
+// every controller seated on it: the configuration, the ladder, the planning
+// quantum and the steady-state horizon. It holds no mutable state, so any
+// number of controllers on any number of goroutines may share one, and
+// nothing a session does can change it: what depends on a session's buffer
+// cap — the cost parameters, their fingerprint and the decision table — is
+// each controller's own binding (see Controller.bind).
+type Policy struct {
 	cfg    Config
 	ladder video.Ladder
-	// model binds the cost parameters for the buffer cap capFor — the bound
-	// table's when Config.DecisionTable is set, private ones otherwise,
-	// re-bound when the cap changes — to this controller's one set of work
-	// counters, which also counts its table and shared-cache traffic.
-	model  CostModel
-	capFor units.Seconds
+	// tq is the planning quantum Decide rounds its inputs to: TableQuantum
+	// (or MemoQuantum) when a table is attached, MemoQuantum otherwise; 0
+	// plans at exact floats.
+	tq float64
+	// k is the steady-state horizon (steadyHorizon), the horizon of every
+	// decision short of a session's tail.
+	k int
+}
 
-	// fp is the model fingerprint that scopes this controller's shared-cache
-	// keys (Config.SharedCache) and table identity; it is recomputed at each
-	// re-bind because it covers the buffer cap.
-	fp uint64
-	// table is the compiled table bound for the current buffer cap from
-	// Config.DecisionTable. tq is the planning quantum Decide rounds its
-	// inputs to (TableQuantum when a table is attached, MemoQuantum
-	// otherwise; 0 plans at exact floats).
-	table *decisionTable
-	tq    float64
+// NewPolicy validates cfg and builds the policy every controller of that
+// configuration and ladder can be seated on.
+func NewPolicy(cfg Config, ladder video.Ladder) (*Policy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p := &Policy{cfg: cfg, ladder: ladder, tq: cfg.MemoQuantum, k: steadyHorizon(cfg, ladder)}
+	if cfg.DecisionTable != nil {
+		p.tq = cfg.tableQuantum()
+	}
+	return p, nil
+}
+
+// bind returns the decision table (nil without tables) and the cost
+// parameters for bufferCap. With tables, the set binds — compiling on first
+// use — the table of the cap's identity and the parameters it was compiled
+// with, shared by every controller of that identity; a stub, past the budget
+// or for an oversized geometry, is private to this binding. Without tables,
+// every call builds private parameters. Nothing is stored on the policy, so
+// one session's cap never moves another session's binding.
+func (p *Policy) bind(bufferCap units.Seconds) (*decisionTable, *costParams) {
+	if tables := p.cfg.DecisionTable; tables != nil {
+		t := tables.tableFor(modelFingerprint(p.cfg, p.ladder, bufferCap), p.cfg, p.ladder, bufferCap)
+		return t, t.params
+	}
+	return nil, newCostParams(p.cfg, p.ladder, bufferCap)
+}
+
+// Controller is the SODA ABR controller. It is created per session, by New
+// or by Init on a shared Policy, and implements abr.Controller. Controllers
+// are not safe for concurrent use; each session gets its own instance.
+type Controller struct {
+	pol *Policy
+	// t is the decision table bound for the current buffer cap, nil without
+	// tables. model binds that cap's cost parameters — the table's when
+	// there is one, private ones otherwise — to this controller's one set of
+	// work counters, which also counts its table and shared-cache traffic.
+	// The parameters carry the buffer cap they were bound for and the
+	// fingerprint that scopes shared-cache keys, so a cap change re-binds
+	// both.
+	t     *decisionTable
+	model CostModel
 }
 
 func init() {
@@ -45,30 +83,29 @@ func init() {
 	})
 }
 
-// New constructs a SODA controller for the given ladder. It panics on an
-// invalid config: configurations are program constants in every harness.
+// New constructs a SODA controller for the given ladder on a policy of its
+// own: NewPolicy plus Init. It panics on an invalid config: configurations
+// are program constants in every harness.
 func New(cfg Config, ladder video.Ladder) *Controller {
+	p, err := NewPolicy(cfg, ladder)
+	if err != nil {
+		panic(err)
+	}
 	c := new(Controller)
-	c.Init(cfg, ladder)
+	c.Init(p)
 	return c
 }
 
-// Init initialises the controller in place — the path for controllers held
+// Init seats the controller on p, in place — the path for controllers held
 // by value, in the fleet workers' controller slices and in soda-server's
-// session entries.
-// It runs exactly the construction New performs (New is Init on a fresh
-// allocation), so an in-place controller is bit-identical to a
-// heap-allocated one by construction; abrtest.ArenaConformance pins this.
-// Like New, Init panics on an invalid config.
-func (c *Controller) Init(cfg Config, ladder video.Ladder) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	*c = Controller{cfg: cfg, ladder: ladder}
-	c.tq = cfg.MemoQuantum
-	if cfg.DecisionTable != nil {
-		c.tq = cfg.tableQuantum()
-	}
+// session entries, whose sessions all share one policy. It resets the
+// binding and the counters and allocates nothing; the first Decide (or
+// Prewarm) binds the cost parameters for its buffer cap. New is exactly
+// NewPolicy plus Init, so a seated controller is bit-identical to a
+// heap-allocated one by construction; abrtest.ArenaConformance pins this on
+// one shared policy.
+func (c *Controller) Init(p *Policy) {
+	*c = Controller{pol: p}
 }
 
 // Prewarm eagerly binds what Decide would otherwise bind lazily on first
@@ -110,46 +147,27 @@ func quantize[T ~float64](x T, step float64) T {
 	return T(math.Round(float64(x)/step) * step)
 }
 
-// horizon returns the effective K for this decision: the configured horizon,
-// clamped by the 10-second prediction-validity cap (§5.2) and by the number
-// of remaining segments.
+// horizon returns the effective K for this decision: the policy's steady
+// horizon (the configured horizon clamped by the 10-second
+// prediction-validity cap, §5.2), clamped by the number of remaining
+// segments.
 func (c *Controller) horizon(ctx *abr.Context) int {
-	k := c.cfg.Horizon
-	if maxK := int(c.cfg.MaxHorizonSeconds / c.ladder.SegmentSeconds); maxK >= 1 && k > maxK {
-		k = maxK
-	}
+	k := c.pol.k
 	if ctx.TotalSegments > 0 {
 		if rem := ctx.TotalSegments - ctx.SegmentIndex; rem >= 1 && k > rem {
 			k = rem
 		}
-	}
-	if k < 1 {
-		k = 1
 	}
 	return k
 }
 
 // bind returns the controller's cost model for bufferCap, re-binding its
 // parameters — and with them the table and the shared-cache fingerprint —
-// when the cap changes. The counters stay with the controller, so SolveStats
-// never goes down when a session changes cap.
+// through the policy when the cap changes. The counters stay with the
+// controller, so SolveStats never goes down when a session changes cap.
 func (c *Controller) bind(bufferCap units.Seconds) *CostModel {
-	if c.model.costParams == nil || c.capFor != bufferCap {
-		c.capFor = bufferCap
-		if c.cfg.SharedCache != nil || c.cfg.DecisionTable != nil {
-			// The shared-cache key and the table identity must include the
-			// cap, and do so through the fingerprint — which therefore tracks
-			// the re-binds.
-			c.fp = modelFingerprint(c.cfg, c.ladder, bufferCap)
-		}
-		if c.cfg.DecisionTable != nil {
-			// Bind (compiling on first use) the table for the new cap and
-			// the parameters it was compiled with.
-			c.table = c.cfg.DecisionTable.tableFor(c.fp, c.cfg, c.ladder, bufferCap)
-			c.model.costParams = c.table.params
-		} else {
-			c.model.costParams = newCostParams(c.cfg, c.ladder, bufferCap)
-		}
+	if p := c.model.costParams; p == nil || p.xmax != bufferCap {
+		c.t, c.model.costParams = c.pol.bind(bufferCap)
 	}
 	return &c.model
 }
@@ -160,6 +178,7 @@ func (c *Controller) bind(bufferCap units.Seconds) *CostModel {
 //soda:noalloc
 func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	m := c.bind(ctx.BufferCap)
+	p := c.pol
 
 	// No room for another segment: idle until the buffer drains — the blank
 	// no-download region of Fig. 5. (Player harnesses typically enforce this
@@ -172,12 +191,12 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// function of the table and shared-cache key: hits and misses agree by
 	// construction, and replaying a context stream is order-independent.
 	k := c.horizon(ctx)
-	omega := quantize(ctx.PredictSafe(m.dt.Scale(float64(k))), c.tq)
-	x0 := quantize(ctx.Buffer, c.tq)
+	omega := quantize(ctx.PredictSafe(m.dt.Scale(float64(k))), p.tq)
+	x0 := quantize(ctx.Buffer, p.tq)
 	omegas := [1]units.Mbps{omega}
 
-	maxRung := c.ladder.Len() - 1
-	if c.cfg.CapToThroughput {
+	maxRung := p.ladder.Len() - 1
+	if p.cfg.CapToThroughput {
 		// §5.1: never move *up* past min{r in R : r >= ω̂}, so the controller
 		// cannot commit to a download that takes much longer than Δt. The
 		// cap does not force down-switches below the current rung: sustained
@@ -185,7 +204,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		// transient ω̂ dips ride on the buffer — forcing the cap on
 		// down-moves would re-introduce exactly the prediction-jitter
 		// switching SODA exists to avoid.
-		maxRung = c.ladder.CapIndex(omega)
+		maxRung = p.ladder.CapIndex(omega)
 		if ctx.PrevRung > maxRung {
 			maxRung = ctx.PrevRung
 		}
@@ -196,9 +215,9 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// state, so the lookup is the whole decision. Out-of-domain states fall
 	// through to the shared-cache/solver pipeline on the same quantized
 	// values — the fallback is literally the table-free path.
-	if c.table != nil {
+	if t := c.t; t != nil {
 		m.stats.TableLookups++
-		if r, ok := c.table.lookup(x0, omega, ctx.PrevRung, k); ok {
+		if r, ok := t.lookup(x0, omega, ctx.PrevRung, k); ok {
 			m.stats.TableHits++
 			return abr.Decision{Rung: r}
 		}
@@ -209,10 +228,10 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 	// below would receive, so a hit returns precisely what a miss would
 	// compute — decisions are bit-identical with the shared cache on or off.
 	var key cacheKey
-	shared := c.cfg.SharedCache
+	shared := p.cfg.SharedCache
 	if shared != nil {
 		key = cacheKey{
-			fp: c.fp, x: x0, w: omega,
+			fp: m.fp, x: x0, w: omega,
 			prev: int32(ctx.PrevRung), k: int32(k), maxRung: int32(maxRung),
 		}
 		m.stats.SharedLookups++
@@ -222,7 +241,7 @@ func (c *Controller) Decide(ctx *abr.Context) abr.Decision {
 		}
 	}
 
-	rung := solveFirstRung(m, c.cfg.UseBruteForce, omegas[:], x0, ctx.PrevRung, k, maxRung)
+	rung := solveFirstRung(m, p.cfg.UseBruteForce, omegas[:], x0, ctx.PrevRung, k, maxRung)
 	if shared != nil {
 		shared.put(key, int32(rung))
 	}

@@ -98,11 +98,11 @@ func NewDecisionTablesSized(maxTables int) *DecisionTables {
 // decisionTable is one compiled table, immutable once ready is closed.
 // rungs holds the committed first decision for every (prev+1, buffer bin,
 // throughput bin) cell; a stub has no cells and answers every lookup with a
-// fallback. params are the cost parameters the cells were compiled with;
-// every controller bound to the table solves its fallbacks with them, so an
-// identity's sessions share one set instead of building their own.
+// fallback. params are the cost parameters the cells were compiled with, and
+// carry the model fingerprint the table serves; every controller bound to
+// the table solves its fallbacks with them, so an identity's sessions share
+// one set instead of building their own.
 type decisionTable struct {
-	fp              uint64
 	quantum         float64
 	k               int32
 	capToThroughput bool
@@ -167,8 +167,7 @@ func (c Config) tableQuantum() float64 {
 // of a geometry too large to compile, gets a fresh stub with private
 // parameters that the set does not store, so every such binding counts in
 // Stats().Stubs and none grows the set. fp must be
-// modelFingerprint(cfg, ladder, bufferCap) — the caller (Controller.bind)
-// already maintains it.
+// modelFingerprint(cfg, ladder, bufferCap).
 func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bufferCap units.Seconds) *decisionTable {
 	q := cfg.tableQuantum()
 	k := steadyHorizon(cfg, ladder)
@@ -180,7 +179,6 @@ func (s *DecisionTables) tableFor(fp uint64, cfg Config, ladder video.Ladder, bu
 		return t
 	}
 	t := &decisionTable{
-		fp:              fp,
 		quantum:         q,
 		k:               int32(k),
 		capToThroughput: cfg.CapToThroughput,
@@ -291,7 +289,7 @@ func (t *decisionTable) lookup(x units.Seconds, w units.Mbps, prev, k int) (int,
 // info snapshots the table's shape for CompileTable and reports.
 func (t *decisionTable) info() TableInfo {
 	return TableInfo{
-		Fingerprint: t.fp,
+		Fingerprint: t.params.fp,
 		Quantum:     t.quantum,
 		Horizon:     int(t.k),
 		XBins:       int(t.xBins),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/abr"
 	"repro/internal/units"
@@ -513,12 +514,15 @@ func TestTableCompileStallsOnlyItsIdentity(t *testing.T) {
 	}
 }
 
-// TestTableBindingSharesParams pins what a table-backed controller holds:
-// bound at the compiled cap it shares the parameters the table was compiled
-// with, so seating a session and its first decision allocate nothing, at a
-// table hit and at a fallback that runs the solver alike. A stub binding
-// and a controller without tables build private parameters; TableConformance
-// and TestDecisionTableStubsAndBudget pin that all of them decide the same.
+// TestTableBindingSharesParams pins what a seated controller holds and what
+// it shares. Controllers on one policy — or on policies of one identity,
+// as New builds — bound at the compiled cap share the table and the
+// parameters it was compiled with, so seating a session and its first
+// decision allocate nothing, at a table hit and at a fallback that runs the
+// solver alike. A stub binding and a controller without tables build
+// private parameters even on a shared policy, and a cap change moves only
+// the binding of the session that made it; TableConformance and
+// TestDecisionTableStubsAndBudget pin that all of them decide the same.
 func TestTableBindingSharesParams(t *testing.T) {
 	ladder := video.YouTube4K()
 	const bufferCap = units.Seconds(20)
@@ -527,14 +531,26 @@ func TestTableBindingSharesParams(t *testing.T) {
 	if _, err := tables.CompileTable(cfg, ladder, bufferCap); err != nil {
 		t.Fatal(err)
 	}
-	a, b := New(cfg, ladder), New(cfg, ladder)
-	a.Prewarm(bufferCap)
-	b.Prewarm(bufferCap)
-	if a.table != b.table || a.table.stub {
-		t.Fatalf("controllers of one identity bound tables %p and %p (stub %v)", a.table, b.table, a.table.stub)
+	pol, err := NewPolicy(cfg, ladder)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := a.table.params; p == nil || a.model.costParams != p || b.model.costParams != p {
-		t.Fatalf("bound parameters %p and %p, table's %p", a.model.costParams, b.model.costParams, p)
+	seat := func(p *Policy, at units.Seconds) *Controller {
+		c := new(Controller)
+		c.Init(p)
+		c.Prewarm(at)
+		return c
+	}
+	a, b, own := seat(pol, bufferCap), seat(pol, bufferCap), New(cfg, ladder)
+	own.Prewarm(bufferCap)
+	if a.pol != b.pol || own.pol == pol {
+		t.Fatalf("policies %p, %p and %p: want the first two shared, New's its own", a.pol, b.pol, own.pol)
+	}
+	if a.t != b.t || a.t != own.t || a.t.stub {
+		t.Fatalf("controllers of one identity bound tables %p, %p and %p (stub %v)", a.t, b.t, own.t, a.t.stub)
+	}
+	if p := a.t.params; p == nil || a.model.costParams != p || b.model.costParams != p || own.model.costParams != p {
+		t.Fatalf("bound parameters %p, %p and %p, table's %p", a.model.costParams, b.model.costParams, own.model.costParams, p)
 	}
 
 	for _, tc := range []struct {
@@ -555,7 +571,7 @@ func TestTableBindingSharesParams(t *testing.T) {
 			}
 			var c Controller
 			allocs := testing.AllocsPerRun(20, func() {
-				c.Init(cfg, ladder)
+				c.Init(pol)
 				c.Decide(ctx)
 			})
 			if allocs != 0 {
@@ -565,20 +581,29 @@ func TestTableBindingSharesParams(t *testing.T) {
 			if hit := st.TableHits == 1; hit != tc.hit || st.TableLookups != 1 || (st.Solves > 0) == tc.hit {
 				t.Fatalf("first decision's traffic %+v, want hit %v", st, tc.hit)
 			}
+			if c.t != a.t || c.model.costParams != a.t.params {
+				t.Fatalf("seated controller bound table %p and parameters %p, want the shared %p and %p",
+					c.t, c.model.costParams, a.t, a.t.params)
+			}
 		})
 	}
 
-	// Past the budget a binding gets a stub, whose parameters are its own.
-	stubA, stubB := New(cfg, ladder), New(cfg, ladder)
-	stubA.Prewarm(units.Seconds(15))
-	stubB.Prewarm(units.Seconds(15))
-	if !stubA.table.stub || !stubB.table.stub {
-		t.Fatal("bindings past the budget got compiled tables")
+	// Past the budget a binding gets a stub, whose parameters are its own,
+	// on the shared policy too; so does every binding without tables.
+	stubA, stubB := seat(pol, units.Seconds(15)), seat(pol, units.Seconds(15))
+	if !stubA.t.stub || !stubB.t.stub || stubA.t == stubB.t {
+		t.Fatalf("bindings past the budget got tables %p and %p (stubs %v, %v), want private stubs",
+			stubA.t, stubB.t, stubA.t.stub, stubB.t.stub)
 	}
-	plainA, plainB := New(plainTestConfig(), ladder), New(plainTestConfig(), ladder)
-	plainA.Prewarm(bufferCap)
-	plainB.Prewarm(bufferCap)
-	seen := map[*costParams]string{a.table.params: "the compiled table"}
+	plainPol, err := NewPolicy(plainTestConfig(), ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainA, plainB := seat(plainPol, bufferCap), seat(plainPol, bufferCap)
+	if plainA.t != nil || plainB.t != nil {
+		t.Fatal("controllers without tables bound a table")
+	}
+	seen := map[*costParams]string{a.t.params: "the compiled table"}
 	for _, c := range []struct {
 		name string
 		p    *costParams
@@ -594,7 +619,31 @@ func TestTableBindingSharesParams(t *testing.T) {
 		}
 		seen[c.p] = c.name
 	}
+
+	// A cap change re-binds only the session that made it: a moves to a
+	// stub, b stays on the compiled table, and back at the compiled cap a
+	// binds the shared table again.
+	a.Prewarm(units.Seconds(15))
+	if !a.t.stub || b.t != own.t || b.model.costParams != own.t.params {
+		t.Fatalf("after a's cap change: a stub %v, b bound table %p and parameters %p, want %p and %p",
+			a.t.stub, b.t, b.model.costParams, own.t, own.t.params)
+	}
+	a.Prewarm(bufferCap)
+	if a.t != b.t || a.model.costParams != b.model.costParams {
+		t.Fatalf("back at the compiled cap, a bound %p, want the shared %p", a.t, b.t)
+	}
 	if ts := tables.Stats(); ts.Tables != 1 {
 		t.Fatalf("set holds %d tables after stub bindings, want 1", ts.Tables)
+	}
+}
+
+// TestControllerLayout pins what a controller holds: its policy pointer,
+// its binding for the current buffer cap and its one counter set. The
+// configuration and the ladder live once on the shared Policy, so a fleet's
+// or a server's sessions do not each carry a copy (272 B a controller when
+// they did).
+func TestControllerLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Controller{}); got > 112 {
+		t.Errorf("a controller is %d B, want at most 112", got)
 	}
 }

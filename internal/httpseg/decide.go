@@ -109,11 +109,14 @@ func (o DecideOptions) normalize() DecideOptions {
 // call site, after Decide returns — which is what makes soda-server's
 // /metrics and /debug/decisions show live solver traffic.
 type DecideService struct {
-	ladder       video.Ladder
-	cache        *core.SolveCache
-	tables       *core.DecisionTables
-	tableQuantum float64
-	col          *telemetry.Collector
+	ladder video.Ladder
+	cache  *core.SolveCache
+	tables *core.DecisionTables
+	// policy is the controller configuration every session is seated on:
+	// the production defaults plus this service's shared cache and table
+	// set, validated once.
+	policy *core.Policy
+	col    *telemetry.Collector
 
 	sessions *sessiontable.Table[decideSession]
 	limiter  *sessiontable.Limiter
@@ -170,13 +173,12 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	}
 	opts = opts.normalize()
 	s := &DecideService{
-		ladder:       ladder,
-		tableQuantum: opts.TableQuantum,
-		col:          col,
-		ttl:          opts.SessionTTL,
-		flight:       opts.FlightRecorder,
-		watchdog:     opts.Watchdog,
-		start:        time.Now(),
+		ladder:   ladder,
+		col:      col,
+		ttl:      opts.SessionTTL,
+		flight:   opts.FlightRecorder,
+		watchdog: opts.Watchdog,
+		start:    time.Now(),
 	}
 	ttlNanos := opts.SessionTTL.Nanoseconds()
 	if opts.SessionTTL < 0 {
@@ -192,16 +194,24 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	if opts.MaxInflight > 0 {
 		s.inflight = sessiontable.NewSemaphore(opts.MaxInflight)
 	}
+	cfg := core.DefaultConfig()
+	cfg.TableQuantum = opts.TableQuantum
 	if opts.CacheEntries > 0 {
 		s.cache = core.NewSolveCache(opts.CacheEntries)
+		cfg.SharedCache = s.cache
 	}
 	if opts.TableQuantum > 0 {
 		s.tables = core.NewDecisionTables()
-		cfg := s.sessionConfig()
+		cfg.DecisionTable = s.tables
 		if _, err := s.tables.CompileTable(cfg, ladder, units.Seconds(defaultBufferCap)); err != nil {
 			return nil, fmt.Errorf("httpseg: compiling decision table: %w", err)
 		}
 	}
+	policy, err := core.NewPolicy(cfg, ladder)
+	if err != nil {
+		return nil, fmt.Errorf("httpseg: decide session config: %w", err)
+	}
+	s.policy = policy
 	reg := telemetry.NewRegistry() // private sink when running unobserved
 	if col != nil {
 		reg = col.Registry
@@ -232,16 +242,6 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	s.decideLatency = reg.Histogram("soda_server_decide_latency_seconds",
 		"wall-clock latency of the full /decide control-plane path", telemetry.USeconds)
 	return s, nil
-}
-
-// sessionConfig is the controller configuration every decide session runs:
-// the production defaults plus this service's shared cache and table set.
-func (s *DecideService) sessionConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.SharedCache = s.cache
-	cfg.DecisionTable = s.tables
-	cfg.TableQuantum = s.tableQuantum
-	return cfg
 }
 
 // RefreshMetrics updates the pull-only gauges (cache occupancy, live session
@@ -495,16 +495,16 @@ func (s *DecideService) decideAdmitted(req *DecideRequest, fr *flightrec.Request
 	return res
 }
 
-// newSession is the sessiontable create callback: initialise the fresh
-// entry's controller in place, with no previous rung. It runs under the
-// table's shard lock, so it binds no cost parameters: the session's first
-// Decide binds them, once, at the buffer cap the client sent, outside that
-// lock — the compiled table's own parameters with tables on, which
-// allocates nothing, or private ones with tables off. Init on a zero
-// controller is exactly what core.New does, so a recreated session decides
-// like a fresh one.
+// newSession is the sessiontable create callback: seat the fresh entry's
+// controller in place on the service's policy, with no previous rung. It
+// runs under the table's shard lock, so it binds no cost parameters: the
+// session's first Decide binds them, once, at the buffer cap the client
+// sent, outside that lock — the compiled table's own parameters with tables
+// on, which allocates nothing, or private ones with tables off. core.New is
+// NewPolicy plus the same Init, so a recreated session decides like a fresh
+// one.
 func (s *DecideService) newSession(sess *sessiontable.Session[decideSession]) {
-	sess.Value.ctrl.Init(s.sessionConfig(), s.ladder)
+	sess.Value.ctrl.Init(s.policy)
 	sess.Value.prevRung = int32(abr.NoRung)
 }
 

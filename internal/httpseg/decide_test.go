@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flightrec"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -201,6 +202,62 @@ func TestDecideServiceCapChangeCounters(t *testing.T) {
 		if ev.Solves == 0 || ev.Solves > 1000 || ev.Nodes > 1e6 {
 			t.Errorf("segment %d recorded %d solves, %d nodes", ev.Segment, ev.Solves, ev.Nodes)
 		}
+	}
+}
+
+// TestDecideServiceRejectsInvalidTableQuantum: the session policy is
+// validated once, when the service is built, so a table quantum no
+// controller could plan at is a construction error rather than a panic on
+// the first session.
+func TestDecideServiceRejectsInvalidTableQuantum(t *testing.T) {
+	for _, q := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewDecideService(video.Prototype(), DecideOptions{TableQuantum: q}, nil); err == nil {
+			t.Errorf("table quantum %g: service built, want an error", q)
+		}
+	}
+}
+
+// TestDecideServiceSessionCeiling pins what one more /decide session costs
+// the server: its session-table entry, which holds the session's controller
+// seated on the service's one policy, its share of the table's key index,
+// and nothing else on the heap. The first Decide binds the compiled table's
+// cost parameters, so a session costs the same at a table hit (30 Mb/s) and
+// at a fallback that runs the solver (500 Mb/s, beyond twice the top rung).
+// It allocates about 210 B; the 256 B ceiling fails a controller that
+// carries its own copy of the configuration and the ladder (about 380 B).
+func TestDecideServiceSessionCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		throughput units.Mbps
+	}{{"table-hit", units.Mbps(30)}, {"fallback", units.Mbps(500)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			newSessionBytes := func(sessions int) uint64 {
+				svc, err := NewDecideService(video.YouTube4K(), DecideOptions{TableQuantum: 0.5}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqs := make([]DecideRequest, sessions)
+				for i := range reqs {
+					reqs[i] = DecideRequest{Session: fmt.Sprintf("s-%d", i), Buffer: units.Seconds(11),
+						Throughput: tc.throughput, Segment: -1}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := range reqs {
+					if res := svc.Decide(&reqs[i]); res.Status != StatusOK {
+						t.Fatalf("session %d: status %d", i, res.Status)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			small, large := newSessionBytes(1000), newSessionBytes(4000)
+			perSession := (int64(large) - int64(small)) / 3000
+			if perSession > 256 {
+				t.Errorf("each new session past 1000 allocates %d B, want at most 256", perSession)
+			}
+			t.Logf("%d B per session", perSession)
+		})
 	}
 }
 
@@ -396,6 +453,76 @@ func TestSessionChurnSteadyState(t *testing.T) {
 	}
 }
 
+// Honest sessions of the hostile-client tests: honestSessions sessions
+// decide for honestRounds rounds, at the service's default buffer cap.
+const (
+	honestSessions = 4
+	honestRounds   = 60
+)
+
+// honestReq is honest session h's request in one round.
+func honestReq(h, round int) *DecideRequest {
+	return &DecideRequest{
+		Session: fmt.Sprintf("honest-%d", h),
+		Buffer:  units.Seconds(float64((round*7+h*3)%19) * 0.9),
+		// Every fifth round's throughput is off the tables' grid, so the
+		// solver path runs too.
+		Throughput: units.Mbps(0.4 + float64((round*5+h)%13)*0.7 + float64(round%5/4)*40),
+		Segment:    -1,
+	}
+}
+
+// runHonestAgainstIsolated is the harness of the hostile-client tests. It
+// sends the honest sessions' requests, honest(h, round), to svc while
+// hostile traffic runs against it, and fails unless every honest reply's
+// rung, wait and segment equal those of isolated, a service that sees only
+// the honest stream, and every honest session keeps its session id.
+// Serially, hostile(round) runs after each honest round; concurrently, a
+// second goroutine runs hostile for every round, starting once round 0 has
+// admitted the honest sessions.
+func runHonestAgainstIsolated(t *testing.T, svc, isolated *DecideService, concurrent bool,
+	honest func(h, round int) *DecideRequest, hostile func(round int)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	if concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for round := 0; round < honestRounds; round++ {
+				hostile(round)
+			}
+		}()
+	}
+	ids := map[string]int64{}
+	for round := 0; round < honestRounds; round++ {
+		for h := 0; h < honestSessions; h++ {
+			want := isolated.Decide(honest(h, round))
+			got := svc.Decide(honest(h, round))
+			key := fmt.Sprintf("honest-%d", h)
+			if got.Status != StatusOK || want.Status != StatusOK {
+				t.Fatalf("round %d %s: status %d (isolated %d)", round, key, got.Status, want.Status)
+			}
+			if id, seen := ids[key]; seen && id != got.SessionID {
+				t.Fatalf("round %d: %s changed session id %d -> %d", round, key, id, got.SessionID)
+			}
+			ids[key] = got.SessionID
+			if got.Rung != want.Rung || got.WaitSeconds != want.WaitSeconds || got.Segment != want.Segment {
+				t.Fatalf("round %d %s: rung %d wait %g segment %d, isolated rung %d wait %g segment %d",
+					round, key, got.Rung, got.WaitSeconds, got.Segment, want.Rung, want.WaitSeconds, want.Segment)
+			}
+		}
+		if round == 0 {
+			close(start) // the honest sessions are admitted; let the hostile traffic in
+		}
+		if !concurrent {
+			hostile(round)
+		}
+	}
+	wg.Wait()
+}
+
 // TestHostileSessionKeyChurn floods a full session table with fresh keys
 // while honest sessions keep deciding, serially and from a second goroutine.
 // With a 1 h TTL nothing ever expires, so once the table is full every fresh
@@ -404,25 +531,11 @@ func TestSessionChurnSteadyState(t *testing.T) {
 // and segments equal those of an isolated service that sees only the honest
 // stream: key churn at capacity can neither evict nor perturb a live session.
 func TestHostileSessionKeyChurn(t *testing.T) {
-	const (
-		honest = 4
-		rounds = 60
-	)
 	// 16 sessions per CPU: the table has one shard per CPU rounded up to a
 	// power of two, so every shard holds at least 8 entries and the honest
 	// sessions fit even if they all hash to one shard.
 	opts := DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5,
 		MaxSessions: 16 * runtime.GOMAXPROCS(0), SessionTTL: time.Hour}
-	honestReq := func(h, round int) *DecideRequest {
-		return &DecideRequest{
-			Session: fmt.Sprintf("honest-%d", h),
-			Buffer:  units.Seconds(float64((round*7+h*3)%19) * 0.9),
-			// Every fifth round's throughput is off the tables' grid, so
-			// the solver path runs too.
-			Throughput: units.Mbps(0.4 + float64((round*5+h)%13)*0.7 + float64(round%5/4)*40),
-			Segment:    -1,
-		}
-	}
 	freshReq := func(n int) *DecideRequest {
 		return &DecideRequest{Session: fmt.Sprintf("fresh-%d", n), Buffer: units.Seconds(5), Throughput: units.Mbps(3), Segment: -1}
 	}
@@ -444,72 +557,34 @@ func TestHostileSessionKeyChurn(t *testing.T) {
 			capacity := st.Shards * st.PerShardCapacity
 			// 30 fresh keys per entry, spread over the rounds, fill every
 			// shard many times over.
-			flood := (30*capacity + rounds - 1) / rounds
+			flood := (30*capacity + honestRounds - 1) / honestRounds
 
 			var sent, admitted, rejected int
-			sendFresh := func(n int, checkFull bool) {
-				full := svc.SessionStats().Active == capacity
-				res := svc.Decide(freshReq(n))
-				sent++
-				switch res.Status {
-				case StatusOK:
-					admitted++
-					if checkFull && full {
-						t.Errorf("fresh key %d admitted into a full table", n)
+			runHonestAgainstIsolated(t, svc, isolated, concurrent, honestReq, func(round int) {
+				for i := 0; i < flood; i++ {
+					n := round*flood + i
+					full := svc.SessionStats().Active == capacity
+					res := svc.Decide(freshReq(n))
+					sent++
+					switch res.Status {
+					case StatusOK:
+						admitted++
+						if !concurrent && full {
+							t.Errorf("fresh key %d admitted into a full table", n)
+						}
+					case StatusRejectedCapacity:
+						rejected++
+					default:
+						t.Errorf("fresh key %d: status %d", n, res.Status)
 					}
-				case StatusRejectedCapacity:
-					rejected++
-				default:
-					t.Errorf("fresh key %d: status %d", n, res.Status)
 				}
-			}
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			if concurrent {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-start
-					for n := 0; n < rounds*flood; n++ {
-						sendFresh(n, false)
-					}
-				}()
-			}
+			})
 
-			ids := map[string]int64{}
-			for round := 0; round < rounds; round++ {
-				for h := 0; h < honest; h++ {
-					want := isolated.Decide(honestReq(h, round))
-					got := svc.Decide(honestReq(h, round))
-					key := fmt.Sprintf("honest-%d", h)
-					if got.Status != StatusOK || want.Status != StatusOK {
-						t.Fatalf("round %d %s: status %d (isolated %d)", round, key, got.Status, want.Status)
-					}
-					if id, seen := ids[key]; seen && id != got.SessionID {
-						t.Fatalf("round %d: %s changed session id %d -> %d", round, key, id, got.SessionID)
-					}
-					ids[key] = got.SessionID
-					if got.Rung != want.Rung || got.WaitSeconds != want.WaitSeconds || got.Segment != want.Segment {
-						t.Fatalf("round %d %s: rung %d wait %g segment %d, isolated rung %d wait %g segment %d",
-							round, key, got.Rung, got.WaitSeconds, got.Segment, want.Rung, want.WaitSeconds, want.Segment)
-					}
-				}
-				if round == 0 {
-					close(start) // the honest sessions are admitted; let the flood in
-				}
-				if !concurrent {
-					for i := 0; i < flood; i++ {
-						sendFresh(round*flood+i, true)
-					}
-				}
+			if sent != honestRounds*flood {
+				t.Fatalf("sent %d fresh keys, want %d", sent, honestRounds*flood)
 			}
-			wg.Wait()
-
-			if sent != rounds*flood {
-				t.Fatalf("sent %d fresh keys, want %d", sent, rounds*flood)
-			}
-			if admitted != capacity-honest {
-				t.Errorf("%d fresh keys admitted, want the %d free entries", admitted, capacity-honest)
+			if admitted != capacity-honestSessions {
+				t.Errorf("%d fresh keys admitted, want the %d free entries", admitted, capacity-honestSessions)
 			}
 			if want := float64(rejected); rejected != sent-admitted || svc.rejectedCapacity.Value() != want ||
 				svc.SessionStats().RejectedCapacity != uint64(rejected) {
@@ -518,6 +593,97 @@ func TestHostileSessionKeyChurn(t *testing.T) {
 			}
 			if st := svc.SessionStats(); st.Active != capacity || st.EvictedIdle != 0 {
 				t.Errorf("table stats %+v, want full (%d) with no evictions", st, capacity)
+			}
+		})
+	}
+}
+
+// TestDecideServiceHostileCapChurn runs one hostile session through the
+// in-process Decide, which has none of ServeHTTP's bounds, against honest
+// sessions, serially and from a second goroutine. Each round the hostile
+// session reports a buffer above its cap, two caps it never used before and
+// the overflow throughputs 8e307 and 1e308, at its own caps and at the
+// default cap the honest sessions start on. The fresh caps fill the
+// 64-identity table budget in the first 32 rounds, so every later cap gets
+// a stub. The honest sessions move to caps of their own (one per honest
+// session) only after that, so in the serial pass they get stubs on the
+// hostile service, while the isolated service compiles them. All sessions share one
+// controller policy, table set and solve cache, yet the honest rungs, waits
+// and segments equal the isolated service's: neither the hostile session's
+// caps, its table bindings nor its overflow decisions move another
+// session's decisions. The Prototype ladder's tables compile in
+// milliseconds.
+func TestDecideServiceHostileCapChurn(t *testing.T) {
+	ladder := video.Prototype()
+	opts := DecideOptions{CacheEntries: 1 << 10, TableQuantum: 0.5}
+	// Honest sessions bind their own cap from round budgetRounds on; in the
+	// serial pass the hostile session has filled the table budget by then.
+	const capsPerRound, budgetRounds = 2, core.DefaultMaxTables/2 + 1
+	honest := func(h, round int) *DecideRequest {
+		req := honestReq(h, round)
+		if round >= budgetRounds {
+			req.BufferCap = units.Seconds(12 + h)
+		}
+		return req
+	}
+	for _, concurrent := range []bool{false, true} {
+		name := "serial"
+		if concurrent {
+			name = "concurrent"
+		}
+		t.Run(name, func(t *testing.T) {
+			isolated, err := NewDecideService(ladder, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewDecideService(ladder, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var served int
+			hostile := func(round int) {
+				if !concurrent && round == budgetRounds-1 {
+					if st := svc.tables.Stats(); st.Tables != core.DefaultMaxTables {
+						t.Errorf("before round %d's hostile requests the set holds %d tables, want the budget's %d",
+							round, st.Tables, core.DefaultMaxTables)
+					}
+				}
+				// Fresh caps that are never whole seconds, so they never
+				// meet the default cap or an honest session's.
+				cap0 := units.Seconds(10.3 + float64(round)/capsPerRound)
+				reqs := []DecideRequest{
+					{Buffer: cap0 + 7, BufferCap: cap0, Throughput: units.Mbps(1.3)},
+					{Buffer: units.Seconds(5), BufferCap: cap0, Throughput: units.Mbps(8e307)},
+					{Buffer: units.Seconds(5), BufferCap: cap0 + 0.25, Throughput: units.Mbps(1e308)},
+					{Buffer: units.Seconds(4), Throughput: units.Mbps(8e307)},
+					{Buffer: units.Seconds(4), Throughput: units.Mbps(1e308)},
+				}
+				for i := range reqs {
+					req := &reqs[i]
+					req.Session, req.Segment = "hostile", -1
+					res := svc.Decide(req)
+					switch {
+					case res.Status != StatusOK:
+						t.Errorf("round %d hostile request %d: status %d", round, i, res.Status)
+					case i == 0 && !(res.WaitSeconds > 0):
+						t.Errorf("round %d: buffer above the cap answered rung %d, want a wait", round, res.Rung)
+					case i > 0 && (res.Rung < 0 || res.Rung >= ladder.Len()):
+						t.Errorf("round %d hostile request %d: rung %d off the ladder", round, i, res.Rung)
+					default:
+						served++
+					}
+				}
+			}
+			runHonestAgainstIsolated(t, svc, isolated, concurrent, honest, hostile)
+			if served != 5*honestRounds {
+				t.Fatalf("served %d hostile requests, want %d", served, 5*honestRounds)
+			}
+			st := svc.tables.Stats()
+			if st.Tables != core.DefaultMaxTables || st.Stubs == 0 {
+				t.Errorf("hostile table set %s, want the %d-table budget full and stub bindings", st, core.DefaultMaxTables)
+			}
+			if st := isolated.tables.Stats(); st.Tables != 1+honestSessions || st.Stubs != 0 {
+				t.Errorf("isolated table set %s, want the default cap and %d honest caps compiled", st, honestSessions)
 			}
 		})
 	}

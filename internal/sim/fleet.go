@@ -7,9 +7,10 @@
 // bandwidth of its trace at its own position. One host holds the entire
 // cohort's state in per-worker slices and touches only the sessions whose
 // next event is due. Controllers are the real thing — every session runs its
-// own core.Controller in place in its worker's controller slice, sharing the
-// fleet decision tables and solve cache — so fleet cohorts exercise exactly
-// the production decide path.
+// own core.Controller in place in its worker's controller slice, seated on
+// the cohort's one core.Policy and sharing the fleet decision tables and
+// solve cache — so fleet cohorts exercise exactly the production decide
+// path.
 package sim
 
 import (
@@ -259,7 +260,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Controller != nil {
 		ctrlCfg = *cfg.Controller
 	}
-	if err := ctrlCfg.Validate(); err != nil {
+	pol, err := core.NewPolicy(ctrlCfg, cfg.Ladder)
+	if err != nil {
 		return nil, fmt.Errorf("sim: fleet controller config: %w", err)
 	}
 
@@ -299,13 +301,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		for local := range w.ctrls {
 			global := next + local
 			ctrl := &w.ctrls[local]
-			ctrl.Init(ctrlCfg, cfg.Ladder)
+			ctrl.Init(pol)
 			// Bind the cost parameters now, Decide's only lazy work: with
 			// tables (the fleet default) the first bind compiles the table
-			// and every controller shares its parameters, so a session
-			// allocates nothing past its slice elements. The solver keeps its
-			// search state on the stack, so the event path is
-			// allocation-free from the first fire.
+			// and every controller shares its parameters, as every one
+			// shares the cohort's policy, so a session allocates nothing
+			// past its slice elements. The solver keeps its search state on
+			// the stack, so the event path is allocation-free from the first
+			// fire.
 			ctrl.Prewarm(cfg.BufferCap)
 			tr := global % len(pool)
 			w.states[local] = arena.State{

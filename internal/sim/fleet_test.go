@@ -301,11 +301,13 @@ func TestFleetTelemetrySetupIsFlat(t *testing.T) {
 
 // TestFleetSessionSetupCeiling pins what seating one more session costs:
 // its controller, player state and watchdog state in the worker's slices,
-// and nothing on the heap besides. Table-backed controllers bind the
-// compiled table's cost parameters and the solver keeps its search state on
-// the stack, so a session allocates about 350 B at setup. The 512 B ceiling
-// fails a controller that builds its own cost model and solver scratch,
-// which costs about 1.2 KB a session.
+// and nothing on the heap besides. Every controller is seated on the
+// cohort's one policy and binds the compiled table's cost parameters, and
+// the solver keeps its search state on the stack, so a session allocates
+// about 190 B at setup. The 256 B ceiling fails a controller that carries
+// its own copy of the configuration and the ladder, which costs about 350 B
+// a session, let alone one that builds its own cost model and solver
+// scratch (about 1.2 KB).
 func TestFleetSessionSetupCeiling(t *testing.T) {
 	wd := flightrec.NewWatchdog(nil, flightrec.WatchdogConfig{})
 	setupBytes := func(sessions int) uint64 {
@@ -321,8 +323,8 @@ func TestFleetSessionSetupCeiling(t *testing.T) {
 	}
 	small, large := setupBytes(1000), setupBytes(4000)
 	perSession := (int64(large) - int64(small)) / 3000
-	if perSession > 512 {
-		t.Errorf("each session past 1000 allocates %d B at setup, want at most 512", perSession)
+	if perSession > 256 {
+		t.Errorf("each session past 1000 allocates %d B at setup, want at most 256", perSession)
 	}
 	t.Logf("%d B per session", perSession)
 }
