@@ -63,10 +63,10 @@ flightrec-conformance:
 	$(GO) test -race ./internal/flightrec
 	$(GO) test -race -run 'TestSodaFlightRec' ./internal/abrtest
 
-# smoke boots the soda-server introspection mux against a test manifest,
-# drives /decide sessions, and validates that /metrics serves parseable
-# Prometheus text exposition (no duplicate families) and /debug/decisions
-# streams JSONL.
+# smoke boots the soda-server introspection mux in process on the prototype
+# ladder, drives /decide sessions, and validates that /metrics serves
+# parseable Prometheus text exposition (no duplicate families),
+# /debug/decisions streams JSONL, and the HTTP surface serves no media.
 smoke:
 	$(GO) test -race -run 'TestServerEndpointSmoke' ./cmd/soda-server
 
@@ -126,6 +126,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistogram -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzSessionTable -fuzztime 10s ./internal/sessiontable
 	$(GO) test -run '^$$' -fuzz FuzzDecideHTTP -fuzztime 10s ./internal/httpseg
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegmentRequest$$' -fuzztime 10s ./internal/proto
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

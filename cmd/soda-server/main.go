@@ -1,13 +1,14 @@
 // Command soda-server runs the prototype segment server on a TCP address,
 // optionally shaping delivery with a bandwidth trace — one half of the local
-// client-server deployment of the prototype evaluation (§6.2). The -http
-// flag adds an HTTP listener with the DASH transport (/manifest.mpd,
-// /segment/...), server-side decisions (/decide) and live introspection:
-// /metrics in Prometheus text format, /debug/decisions as JSONL, plus the
-// flight recorder's /debug/spans (per-stage pipeline latency spans),
-// /debug/incidents (QoE-watchdog detections), and /debug/sessions?id=N
-// (one session's reconstructed timeline, &format=trace for Chrome
-// trace-event JSON).
+// client-server deployment of the prototype evaluation (§6.2). Segments
+// travel only over -addr, in the internal/proto binary protocol that
+// soda-player and Figure 12 speak. The -http flag adds a control-plane
+// listener that serves no media: server-side decisions (/decide) and live
+// introspection — /metrics in Prometheus text format, /debug/decisions as
+// JSONL, plus the flight recorder's /debug/spans (per-stage pipeline latency
+// spans), /debug/incidents (QoE-watchdog detections), and
+// /debug/sessions?id=N (one session's reconstructed timeline, &format=trace
+// for Chrome trace-event JSON).
 //
 // Usage:
 //
@@ -36,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dash"
 	"repro/internal/flightrec"
 	"repro/internal/httpseg"
 	"repro/internal/netem"
@@ -53,8 +53,7 @@ func main() {
 	traceFile := flag.String("trace", "", "CSV trace to shape delivery (unshaped if empty)")
 	timeScale := flag.Float64("timescale", 1, "stream-time compression factor")
 	ladderName := flag.String("ladder", "prototype", "ladder: youtube4k, mobile, prototype, primevideo")
-	writeMPD := flag.String("write-mpd", "", "also write an MPEG-DASH MPD describing the stream to this file")
-	httpAddr := flag.String("http", "", "also serve HTTP: DASH transport, /decide, /metrics, /debug/decisions")
+	httpAddr := flag.String("http", "", "also serve HTTP: /decide, /metrics, /debug/decisions, /debug/spans, /debug/incidents, /debug/sessions")
 	decideCache := flag.Int("decide-cache", 1<<16, "shared solve-cache entries for /decide sessions (0 disables)")
 	tableQuantum := flag.Float64("decide-table-quantum", 0.5, "compiled decision-table quantum for /decide sessions, seconds and Mb/s per cell (0 disables)")
 	maxSessions := flag.Int("max-sessions", httpseg.DefaultMaxSessions, "concurrent /decide session cap; new sessions beyond it are shed with 503")
@@ -83,12 +82,6 @@ func main() {
 	srv, err := proto.NewServer(ladder, nil, *segments, logger)
 	if err != nil {
 		logger.Fatal(err)
-	}
-	if *writeMPD != "" {
-		if err := writeMPDFile(*writeMPD, ladder, *segments); err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("wrote MPD to %s", *writeMPD)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -120,7 +113,7 @@ func main() {
 			MaxInflight:  *maxInflight,
 			RPSPerClient: *rpsPerClient,
 		}
-		intro, err = introspectionMux(ladder, *segments, opts, col)
+		intro, err = introspectionMux(ladder, opts, col)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -163,7 +156,7 @@ func main() {
 				}
 			}()
 		}
-		fmt.Printf("introspection on http://%s (/manifest.mpd /segment /decide /metrics /debug/decisions /debug/spans /debug/incidents /debug/sessions)\n", httpLn.Addr())
+		fmt.Printf("introspection on http://%s (/decide /metrics /debug/decisions /debug/spans /debug/incidents /debug/sessions)\n", httpLn.Addr())
 	}
 
 	fmt.Printf("serving %d segments of the %s ladder on %s\n", *segments, *ladderName, ln.Addr())
@@ -179,6 +172,9 @@ func main() {
 			} else {
 				events.event("drain timed out; in-flight decides abandoned", "sessions", sessions)
 			}
+			// The -telemetry exit snapshot then carries what a last scrape
+			// would: the final gauges and the session table's evictions.
+			svc.RefreshMetrics()
 		}
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = httpSrv.Shutdown(shutCtx)
@@ -214,19 +210,14 @@ type introspection struct {
 	watchdog *flightrec.Watchdog
 }
 
-// introspectionMux assembles the HTTP surface: the DASH segment transport at
-// the root, server-side SODA at /decide, and the live introspection
-// endpoints. All decision recording happens in the /decide handler after the
-// controller returns; /metrics only reads, plus pull-only gauge refreshes.
-// The flight recorder and QoE watchdog are always attached — their steady
-// path is allocation-free, and /debug/spans, /debug/incidents and
-// /debug/sessions serve their state.
-func introspectionMux(ladder video.Ladder, segments int, opts httpseg.DecideOptions, col *telemetry.Collector) (*introspection, error) {
-	seg, err := httpseg.NewServer(ladder, nil, segments)
-	if err != nil {
-		return nil, err
-	}
-	seg.Instrument(col.Registry)
+// introspectionMux assembles the HTTP surface: server-side SODA at /decide
+// and the live introspection endpoints; any other path is a 404. All
+// decision recording happens in the /decide handler after the controller
+// returns; /metrics only reads, plus pull-only refreshes of gauges and of
+// the counters the session table keeps. The flight recorder and QoE watchdog
+// are always attached — their steady path is allocation-free, and
+// /debug/spans, /debug/incidents and /debug/sessions serve their state.
+func introspectionMux(ladder video.Ladder, opts httpseg.DecideOptions, col *telemetry.Collector) (*introspection, error) {
 	flight := flightrec.NewRecorder(col.Registry, 0)
 	watchdog := flightrec.NewWatchdog(col.Registry, flightrec.WatchdogConfig{})
 	opts.FlightRecorder = flight
@@ -236,7 +227,6 @@ func introspectionMux(ladder video.Ladder, segments int, opts httpseg.DecideOpti
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/", seg)
 	mux.Handle("/decide", svc)
 	mux.Handle("/metrics", telemetry.MetricsHandler(col.Registry, svc.RefreshMetrics))
 	mux.Handle("/debug/decisions", telemetry.DecisionsHandler(col.Ring))
@@ -275,20 +265,6 @@ func (e *eventLogger) event(msg string, kv ...any) {
 		fmt.Fprintf(&b, " %v=%v", kv[i], kv[i+1])
 	}
 	e.plain.Print(b.String())
-}
-
-// writeMPDFile writes an MPEG-DASH MPD describing the stream to path.
-func writeMPDFile(path string, ladder video.Ladder, segments int) error {
-	mediaDur := time.Duration(float64(segments) * float64(ladder.SegmentSeconds) * float64(time.Second))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := dash.FromLadder(ladder, mediaDur).Write(f); err != nil {
-		_ = f.Close() // best effort; the write error is the one to report
-		return err
-	}
-	return f.Close()
 }
 
 // shapedListener wraps ln so each connection is paced by the trace in

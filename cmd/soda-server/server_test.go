@@ -37,7 +37,7 @@ var (
 // JSONL. This is the CI smoke gate for the observability surface.
 func TestServerEndpointSmoke(t *testing.T) {
 	col := telemetry.NewCollector(nil, 256)
-	intro, err := introspectionMux(video.Prototype(), 30, httpseg.DecideOptions{CacheEntries: 1 << 12, TableQuantum: 0.5}, col)
+	intro, err := introspectionMux(video.Prototype(), httpseg.DecideOptions{CacheEntries: 1 << 12, TableQuantum: 0.5}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +58,12 @@ func TestServerEndpointSmoke(t *testing.T) {
 		return resp, string(body)
 	}
 
-	// The DASH transport is mounted at the root.
-	resp, mpd := get("/manifest.mpd")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/manifest.mpd: status %d", resp.StatusCode)
-	}
-	if !strings.Contains(mpd, "<MPD") {
-		t.Fatalf("/manifest.mpd does not look like an MPD:\n%s", mpd)
-	}
-	if resp, _ := get("/segment/0/0"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/segment/0/0: status %d", resp.StatusCode)
+	// The HTTP surface serves no media: segments travel only over the
+	// binary protocol on -addr.
+	for _, path := range []string{"/manifest.mpd", "/segment/0/0"} {
+		if resp, _ := get(path); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	// Drive two sessions through enough decisions to touch the solver,
@@ -135,8 +131,6 @@ func TestServerEndpointSmoke(t *testing.T) {
 		"soda_buffer_level_seconds",
 		"soda_decided_bitrate_mbps",
 		"soda_decide_latency_seconds",
-		"soda_http_manifest_requests_total",
-		"soda_http_segment_requests_total",
 		"soda_decision_table_lookups_total",
 		"soda_decision_table_hits_total",
 		"soda_decision_table_fallbacks_total",
@@ -194,6 +188,19 @@ func TestServerEndpointSmoke(t *testing.T) {
 		t.Fatalf("metric %s has no sample line", name)
 		return 0
 	}
+	// Each of the 24 served decides above is timed once as a whole, in
+	// soda_server_decide_latency_seconds; the stage family carries the five
+	// pipeline stages and no respond series.
+	if got := metric("soda_server_decide_latency_seconds_count"); got != 24 {
+		t.Errorf("soda_server_decide_latency_seconds_count = %g, want 24", got)
+	}
+	if got := metric(`soda_server_stage_latency_seconds_count{stage="decide"}`); got != 24 {
+		t.Errorf(`stage="decide" count = %g, want 24`, got)
+	}
+	if strings.Contains(exposition, `soda_server_stage_latency_seconds_count{stage="respond"}`) {
+		t.Error(`/metrics times served requests twice: a stage="respond" series beside soda_server_decide_latency_seconds`)
+	}
+
 	hits, fallbacks := metric("soda_decision_table_hits_total"), metric("soda_decision_table_fallbacks_total")
 	if hits == 0 || fallbacks == 0 {
 		t.Errorf("table traffic hits/fallbacks = %g/%g, want both nonzero", hits, fallbacks)

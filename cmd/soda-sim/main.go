@@ -219,22 +219,32 @@ func runController(name string, ladder video.Ladder, traces []*trace.Trace, buff
 	if _, err := abr.New(name, ladder); err != nil {
 		return err
 	}
-	// -table-quantum compiles the soda decision map once and shares it across
-	// every session of the dataset run; other controllers have no table hook
-	// and run unchanged.
-	var tables *core.DecisionTables
+	// -table-quantum compiles the soda decision map once and seats every
+	// session of the dataset run on one policy bound to it: the registry's
+	// "soda" configuration plus the table knobs. Other controllers have no
+	// table hook and run unchanged.
+	var (
+		tables *core.DecisionTables
+		policy *core.Policy
+	)
 	if name == "soda" && tableQuantum > 0 {
 		tables = core.NewDecisionTables()
-		info, err := tables.CompileTable(tableConfig(tables, tableQuantum), ladder, bufferCap)
+		cfg := core.DefaultConfig()
+		cfg.DecisionTable = tables
+		cfg.TableQuantum = tableQuantum
+		info, err := tables.CompileTable(cfg, ladder, bufferCap)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("soda decision table: %dx%dx%d cells, quantum %.2f, horizon %d\n",
 			info.Planes, info.XBins, info.WBins, info.Quantum, info.Horizon)
+		if policy, err = core.NewPolicy(cfg, ladder); err != nil {
+			return err
+		}
 	}
 	factory := func() (abr.Controller, predictor.Predictor) {
-		if tables != nil {
-			return core.New(tableConfig(tables, tableQuantum), ladder), predictor.NewEMA(units.Seconds(4))
+		if policy != nil {
+			return policy.New(), predictor.NewEMA(units.Seconds(4))
 		}
 		c, _ := abr.New(name, ladder)
 		return c, predictor.NewEMA(units.Seconds(4))
@@ -253,16 +263,6 @@ func runController(name string, ladder video.Ladder, traces []*trace.Trace, buff
 		fmt.Printf("  %s\n", tables.Stats())
 	}
 	return nil
-}
-
-// tableConfig is the registry's "soda" configuration plus the table knobs —
-// the construction runController repeats per session so every controller
-// binds the same compiled set.
-func tableConfig(tables *core.DecisionTables, quantum float64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.DecisionTable = tables
-	cfg.TableQuantum = quantum
-	return cfg
 }
 
 // pickLadder looks the -ladder name up in video.NamedLadders; an empty name

@@ -91,6 +91,13 @@ func New(cfg Config, ladder video.Ladder) *Controller {
 	if err != nil {
 		panic(err)
 	}
+	return p.New()
+}
+
+// New returns a fresh controller seated on p. A harness whose sessions share
+// one configuration builds the policy once and calls New per session, so a
+// session allocates only its controller.
+func (p *Policy) New() *Controller {
 	c := new(Controller)
 	c.Init(p)
 	return c

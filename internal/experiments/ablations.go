@@ -45,8 +45,12 @@ func runSODAVariant(label string, cfg core.Config, scale Scale, simCfg sim.Confi
 		return AblationPoint{}, err
 	}
 	ladder := video.Mobile()
+	policy, err := core.NewPolicy(cfg, ladder)
+	if err != nil {
+		return AblationPoint{}, err
+	}
 	factory := func() (abr.Controller, predictor.Predictor) {
-		return core.New(cfg, ladder), predictor.NewEMA(units.Seconds(4))
+		return policy.New(), predictor.NewEMA(units.Seconds(4))
 	}
 	base := simCfg
 	base.Ladder = ladder
@@ -222,10 +226,14 @@ func AblationPredictor(scale Scale) (*AblationResult, error) {
 		{"harmonic(5)", func() predictor.Predictor { return predictor.NewHarmonicMean(5) }},
 		{"ma(4)", func() predictor.Predictor { return predictor.NewMovingAverage(4) }},
 	}
+	policy, err := core.NewPolicy(core.DefaultConfig(), ladder)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range preds {
 		make := p.make
 		factory := func() (abr.Controller, predictor.Predictor) {
-			return core.New(core.DefaultConfig(), ladder), make()
+			return policy.New(), make()
 		}
 		metrics, err := sim.RunDataset(ds.Sessions, factory, sim.Config{
 			Ladder:         ladder,

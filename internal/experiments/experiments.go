@@ -154,11 +154,15 @@ func (t *solveTally) solvesPerSession() float64 {
 // metrics — are bit-identical to the uncached runControllerOnSessions path;
 // the shared-cache conformance contract in internal/abrtest pins this.
 func runSodaOnSessions(ladder video.Ladder, sessions []*trace.Trace, sessionLength, bufferCap units.Seconds, cache *core.SolveCache, col *telemetry.Collector) ([]qoe.Metrics, *solveTally, error) {
+	cfg := core.DefaultConfig()
+	cfg.SharedCache = cache
+	policy, err := core.NewPolicy(cfg, ladder)
+	if err != nil {
+		return nil, nil, err
+	}
 	tally := &solveTally{}
 	factory := func() (abr.Controller, predictor.Predictor) {
-		cfg := core.DefaultConfig()
-		cfg.SharedCache = cache
-		return core.New(cfg, ladder), evalPredictor()
+		return policy.New(), evalPredictor()
 	}
 	metrics, err := sim.RunDataset(sessions, factory, sim.Config{
 		Ladder:         ladder,

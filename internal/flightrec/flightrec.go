@@ -13,10 +13,10 @@
 //     check does the same for served decisions with the recorder attached.
 //   - Zero allocation on the hot path: recording a request is one locked
 //     64-byte copy into a pre-allocated telemetry.Ring plus one histogram
-//     update per stage it reached, and the watchdog's detectors are integer
-//     state machines embedded in caller-owned memory (`SessionWatch` lives
-//     in soda-server's session-table entry and in a fleet worker's watch
-//     slice). `BenchmarkFlightRecOverhead` gates the watchdog's end-to-end
+//     update per pipeline stage it reached, and the watchdog's detectors are
+//     integer state machines embedded in caller-owned memory (`SessionWatch`
+//     lives in soda-server's session-table entry and in a fleet worker's
+//     watch slice). `BenchmarkFlightRecOverhead` gates the watchdog's end-to-end
 //     cost at ≤5% ns/decision, and the recording functions are
 //     `//soda:noalloc`.
 //
@@ -66,8 +66,8 @@ const (
 	NumStages = int(StageRespond) + 1
 )
 
-// stageNames are the label values of soda_server_stage_latency_seconds and
-// the "stage" field of the JSONL/trace exports.
+// stageNames are the "stage" field of the JSONL/trace exports and, respond
+// aside, the label values of soda_server_stage_latency_seconds.
 var stageNames = [NumStages]string{
 	"ratelimit", "inflight", "session", "arena", "decide", "respond",
 }
@@ -164,19 +164,22 @@ func (q *Request) session(s Stage) int32 {
 const DefaultSpansPerStage = 4096
 
 // Recorder is the stage-latency flight recorder: one ring of per-request
-// records and one latency histogram per pipeline stage. It keeps no clock:
+// records and one latency histogram per pipeline stage, ratelimit through
+// decide. Respond has spans but no histogram here: a served request's whole
+// latency is the harness's own figure (soda-server's
+// soda_server_decide_latency_seconds), observed once. It keeps no clock:
 // the harness stamps requests on its own, so spans share the origin of the
 // harness's other timestamps. A nil Recorder is a valid no-op, so harnesses
 // wire it unconditionally.
 type Recorder struct {
 	ring *telemetry.Ring[Request]
-	hist [NumStages]*telemetry.Histogram
+	hist [StageRespond]*telemetry.Histogram
 }
 
 // NewRecorder builds a recorder whose ring holds the last requests requests
-// (non-positive = DefaultSpansPerStage), registering the per-stage
-// soda_server_stage_latency_seconds histograms on reg (nil = a private
-// registry; the ring still works).
+// (non-positive = DefaultSpansPerStage), registering the five pipeline
+// stages' soda_server_stage_latency_seconds histograms on reg (nil = a
+// private registry; the ring still works).
 func NewRecorder(reg *telemetry.Registry, requests int) *Recorder {
 	if requests <= 0 {
 		requests = DefaultSpansPerStage
@@ -185,7 +188,7 @@ func NewRecorder(reg *telemetry.Registry, requests int) *Recorder {
 		reg = telemetry.NewRegistry()
 	}
 	r := &Recorder{ring: telemetry.NewRing[Request](requests)}
-	for s := 0; s < NumStages; s++ {
+	for s := range r.hist {
 		r.hist[s] = reg.Histogram(
 			"soda_server_stage_latency_seconds",
 			"serving pipeline stage latency, by stage",
@@ -196,9 +199,9 @@ func NewRecorder(reg *telemetry.Registry, requests int) *Recorder {
 	return r
 }
 
-// Record stores one finished request and feeds each stage it reached, and
-// respond, to that stage's latency histogram. A Stop past StageDecide
-// records nothing. Nil-safe no-op.
+// Record stores one finished request and feeds each pipeline stage it
+// reached to that stage's latency histogram. A Stop past StageDecide records
+// nothing. Nil-safe no-op.
 //
 //soda:noalloc
 func (r *Recorder) Record(q *Request) {
@@ -211,7 +214,6 @@ func (r *Recorder) Record(q *Request) {
 		r.hist[s].Observe(float64(q.Ends[s]-prev) * 1e-9)
 		prev = q.Ends[s]
 	}
-	r.hist[StageRespond].Observe(float64(q.End-q.Start) * 1e-9)
 }
 
 // Dropped returns the number of spans the recorder failed to record. The

@@ -86,16 +86,20 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if rl == nil || rl.Start != 900 || rl.Dur != 50 || rl.Session != NoSession {
 		t.Fatalf("ratelimit span = %+v", rl)
 	}
-	// The per-stage histograms saw one observation per span.
+	// The per-stage histograms saw one observation per pipeline-stage span;
+	// respond spans have no histogram here.
 	snaps := reg.Snapshot()
 	var histCount uint64
 	for _, s := range snaps {
 		if s.Name == "soda_server_stage_latency_seconds" {
 			histCount += s.Count
+			if s.Labels[0].Value == "respond" {
+				t.Error("a respond stage histogram is registered")
+			}
 		}
 	}
-	if histCount != 14 {
-		t.Fatalf("stage histograms observed %d, want 14", histCount)
+	if histCount != 11 {
+		t.Fatalf("stage histograms observed %d, want 11", histCount)
 	}
 }
 

@@ -1,3 +1,16 @@
+// Package httpseg is soda-server's /decide control plane: server-side SODA
+// over HTTP. A client reports its playback state
+// (`GET /decide?session=...&buffer=...&throughput=...`) and receives the rung
+// its session's controller picks, behind admission control (per-client rate
+// limit, in-flight bound, session-table capacity, drain) and with every
+// decision recorded on the telemetry collector and the flight recorder.
+// Segments themselves travel over internal/proto on a netem-shaped listener;
+// this package serves no media.
+//
+// The package parses query floats and writes JSON replies, so it is a
+// sanctioned laundering site:
+//
+//soda:wire-boundary
 package httpseg
 
 import (
@@ -63,7 +76,9 @@ type DecideOptions struct {
 	// FlightRecorder, when non-nil, receives one record per request: the
 	// service-clock stamps of its stage boundaries (ratelimit, inflight,
 	// session, arena, decide, then the reply tail), from which it serves the
-	// six stage spans and feeds the per-stage latency histograms. Attached,
+	// six stage spans and feeds the five pipeline stages' latency histograms
+	// (a served request's whole latency goes only into
+	// soda_server_decide_latency_seconds). Attached,
 	// it costs a served request three more clock reads (seven in all, one per
 	// stage boundary) and one ring append; nil records nothing. Either way
 	// the steady decide path allocates nothing.
@@ -229,7 +244,7 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 	s.tableCells = reg.Gauge("soda_server_decision_table_cells",
 		"total compiled decision-table cells resident", telemetry.None)
 	s.evictions = reg.Counter("soda_server_evictions_total",
-		"sessions evicted after idling past the TTL", telemetry.None)
+		"sessions evicted after idling past the TTL, by the sweep or to admit a new session", telemetry.None)
 	rejected := func(reason string) *telemetry.Counter {
 		return reg.Counter("soda_server_rejected_total",
 			"decide requests shed by the control plane, by reason", telemetry.None,
@@ -245,8 +260,11 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 }
 
 // RefreshMetrics updates the pull-only gauges (cache occupancy, live session
-// count, in-flight decides); MetricsHandler runs it as an onScrape hook.
+// count, in-flight decides) and advances soda_server_evictions_total to the
+// session table's own eviction count, which covers both the sweep and a full
+// shard's reclaim on Acquire; MetricsHandler runs it as an onScrape hook.
 func (s *DecideService) RefreshMetrics() {
+	s.evictions.AdvanceTo(float64(s.sessions.Stats().EvictedIdle))
 	if s.cache != nil {
 		st := s.cache.Stats()
 		s.cacheEntries.Set(float64(st.Entries))
@@ -272,9 +290,6 @@ func (s *DecideService) clock() int64 { return int64(time.Since(s.start)) }
 func (s *DecideService) SweepSessions(now time.Time) int {
 	at := now.Sub(s.start).Nanoseconds()
 	n := s.sessions.Sweep(at)
-	if n > 0 {
-		s.evictions.Add(float64(n))
-	}
 	idle := s.ttl.Nanoseconds()
 	if idle <= 0 {
 		idle = time.Minute.Nanoseconds()

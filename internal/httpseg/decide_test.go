@@ -448,8 +448,47 @@ func TestSessionChurnSteadyState(t *testing.T) {
 	if got := svc.SessionStats().Active; got != 0 {
 		t.Fatalf("sessions leaked: %d still live after final sweep", got)
 	}
+	svc.RefreshMetrics()
 	if got := svc.evictions.Value(); got == 0 {
 		t.Error("eviction counter never moved")
+	}
+}
+
+// TestDecideServiceEvictionMetricCountsReclaims pins that
+// soda_server_evictions_total counts every eviction the session table makes,
+// including the reclaims a full shard makes to admit a new session, which no
+// sweep sees.
+func TestDecideServiceEvictionMetricCountsReclaims(t *testing.T) {
+	svc, err := NewDecideService(video.Prototype(), DecideOptions{
+		MaxSessions: 1,
+		SessionTTL:  time.Nanosecond,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		res := svc.Decide(&DecideRequest{
+			Session:    fmt.Sprintf("reclaim-%d", i),
+			Buffer:     units.Seconds(10),
+			Throughput: units.Mbps(1.5),
+			Segment:    -1,
+		})
+		if res.Status != StatusOK {
+			t.Fatalf("request %d rejected: %d", i, res.Status)
+		}
+	}
+	evicted := svc.SessionStats().EvictedIdle
+	if evicted == 0 {
+		t.Fatal("no session was reclaimed: the run did not exercise a full shard")
+	}
+	svc.RefreshMetrics()
+	if got := svc.evictions.Value(); got != float64(evicted) {
+		t.Errorf("soda_server_evictions_total = %g, want the table's %d evictions", got, evicted)
+	}
+	// A second scrape with no new evictions moves nothing.
+	svc.RefreshMetrics()
+	if got := svc.evictions.Value(); got != float64(evicted) {
+		t.Errorf("re-scrape moved soda_server_evictions_total to %g, want %d", got, evicted)
 	}
 }
 

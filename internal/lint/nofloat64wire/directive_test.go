@@ -57,7 +57,7 @@ func TestDirectiveSetMatchesAllowList(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := []string{"internal/dash", "internal/flightrec", "internal/httpseg", "internal/proto", "internal/telemetry", "internal/trace"}
+	want := []string{"internal/flightrec", "internal/httpseg", "internal/proto", "internal/telemetry", "internal/trace"}
 	if got := sortedKeys(taggedDirs); !equal(got, want) {
 		t.Errorf("directories carrying %s = %v, want %v", nofloat64wire.Directive, got, want)
 	}

@@ -13,13 +13,13 @@
 // numbers because the other end is a byte format, not Go:
 //
 //	internal/proto      binary segment-streaming protocol (JSON manifest)
-//	internal/httpseg    HTTP/DASH segment transport
-//	internal/dash       MPEG-DASH MPD reader/writer
+//	internal/httpseg    /decide control plane (query floats in, JSON out)
 //	internal/trace      trace CSV reader/writer
 //	internal/telemetry  metrics exposition and decision-trace export (the
 //	                    registry enforces unit-suffixed metric names, so the
 //	                    dimension survives in the name even though the wire
 //	                    value is a bare number)
+//	internal/flightrec  span, incident and timeline JSONL and trace export
 //
 // Each wire package carries the machine-checked doc directive
 //
@@ -67,7 +67,7 @@ const Directive = "//soda:wire-boundary"
 // element of their import path (fixture packages mirror real ones by base
 // name, like the unitsafe "units" suffix rule). A package's external test
 // package shares its boundary status.
-var WirePackages = []string{"proto", "httpseg", "dash", "trace", "telemetry", "flightrec"}
+var WirePackages = []string{"proto", "httpseg", "trace", "telemetry", "flightrec"}
 
 // Analyzer is the nofloat64wire analyzer.
 var Analyzer = &lint.Analyzer{

@@ -30,7 +30,6 @@ func TestIsWireBoundary(t *testing.T) {
 	}{
 		{"repro/internal/proto", true},
 		{"repro/internal/httpseg", true},
-		{"repro/internal/dash", true},
 		{"repro/internal/trace", true},
 		{"repro/internal/trace_test", true},
 		{"repro/internal/telemetry", true},

@@ -180,10 +180,3 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	return NewConn(c, s), nil
 }
-
-// NewSharedListener wraps l so every accepted connection is paced by the
-// same shaper: concurrent connections contend for the trace's capacity like
-// flows sharing a bottleneck link (the multi-client fairness setting).
-func NewSharedListener(l net.Listener, s *Shaper) *Listener {
-	return NewListener(l, func() (*Shaper, error) { return s, nil })
-}

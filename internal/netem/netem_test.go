@@ -205,56 +205,3 @@ func TestSharedShaperSplitsCapacity(t *testing.T) {
 		t.Errorf("unfair completion times: %v vs %v", times[0], times[1])
 	}
 }
-
-func TestSharedListenerContention(t *testing.T) {
-	// Two real TCP connections through one shared shaper: the combined
-	// goodput matches the link, not 2x the link.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	shaper, err := NewShaper(trace.Constant(units.Mbps(32), units.Seconds(1000)), 4) // 128 Mb/s wall
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := NewSharedListener(ln, shaper)
-	payload := bytes.Repeat([]byte{1}, 512*1024) // 4 Mb each, 8 Mb total
-	go func() {
-		for i := 0; i < 2; i++ {
-			conn, err := shared.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				c.Write(payload)
-			}(conn)
-		}
-	}()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			io.ReadAll(c)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	// 8 Mb at 128 Mb/s wall = ~62 ms; two independent shapers would halve it.
-	if elapsed < 0.05 {
-		t.Errorf("transfer finished in %.3fs: contention not enforced", elapsed)
-	}
-	if elapsed > 0.8 {
-		t.Errorf("transfer took %.3fs, far above the shaped rate", elapsed)
-	}
-}

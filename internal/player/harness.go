@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/netem"
@@ -72,82 +71,4 @@ func RunSession(spec SessionSpec) (Result, error) {
 		return Result{}, fmt.Errorf("player: server did not shut down")
 	}
 	return res, playErr
-}
-
-// SharedSessionSpec describes n players streaming concurrently through one
-// trace-shaped bottleneck — the classic multi-client fairness setting: the
-// shaper's capacity is shared, so each player's ABR loop reacts to the
-// others' traffic.
-type SharedSessionSpec struct {
-	Trace         *trace.Trace
-	Ladder        video.Ladder
-	Sizes         video.SizeModel
-	TotalSegments int
-	TimeScale     float64
-	Players       []Config // Addr/TimeScale filled in by RunSharedSessions
-}
-
-// RunSharedSessions starts one server on a shared-shaper listener and runs
-// every player concurrently against it, returning per-player results in
-// input order.
-func RunSharedSessions(spec SharedSessionSpec) ([]Result, error) {
-	if spec.Trace == nil || spec.Trace.Len() == 0 {
-		return nil, fmt.Errorf("player: empty trace")
-	}
-	if spec.TotalSegments <= 0 || len(spec.Players) == 0 {
-		return nil, fmt.Errorf("player: need segments and players")
-	}
-	scale := spec.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
-	srv, err := proto.NewServer(spec.Ladder, spec.Sizes, spec.TotalSegments, nil)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	shaper, err := netem.NewShaper(spec.Trace, scale)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	shared := netem.NewSharedListener(ln, shaper)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, shared) }()
-
-	results := make([]Result, len(spec.Players))
-	errs := make([]error, len(spec.Players))
-	var wg sync.WaitGroup
-	for i := range spec.Players {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := spec.Players[i]
-			cfg.Addr = ln.Addr().String()
-			cfg.TimeScale = scale
-			if cfg.DialTimeout <= 0 {
-				cfg.DialTimeout = 2 * time.Minute
-			}
-			results[i], errs[i] = Play(cfg)
-		}(i)
-	}
-	wg.Wait()
-	cancel()
-	select {
-	case <-serveDone:
-	case <-time.After(10 * time.Second):
-		return nil, fmt.Errorf("player: shared server did not shut down")
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("player %d: %w", i, err)
-		}
-	}
-	return results, nil
 }

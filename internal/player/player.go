@@ -3,6 +3,12 @@
 // (§6.2), measuring QoE under real transport dynamics instead of the fluid
 // simulator.
 //
+// The prototype has one segment transport: Play dials an internal/proto
+// server, and RunSession (the unit of Figure 12) starts that server in
+// process on a loopback listener that internal/netem shapes with the
+// session's trace. soda-player drives Play against a soda-server -addr the
+// same way.
+//
 // The player operates in a compressed stream-time domain: with TimeScale = s
 // the server's traffic shaper plays the bandwidth trace s× faster and the
 // player's clock advances s stream-seconds per wall second, so a 10-minute
@@ -26,22 +32,10 @@ import (
 	"repro/internal/video"
 )
 
-// Fetcher is the transport a player session pulls segments through. Both
-// the binary TCP client (proto.Client) and the HTTP/DASH client
-// (httpseg.Client) implement it.
-type Fetcher interface {
-	Manifest() proto.Manifest
-	FetchSegment(index, rung int) (bytes int, elapsed time.Duration, err error)
-}
-
 // Config drives one prototype playback session.
 type Config struct {
-	// Addr is the segment server address, dialed with the binary protocol
-	// when Fetcher is nil.
+	// Addr is the segment server address, dialed with the binary protocol.
 	Addr string
-	// Fetcher overrides the transport; when set, Addr is ignored and the
-	// caller owns the fetcher's lifecycle.
-	Fetcher Fetcher
 	// Controller picks bitrates. Required.
 	Controller abr.Controller
 	// Predictor forecasts throughput. Required.
@@ -82,17 +76,13 @@ func Play(cfg Config) (Result, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	fetcher := cfg.Fetcher
-	if fetcher == nil {
-		client, err := proto.Dial(cfg.Addr, cfg.DialTimeout)
-		if err != nil {
-			return Result{}, err
-		}
-		defer client.Close()
-		fetcher = client
+	client, err := proto.Dial(cfg.Addr, cfg.DialTimeout)
+	if err != nil {
+		return Result{}, err
 	}
+	defer client.Close()
 
-	manifest := fetcher.Manifest()
+	manifest := client.Manifest()
 	ladder := video.NewLadder(manifest.BitratesMbps, units.Seconds(manifest.SegmentSeconds))
 	total := manifest.TotalSegments
 	if cfg.MaxSegments > 0 && cfg.MaxSegments < total {
@@ -155,7 +145,7 @@ func Play(cfg Config) (Result, error) {
 		}
 		rung := ladder.ClampIndex(decision.Rung)
 
-		nBytes, elapsed, err := fetcher.FetchSegment(seg, rung)
+		nBytes, elapsed, err := client.FetchSegment(seg, rung)
 		if err != nil {
 			return Result{}, fmt.Errorf("player: segment %d: %w", seg, err)
 		}

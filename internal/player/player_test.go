@@ -163,78 +163,3 @@ func TestPlayRespectsMaxSegments(t *testing.T) {
 		t.Errorf("segments = %d, want 8", res.Metrics.Segments)
 	}
 }
-
-func TestSharedSessionsFairness(t *testing.T) {
-	// Two SODA players share one 3 Mb/s bottleneck (prototype ladder tops at
-	// 2 Mb/s): each should settle around the ~1.2-1.5 Mb/s rungs rather than
-	// one starving while the other streams 2 Mb/s.
-	mkPlayer := func() Config {
-		ctrl, err := abr.New("soda", video.Prototype())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Controller: ctrl,
-			Predictor:  predictor.NewSafeEMA(),
-			BufferCap:  units.Seconds(15),
-		}
-	}
-	results, err := RunSharedSessions(SharedSessionSpec{
-		Trace:         trace.Constant(units.Mbps(3), units.Seconds(4000)),
-		Ladder:        video.Prototype(),
-		TotalSegments: 40,
-		TimeScale:     15,
-		Players:       []Config{mkPlayer(), mkPlayer()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Judge the split by delivered bitrate, not SSIM utility (the SSIM curve
-	// is nearly flat across the top rungs).
-	meanRung := func(rungs []int) float64 {
-		s := 0.0
-		for _, r := range rungs {
-			s += float64(r)
-		}
-		return s / float64(len(rungs))
-	}
-	var rungMeans, stalls [2]float64
-	for i, r := range results {
-		if r.Metrics.Segments != 40 {
-			t.Errorf("player %d: segments = %d", i, r.Metrics.Segments)
-		}
-		rungMeans[i] = meanRung(r.Rungs)
-		stalls[i] = r.Metrics.RebufferRatio
-	}
-	// Rough fairness: neither player dominates outright.
-	lo, hi := rungMeans[0], rungMeans[1]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi-lo > 1.5 {
-		t.Errorf("unfair split: mean rungs %v", rungMeans)
-	}
-	// The link is oversubscribed (2 players x up-to-2 Mb/s on 3 Mb/s):
-	// contention must show up as backing off the top rung or as stalls.
-	// Both players streaming rung 4 continuously (4 Mb/s combined on a
-	// 3 Mb/s link) without stalls would mean the bottleneck is not shared.
-	if lo > 3.7 && hi > 3.7 && stalls[0]+stalls[1] < 0.01 {
-		t.Errorf("no contention signature: mean rungs %v, stalls %v", rungMeans, stalls)
-	}
-}
-
-func TestSharedSessionsValidation(t *testing.T) {
-	if _, err := RunSharedSessions(SharedSessionSpec{}); err == nil {
-		t.Error("empty spec accepted")
-	}
-	if _, err := RunSharedSessions(SharedSessionSpec{
-		Trace:         trace.Constant(units.Mbps(3), units.Seconds(100)),
-		Ladder:        video.Prototype(),
-		TotalSegments: 10,
-	}); err == nil {
-		t.Error("no players accepted")
-	}
-}

@@ -100,20 +100,6 @@ type Config struct {
 	// Treatment and Control name the registered controllers for the two
 	// arms ("soda" and "prod-baseline" by default).
 	Treatment, Control string
-	// SharedCacheEntries sizes the fleet-wide solve cache each SODA arm's
-	// sessions share (one cache per family per arm, as a deployment would
-	// shard per ladder/config). 0 disables sharing. Decisions are
-	// bit-identical either way, so the A/B outcome is unaffected; the knob
-	// only changes how much solver work the arm performs.
-	SharedCacheEntries int
-	// TableQuantum enables compiled decision tables on the SODA arm at that
-	// quantization step (one table set per family per arm, beside the solve
-	// cache). Tables change where decisions come from, not what they are —
-	// in-domain states read the compiled map, everything else solves — so the
-	// A/B outcome at a given quantum is a function of the quantum alone.
-	// 0 disables tables and keeps the arm planning at MemoQuantum, the path
-	// the Figure 13 goldens were recorded with.
-	TableQuantum float64
 	// Seed makes the experiment reproducible.
 	Seed uint64
 	// Telemetry, when non-nil, receives per-arm gauges (viewing, bitrate,
@@ -128,14 +114,13 @@ type Config struct {
 // bench.
 func DefaultConfig() Config {
 	return Config{
-		SessionsPerArm:     40,
-		SessionLength:      units.Seconds(600),
-		StreamLength:       units.Minutes(150),
-		BufferCap:          units.Seconds(20),
-		Treatment:          "soda",
-		Control:            "prod-baseline",
-		SharedCacheEntries: 1 << 15,
-		Seed:               2024,
+		SessionsPerArm: 40,
+		SessionLength:  units.Seconds(600),
+		StreamLength:   units.Minutes(150),
+		BufferCap:      units.Seconds(20),
+		Treatment:      "soda",
+		Control:        "prod-baseline",
+		Seed:           2024,
 	}
 }
 
@@ -216,11 +201,11 @@ func Run(cfg Config) ([]FamilyReport, error) {
 		// viewing-duration delta reflects the quality difference rather than
 		// sampling noise — the standard variance-reduction device for paired
 		// A/B comparisons.
-		treat, err := runArm(cfg, cfg.Treatment, ladder, ds, model, cfg.Seed+77, armCache(cfg, cfg.Treatment), armTables(cfg, cfg.Treatment))
+		treat, err := runArm(cfg, cfg.Treatment, ladder, ds, model, cfg.Seed+77)
 		if err != nil {
 			return nil, fmt.Errorf("prod: %s/%s: %w", fam.Name, cfg.Treatment, err)
 		}
-		control, err := runArm(cfg, cfg.Control, ladder, ds, model, cfg.Seed+77, armCache(cfg, cfg.Control), armTables(cfg, cfg.Control))
+		control, err := runArm(cfg, cfg.Control, ladder, ds, model, cfg.Seed+77)
 		if err != nil {
 			return nil, fmt.Errorf("prod: %s/%s: %w", fam.Name, cfg.Control, err)
 		}
@@ -259,50 +244,47 @@ func rel[T ~float64](treat, control T) float64 {
 	return float64((treat - control) / control)
 }
 
-// armCache builds the fleet solve cache for one arm of one family, or nil
-// when sharing is disabled or the arm's controller cannot use one ("soda" is
-// the only registered controller with a shared-cache hook).
-func armCache(cfg Config, controller string) *core.SolveCache {
-	if cfg.SharedCacheEntries <= 0 || controller != "soda" {
-		return nil
-	}
-	return core.NewSolveCache(cfg.SharedCacheEntries)
-}
+// sharedCacheEntries sizes the fleet-wide solve cache each SODA arm's
+// sessions share (one cache per family per arm, as a deployment would shard
+// per ladder/config). Decisions are bit-identical with or without it, so the
+// A/B outcome is unaffected; it only changes how much solver work the arm
+// performs.
+const sharedCacheEntries = 1 << 15
 
-// armTables builds the compiled-table set for one arm of one family, or nil
-// when tables are disabled or the arm's controller has no table hook.
-func armTables(cfg Config, controller string) *core.DecisionTables {
-	if cfg.TableQuantum <= 0 || controller != "soda" {
-		return nil
+// armFactory resolves the arm's controller once and returns a constructor
+// for its sessions, plus the arm's shared solve cache (nil for an arm that
+// has none). The "soda" arm seats every session on one policy: the
+// registry's "soda" configuration plus a solve cache the arm's sessions
+// share, so it decides like the registry's controller, and a session costs
+// one allocation, its controller. Any other controller comes from the abr
+// registry.
+func armFactory(controller string, ladder video.Ladder) (func() abr.Controller, *core.SolveCache, error) {
+	if controller != "soda" {
+		factory, err := abr.Lookup(controller)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func() abr.Controller { return factory(ladder) }, nil, nil
 	}
-	return core.NewDecisionTables()
-}
-
-// armFactory resolves the arm's controller once, attaching the shared solve
-// cache and table set when they apply. The augmented construction is the
-// registry's "soda" configuration plus the fleet state, so the two paths
-// decide identically (tables additionally move the arm to TableQuantum).
-func armFactory(controller string, cache *core.SolveCache, tables *core.DecisionTables, tableQuantum float64) (abr.Factory, error) {
-	if cache != nil || tables != nil {
-		ccfg := core.DefaultConfig()
-		ccfg.SharedCache = cache
-		ccfg.DecisionTable = tables
-		ccfg.TableQuantum = tableQuantum
-		return func(ladder video.Ladder) abr.Controller { return core.New(ccfg, ladder) }, nil
+	cfg := core.DefaultConfig()
+	cfg.SharedCache = core.NewSolveCache(sharedCacheEntries)
+	policy, err := core.NewPolicy(cfg, ladder)
+	if err != nil {
+		return nil, nil, err
 	}
-	return abr.Lookup(controller)
+	return func() abr.Controller { return policy.New() }, cfg.SharedCache, nil
 }
 
 // runArm simulates every session of the dataset under one controller on
 // sim.RunMany and aggregates the arm statistics in session order. The
 // engagement draw is deterministic per (seed, session).
-func runArm(cfg Config, controller string, ladder video.Ladder, ds *tracegen.Dataset, model engagement.Model, seed uint64, cache *core.SolveCache, tables *core.DecisionTables) (ArmStats, error) {
-	newCtrl, err := armFactory(controller, cache, tables, cfg.TableQuantum)
+func runArm(cfg Config, controller string, ladder video.Ladder, ds *tracegen.Dataset, model engagement.Model, seed uint64) (ArmStats, error) {
+	newCtrl, cache, err := armFactory(controller, ladder)
 	if err != nil {
 		return ArmStats{}, err
 	}
 	results, err := sim.RunMany(ds.Sessions, func() (abr.Controller, predictor.Predictor) {
-		return newCtrl(ladder), predictor.NewSlidingWindow(units.Seconds(12))
+		return newCtrl(), predictor.NewSlidingWindow(units.Seconds(12))
 	}, sim.Config{Ladder: ladder, BufferCap: cfg.BufferCap, SessionSeconds: cfg.SessionLength})
 	if err != nil {
 		return ArmStats{}, err

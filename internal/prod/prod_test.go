@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/video"
+
 	// Controller registrations.
 	_ "repro/internal/baseline"
 	_ "repro/internal/core"
@@ -80,5 +82,22 @@ func TestRelHelper(t *testing.T) {
 	}
 	if rel(0.0, 0.0) != 0 || rel(5.0, 0.0) != 1 {
 		t.Error("degenerate rel cases")
+	}
+}
+
+// TestSODAArmAllocatesOncePerSession pins that a SODA arm validates and
+// builds its policy once: after the first session, each session allocates
+// only its controller.
+func TestSODAArmAllocatesOncePerSession(t *testing.T) {
+	newCtrl, cache, err := armFactory("soda", video.PrimeVideo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache == nil {
+		t.Fatal("the SODA arm has no shared solve cache")
+	}
+	newCtrl()
+	if got := testing.AllocsPerRun(100, func() { newCtrl() }); got != 1 {
+		t.Errorf("a SODA arm session allocates %g times, want 1", got)
 	}
 }

@@ -104,6 +104,18 @@ func (c *Counter) Add(v float64) {
 	c.v.Add(v)
 }
 
+// AdvanceTo raises the counter to total when it is below it, for a counter
+// that mirrors a monotone count kept elsewhere. Concurrent callers with the
+// same or growing totals never count one increment twice.
+func (c *Counter) AdvanceTo(total float64) {
+	for {
+		old := c.v.bits.Load()
+		if math.Float64frombits(old) >= total || c.v.bits.CompareAndSwap(old, math.Float64bits(total)) {
+			return
+		}
+	}
+}
+
 // Value returns the current total.
 func (c *Counter) Value() float64 { return c.v.Load() }
 

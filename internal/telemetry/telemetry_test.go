@@ -42,6 +42,32 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterAdvanceTo pins that a mirrored counter only moves up, and that
+// concurrent scrapes advancing it to one total count it once.
+func TestCounterAdvanceTo(t *testing.T) {
+	c := NewRegistry().Counter("soda_mirrored_total", "mirrored", None)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.AdvanceTo(48)
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != 48 {
+		t.Fatalf("8 concurrent advances to 48 read %g", got)
+	}
+	c.AdvanceTo(40)
+	if got := c.Value(); got != 48 {
+		t.Fatalf("advance to a lower total moved the counter to %g", got)
+	}
+	c.AdvanceTo(50)
+	if got := c.Value(); got != 50 {
+		t.Fatalf("advance to 50 read %g", got)
+	}
+}
+
 func TestNegativeCounterAddPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

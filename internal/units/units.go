@@ -26,9 +26,9 @@
 // arithmetic (cost functions, utilities, statistics) and at serialization
 // boundaries. The decision path (abr.Context, the predictors, qoe, the
 // player and production harnesses) is fully typed; only packages tagged as
-// wire boundaries (proto, httpseg, dash, trace — see the `nofloat64wire`
-// analyzer) may launder unit values into foreign float64 APIs. Keep the
-// dimensioned form as long as the value has a unit.
+// wire boundaries (proto, httpseg, trace, telemetry, flightrec — see the
+// `nofloat64wire` analyzer) may launder unit values into foreign float64
+// APIs. Keep the dimensioned form as long as the value has a unit.
 //
 // All types use float64 underneath and incur zero runtime cost: the
 // conversions and helper methods compile to the identical floating-point
@@ -52,8 +52,8 @@ type Milliseconds float64
 // ladders and throughput traces in this repository.
 type Mbps float64
 
-// Kbps is a data rate in kilobits per second; used at boundaries (DASH
-// manifests, logs) where bitrates are natively quoted in Kbps.
+// Kbps is a data rate in kilobits per second; used at boundaries (logs,
+// manifests) where bitrates are natively quoted in Kbps.
 type Kbps float64
 
 // Megabits is a data size in megabits — the native unit of segment sizes.
@@ -95,11 +95,6 @@ func (r Mbps) Scale(f float64) Mbps { return Mbps(float64(r) * f) }
 
 // Scale returns the size scaled by a dimensionless factor.
 func (b Megabits) Scale(f float64) Megabits { return Megabits(float64(b) * f) }
-
-// Bps returns the rate's magnitude in bits per second, for wire formats
-// (e.g. the DASH MPD @bandwidth attribute) that are natively
-// bits-per-second integers.
-func (r Mbps) Bps() float64 { return float64(r) * 1e6 }
 
 // MegabitsIn returns the data volume carried at rate r over duration d:
 // rate x time = size.
