@@ -4,11 +4,11 @@
 GO ?= go
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all ci lint test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
+.PHONY: all ci lint test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover results-check bench bench-gate loadgen-gate fuzz build buildrelease build386 vuln
 
 all: lint test
 
-ci: lint build buildrelease build386 test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover fuzz loadgen-gate bench-gate vuln
+ci: lint build buildrelease build386 test test-shuffle benchmark-module conformance flightrec-conformance smoke session-race cover results-check fuzz loadgen-gate bench-gate vuln
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,20 @@ session-race:
 cover:
 	$(GO) run ./cmd/soda-cover
 
+# results-check regenerates, at the default scale, every report in results/
+# that is a pure function of seed and scale, and fails on any byte of
+# difference from the committed file, naming the files that differ. fig12 and
+# table1 stay out: they stream over real TCP on loopback, so they read the
+# host's load. The reports are defined on amd64, CI's runner; on arm64 the Go
+# compiler may fuse multiply-adds, which can move the last printed digits.
+# After an intended change, regenerate with
+# `go run ./cmd/soda-experiments -out results/`.
+RESULTS_CHECKED = fig1,fig2,fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig13,oracle,regret,monotone,ablations
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/soda-experiments -only $(RESULTS_CHECKED) -out "$$tmp" && \
+	diff -ru -x fig12.txt -x table1.txt results "$$tmp"
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -129,6 +143,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegmentRequest$$' -fuzztime 10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/trace
 
 # vuln mirrors the CI govulncheck step: pinned version, and a visible skip
 # instead of a failure when the module proxy is unreachable (hermetic hosts).

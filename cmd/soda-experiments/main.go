@@ -1,5 +1,8 @@
 // Command soda-experiments regenerates the paper's tables and figures and
-// writes the text reports to stdout (or a directory with -out).
+// writes the text reports to stdout (or a directory with -out). It is the one
+// front end for the internal/experiments drivers: results/ is its output at
+// the default scale, and `make results-check` fails when a regenerated report
+// differs from the committed one.
 //
 // Usage:
 //
@@ -19,9 +22,9 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated subset (fig1..fig13, table1, regret, monotone)")
+	only := flag.String("only", "", "comma-separated subset (fig1..fig13, table1, oracle, regret, monotone, ablations)")
 	out := flag.String("out", "", "directory to write per-experiment reports (default: stdout)")
-	scaleFactor := flag.Float64("scale", 0, "workload multiplier (overrides SODA_EXPERIMENT_SCALE)")
+	scaleFactor := flag.Float64("scale", 0, "multiplier for the default session and sample counts")
 	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -31,11 +34,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *scaleFactor > 0 {
-		os.Setenv("SODA_EXPERIMENT_SCALE", fmt.Sprint(*scaleFactor))
-	}
-	scale := experiments.DefaultScale()
+	scale := experiments.DefaultScale().Scaled(*scaleFactor)
 	scale.Telemetry = prof.Collector()
+	// Table 1 is built from the fig10 and fig12 results of the same run, and
+	// computes them itself only when they were not selected.
+	var fig10 *experiments.Figure10Result
+	var fig12 *experiments.Figure12Result
 
 	selected := map[string]bool{}
 	if *only != "" {
@@ -59,18 +63,21 @@ func main() {
 		{"fig7", func() (string, error) { r, err := experiments.Figure07(scale); return render(r, err) }},
 		{"fig8", func() (string, error) { return experiments.Figure08(scale).Render(), nil }},
 		{"fig9", func() (string, error) { r, err := experiments.Figure09(scale); return render(r, err) }},
-		{"fig10", func() (string, error) { r, err := experiments.Figure10(scale); return render(r, err) }},
+		{"fig10", func() (string, error) { r, err := experiments.Figure10(scale); fig10 = r; return render(r, err) }},
 		{"fig11", func() (string, error) { r, err := experiments.Figure11(scale); return render(r, err) }},
-		{"fig12", func() (string, error) { r, err := experiments.Figure12(scale); return render(r, err) }},
+		{"fig12", func() (string, error) { r, err := experiments.Figure12(scale); fig12 = r; return render(r, err) }},
 		{"fig13", func() (string, error) { r, err := experiments.Figure13(scale); return render(r, err) }},
 		{"table1", func() (string, error) {
-			fig10, err := experiments.Figure10(scale)
-			if err != nil {
-				return "", err
+			var err error
+			if fig10 == nil {
+				if fig10, err = experiments.Figure10(scale); err != nil {
+					return "", err
+				}
 			}
-			fig12, err := experiments.Figure12(scale)
-			if err != nil {
-				return "", err
+			if fig12 == nil {
+				if fig12, err = experiments.Figure12(scale); err != nil {
+					return "", err
+				}
 			}
 			return experiments.Table01(fig10, fig12).Render(), nil
 		}},

@@ -49,10 +49,8 @@ type Config struct {
 	Beta float64
 	// Gamma weights the switching cost c(r, r').
 	Gamma float64
-	// TargetBuffer is x̄, the buffer level the controller steers toward.
-	// Zero means "derive from the buffer cap" (TargetFraction).
-	TargetBuffer units.Seconds
-	// TargetFraction sets x̄ = TargetFraction · xmax when TargetBuffer is 0.
+	// TargetFraction sets x̄ = TargetFraction · xmax, the buffer level the
+	// controller steers toward.
 	TargetFraction float64
 	// Epsilon is the ε < 1 roll-off of the buffer cost above the target.
 	Epsilon float64
@@ -155,10 +153,7 @@ func (c Config) Validate() error {
 	if c.Epsilon <= 0 || c.Epsilon >= 1 {
 		return fmt.Errorf("core: epsilon %v outside (0, 1)", c.Epsilon)
 	}
-	if c.TargetBuffer < 0 {
-		return fmt.Errorf("core: negative target buffer %v", c.TargetBuffer)
-	}
-	if c.TargetBuffer == 0 && (c.TargetFraction <= 0 || c.TargetFraction >= 1) {
+	if c.TargetFraction <= 0 || c.TargetFraction >= 1 {
 		return fmt.Errorf("core: target fraction %v outside (0, 1)", c.TargetFraction)
 	}
 	if c.Distortion != DistortionInverse && c.Distortion != DistortionLog {
@@ -232,15 +227,11 @@ func newCostModel(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *Cos
 }
 
 func newCostParams(cfg Config, ladder video.Ladder, bufferCap units.Seconds) *costParams {
-	target := cfg.TargetBuffer
-	if target == 0 {
-		target = units.Seconds(cfg.TargetFraction * float64(bufferCap))
-	}
 	m := &costParams{
 		ladder: ladder,
 		dt:     ladder.SegmentSeconds,
 		xmax:   bufferCap,
-		target: target,
+		target: units.Seconds(cfg.TargetFraction * float64(bufferCap)),
 		beta:   cfg.Beta,
 		gamma:  cfg.Gamma,
 		eps:    cfg.Epsilon,

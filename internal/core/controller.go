@@ -378,16 +378,9 @@ func Grid[T ~float64](lo, hi float64, n int) []T {
 	return out
 }
 
-// MismatchProbability samples random planning situations and reports how
-// often the monotonic solver's committed decision differs from brute force —
-// the Figure 8 experiment. Situations draw buffer uniformly in (0, cap),
-// previous rung uniformly, and throughput uniformly in [rmin/2, 2·rmax].
-func MismatchProbability(cfg Config, ladder video.Ladder, bufferCap units.Seconds, samples int, seed uint64) float64 {
-	return MismatchProbabilityStats(cfg, ladder, bufferCap, samples, seed).Probability
-}
-
-// MismatchStats extends MismatchProbability with the monotone solver's work
-// counters, so the Figure 8 drivers and benchmarks can report the
+// MismatchStats is the outcome of the Figure 8 experiment: how often the
+// monotonic solver's committed decision differs from brute force, with the
+// monotone solver's work counters, so the Figure 8 driver can report the
 // branch-and-bound win alongside the approximation quality.
 type MismatchStats struct {
 	Probability float64
@@ -399,8 +392,11 @@ type MismatchStats struct {
 	PrunedPerSolve float64
 }
 
-// MismatchProbabilityStats runs the Figure 8 sampling and also reports the
-// monotone solver's per-solve work.
+// MismatchProbabilityStats samples random planning situations and reports how
+// often the monotonic solver's committed decision differs from brute force,
+// with the monotone solver's per-solve work. Situations draw buffer uniformly
+// in (0, cap), previous rung uniformly, and throughput uniformly in
+// [rmin/2, 2·rmax].
 func MismatchProbabilityStats(cfg Config, ladder video.Ladder, bufferCap units.Seconds, samples int, seed uint64) MismatchStats {
 	if samples <= 0 {
 		return MismatchStats{}
@@ -444,7 +440,7 @@ func MismatchProbabilityStats(cfg Config, ladder video.Ladder, bufferCap units.S
 	return out
 }
 
-// splitMix is a tiny deterministic PRNG (SplitMix64) so MismatchProbability
+// splitMix is a tiny deterministic PRNG (SplitMix64) so MismatchProbabilityStats
 // does not depend on math/rand ordering across Go versions.
 type splitMix struct{ state uint64 }
 

@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		mut(func(c *Config) { c.Gamma = -1 }),
 		mut(func(c *Config) { c.Epsilon = 0 }),
 		mut(func(c *Config) { c.Epsilon = 1 }),
-		mut(func(c *Config) { c.TargetBuffer = -2 }),
 		mut(func(c *Config) { c.TargetFraction = 0 }),
 		mut(func(c *Config) { c.TargetFraction = 1.5 }),
 		mut(func(c *Config) { c.Distortion = Distortion(9) }),
@@ -162,7 +161,7 @@ func TestMonotonicMatchesBruteForceHighGamma(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Gamma = 1000 // strong smoothing: Theorem 4.3 regime
 	cfg.Horizon = 2
-	p := MismatchProbability(cfg, video.YouTube4K(), units.Seconds(20), 1500, 11)
+	p := MismatchProbabilityStats(cfg, video.YouTube4K(), units.Seconds(20), 1500, 11).Probability
 	if p > 0.02 {
 		t.Errorf("high-gamma mismatch probability = %v, want ~0", p)
 	}
@@ -176,7 +175,7 @@ func TestMismatchProbabilityDecreasesWithGamma(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Gamma = gamma
 		cfg.Horizon = 3
-		probs = append(probs, MismatchProbability(cfg, video.YouTube4K(), units.Seconds(20), 1500, 5))
+		probs = append(probs, MismatchProbabilityStats(cfg, video.YouTube4K(), units.Seconds(20), 1500, 5).Probability)
 	}
 	if !(probs[0] > probs[1] && probs[1] >= probs[2]) {
 		t.Errorf("mismatch not shrinking in gamma: %v", probs)
@@ -188,7 +187,7 @@ func TestMismatchProbabilityDecreasesWithGamma(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Gamma = 0.3
 	cfg.Horizon = 2
-	k2 := MismatchProbability(cfg, video.YouTube4K(), units.Seconds(20), 1500, 5)
+	k2 := MismatchProbabilityStats(cfg, video.YouTube4K(), units.Seconds(20), 1500, 5).Probability
 	if k2 > probs[1] {
 		t.Errorf("K=2 mismatch %v should be below K=3 mismatch %v", k2, probs[1])
 	}

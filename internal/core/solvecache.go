@@ -318,7 +318,6 @@ func modelFingerprint(cfg Config, ladder video.Ladder, bufferCap units.Seconds) 
 	mixFloat(float64(bufferCap))
 	mixFloat(cfg.Beta)
 	mixFloat(cfg.Gamma)
-	mixFloat(float64(cfg.TargetBuffer))
 	mixFloat(cfg.TargetFraction)
 	mixFloat(cfg.Epsilon)
 	bits := uint64(cfg.Distortion) << 2

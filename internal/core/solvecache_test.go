@@ -123,7 +123,6 @@ func TestModelFingerprintSeparatesConfigurations(t *testing.T) {
 		{"buffer-cap", modelFingerprint(base, ladder, units.Seconds(15))},
 		{"beta", modelFingerprint(withCfg(base, func(c *Config) { c.Beta = 0.3 }), ladder, cap20)},
 		{"gamma", modelFingerprint(withCfg(base, func(c *Config) { c.Gamma = 2 }), ladder, cap20)},
-		{"target-buffer", modelFingerprint(withCfg(base, func(c *Config) { c.TargetBuffer = units.Seconds(9) }), ladder, cap20)},
 		{"target-fraction", modelFingerprint(withCfg(base, func(c *Config) { c.TargetFraction = 0.5 }), ladder, cap20)},
 		{"epsilon", modelFingerprint(withCfg(base, func(c *Config) { c.Epsilon = 0.4 }), ladder, cap20)},
 		{"distortion", modelFingerprint(withCfg(base, func(c *Config) { c.Distortion = DistortionInverse }), ladder, cap20)},

@@ -65,15 +65,6 @@ func (m Model) ExpectedViewingMinutes(switchRate, rebufferRatio float64, stream 
 	return units.Minutes((1 - math.Exp(-h*float64(stream))) / h)
 }
 
-// ExpectedViewingFraction returns ExpectedViewingMinutes normalized by the
-// stream length — the y-axis of Figure 1.
-func (m Model) ExpectedViewingFraction(switchRate, rebufferRatio float64, stream units.Minutes) float64 {
-	if stream <= 0 {
-		return 0
-	}
-	return float64(m.ExpectedViewingMinutes(switchRate, rebufferRatio, stream) / stream)
-}
-
 // SampleViewingMinutes draws one stochastic viewing duration for a session,
 // used by the production A/B simulator.
 func (m Model) SampleViewingMinutes(switchRate, rebufferRatio float64, stream units.Minutes, rng *rand.Rand) units.Minutes {
@@ -83,14 +74,4 @@ func (m Model) SampleViewingMinutes(switchRate, rebufferRatio float64, stream un
 		return stream
 	}
 	return t
-}
-
-// MarginalMinutesPerRebufferPoint returns the change in expected viewing
-// minutes caused by one percentage point (0.01) of additional rebuffering,
-// evaluated at the given operating point. Used to verify the "-3 minutes per
-// 1% rebuffering" calibration anchor.
-func (m Model) MarginalMinutesPerRebufferPoint(switchRate, rebufferRatio float64, stream units.Minutes) units.Minutes {
-	base := m.ExpectedViewingMinutes(switchRate, rebufferRatio, stream)
-	bumped := m.ExpectedViewingMinutes(switchRate, rebufferRatio+0.01, stream)
-	return bumped - base
 }

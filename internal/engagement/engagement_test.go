@@ -8,15 +8,21 @@ import (
 	"repro/internal/units"
 )
 
+// viewingFraction is the expected share of the stream watched: the y-axis of
+// Figure 1.
+func viewingFraction(m Model, switchRate float64, stream units.Minutes) float64 {
+	return float64(m.ExpectedViewingMinutes(switchRate, 0, stream) / stream)
+}
+
 func TestFigure1Anchor(t *testing.T) {
 	// Users watch < 10% of the stream when switching rate > 20% (Fig. 1),
 	// evaluated on a 2-hour sports stream with no rebuffering.
 	m := Default()
-	if frac := m.ExpectedViewingFraction(0.21, 0, units.Minutes(120)); frac >= 0.10 {
+	if frac := viewingFraction(m, 0.21, units.Minutes(120)); frac >= 0.10 {
 		t.Errorf("viewing fraction at 21%% switching = %v, want < 0.10", frac)
 	}
 	// A perfectly smooth session is mostly watched.
-	if frac := m.ExpectedViewingFraction(0, 0, units.Minutes(120)); frac < 0.5 {
+	if frac := viewingFraction(m, 0, units.Minutes(120)); frac < 0.5 {
 		t.Errorf("smooth-session viewing fraction = %v, want > 0.5", frac)
 	}
 }
@@ -25,7 +31,8 @@ func TestRebufferingAnchor(t *testing.T) {
 	// ~3 minutes of viewing lost per 1% of rebuffering, near the typical
 	// live operating point (low switching, low rebuffering, long stream).
 	m := Default()
-	d := m.MarginalMinutesPerRebufferPoint(0.02, 0.005, units.Minutes(180))
+	stream := units.Minutes(180)
+	d := m.ExpectedViewingMinutes(0.02, 0.015, stream) - m.ExpectedViewingMinutes(0.02, 0.005, stream)
 	if d >= 0 {
 		t.Fatalf("rebuffering should reduce viewing, delta = %v", d)
 	}
@@ -38,7 +45,7 @@ func TestViewingFractionMonotone(t *testing.T) {
 	m := Default()
 	prev := math.Inf(1)
 	for s := 0.0; s <= 0.5; s += 0.05 {
-		f := m.ExpectedViewingFraction(s, 0, units.Minutes(120))
+		f := viewingFraction(m, s, units.Minutes(120))
 		if f >= prev {
 			t.Fatalf("viewing fraction not decreasing in switching at %v", s)
 		}
@@ -53,9 +60,6 @@ func TestExpectedViewingBounds(t *testing.T) {
 	m := Default()
 	if v := m.ExpectedViewingMinutes(0, 0, units.Minutes(60)); v <= 0 || v > 60 {
 		t.Errorf("expected viewing = %v", v)
-	}
-	if f := m.ExpectedViewingFraction(0, 0, units.Minutes(0)); f != 0 {
-		t.Errorf("zero-length stream fraction = %v", f)
 	}
 	// Hazard floor keeps the model defined even with absurd inputs.
 	if h := (Model{BaseRatePerMin: -5}).HazardPerMin(0, 0); h <= 0 {

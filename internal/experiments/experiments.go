@@ -1,21 +1,19 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation. Every driver is deterministic for a given (Scale,
-// seed), returns a structured result, and can render itself as a text
-// report; the root-level benchmarks and cmd/soda-experiments are thin
-// wrappers around these drivers.
+// paper's evaluation. Every driver returns a structured result and can
+// render itself as a text report; cmd/soda-experiments is the one front end
+// that runs them and writes results/. Every report except Figure 12 and
+// Table 1, which run real TCP on loopback, is a pure function of the Scale
+// and its seed.
 //
 // Paper-scale runs (230k sessions, 10^6 solver samples) are impractical in a
-// test cycle; Scale controls the reduced defaults and can be multiplied via
-// the SODA_EXPERIMENT_SCALE environment variable (e.g. "4" runs 4x more
-// sessions everywhere).
+// test cycle; DefaultScale holds the reduced defaults and Scale.Scaled
+// multiplies them (soda-experiments -scale 4 runs 4x more sessions
+// everywhere).
 package experiments
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
-	"sync"
 
 	"repro/internal/abr"
 	"repro/internal/core"
@@ -60,10 +58,9 @@ type Scale struct {
 	Telemetry *telemetry.Collector
 }
 
-// DefaultScale returns the reduced default workload, honoring the
-// SODA_EXPERIMENT_SCALE multiplier.
+// DefaultScale returns the reduced default workload.
 func DefaultScale() Scale {
-	s := Scale{
+	return Scale{
 		SessionsPerDataset: 40,
 		SessionSeconds:     units.Seconds(600),
 		SolverSamples:      4000,
@@ -73,15 +70,19 @@ func DefaultScale() Scale {
 		ProdSessionsPerArm: 30,
 		Seed:               20240804, // SIGCOMM '24 presentation date
 	}
-	if v := os.Getenv("SODA_EXPERIMENT_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			s.SessionsPerDataset = int(float64(s.SessionsPerDataset) * f)
-			s.SolverSamples = int(float64(s.SolverSamples) * f)
-			s.NoiseSessions = int(float64(s.NoiseSessions) * f)
-			s.PrototypeSessions = int(float64(s.PrototypeSessions) * f)
-			s.ProdSessionsPerArm = int(float64(s.ProdSessionsPerArm) * f)
-		}
+}
+
+// Scaled returns s with its session and sample counts multiplied by f. A
+// factor of 0 or less returns s unchanged.
+func (s Scale) Scaled(f float64) Scale {
+	if f <= 0 {
+		return s
 	}
+	s.SessionsPerDataset = int(float64(s.SessionsPerDataset) * f)
+	s.SolverSamples = int(float64(s.SolverSamples) * f)
+	s.NoiseSessions = int(float64(s.NoiseSessions) * f)
+	s.PrototypeSessions = int(float64(s.PrototypeSessions) * f)
+	s.ProdSessionsPerArm = int(float64(s.ProdSessionsPerArm) * f)
 	return s
 }
 
@@ -114,64 +115,24 @@ func runControllerOnSessions(name string, ladder video.Ladder, sessions []*trace
 	})
 }
 
-// sharedCacheEntries sizes the per-bucket fleet solve cache of the Figure 10
-// SODA runs — large enough that the quantized states of a dataset bucket
-// never evict each other at the default MemoQuantum.
-const sharedCacheEntries = 1 << 16
-
-// solveTally sums per-session SODA solver statistics across a dataset run.
-// Its hook runs on the sim.RunDataset worker goroutines, hence the lock.
-type solveTally struct {
-	mu       sync.Mutex
-	sessions int
-	stats    core.SolveStats
-}
-
-func (t *solveTally) hook(_ int, ctrl abr.Controller, _ sim.Result) {
-	c, ok := ctrl.(*core.Controller)
-	if !ok {
-		return
-	}
-	s := c.SolveStats()
-	t.mu.Lock()
-	t.sessions++
-	t.stats.Add(s)
-	t.mu.Unlock()
-}
-
-// solvesPerSession is the mean number of CostModel solves one session ran —
-// the quantity the shared cache exists to shrink.
-func (t *solveTally) solvesPerSession() float64 {
-	if t.sessions == 0 {
-		return 0
-	}
-	return float64(t.stats.Solves) / float64(t.sessions)
-}
-
-// runSodaOnSessions is runControllerOnSessions for the SODA arm with a
-// fleet-wide solve cache attached (nil runs uncached), returning the summed
-// per-session solver statistics alongside the metrics. Decisions — and hence
-// metrics — are bit-identical to the uncached runControllerOnSessions path;
-// the shared-cache conformance contract in internal/abrtest pins this.
-func runSodaOnSessions(ladder video.Ladder, sessions []*trace.Trace, sessionLength, bufferCap units.Seconds, cache *core.SolveCache, col *telemetry.Collector) ([]qoe.Metrics, *solveTally, error) {
-	cfg := core.DefaultConfig()
-	cfg.SharedCache = cache
-	policy, err := core.NewPolicy(cfg, ladder)
+// runSodaOnSessions is runControllerOnSessions for the SODA arm, with every
+// session seated on one policy and decision events going to col when it is
+// non-nil. Decisions, and hence metrics, are bit-identical to the registry's
+// "soda" controller.
+func runSodaOnSessions(ladder video.Ladder, sessions []*trace.Trace, sessionLength, bufferCap units.Seconds, col *telemetry.Collector) ([]qoe.Metrics, error) {
+	policy, err := core.NewPolicy(core.DefaultConfig(), ladder)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tally := &solveTally{}
 	factory := func() (abr.Controller, predictor.Predictor) {
 		return policy.New(), evalPredictor()
 	}
-	metrics, err := sim.RunDataset(sessions, factory, sim.Config{
+	return sim.RunDataset(sessions, factory, sim.Config{
 		Ladder:         ladder,
 		BufferCap:      bufferCap,
 		SessionSeconds: sessionLength,
-		OnResult:       tally.hook,
 		Telemetry:      col,
 	})
-	return metrics, tally, err
 }
 
 // datasetSpec pairs a generated dataset with the ladder the paper uses on it.

@@ -23,16 +23,25 @@ func testScale() Scale {
 	}
 }
 
-func TestDefaultScaleEnvOverride(t *testing.T) {
-	t.Setenv("SODA_EXPERIMENT_SCALE", "2")
-	s := DefaultScale()
-	base := Scale{SessionsPerDataset: 40}
-	if s.SessionsPerDataset != 2*base.SessionsPerDataset {
-		t.Errorf("env scaling not applied: %d", s.SessionsPerDataset)
+// TestScaled pins soda-experiments -scale: a factor multiplies every session
+// and sample count, leaves the stream length, segment count and seed alone,
+// and a factor of 0 or less keeps the defaults.
+func TestScaled(t *testing.T) {
+	base := DefaultScale()
+	got := base.Scaled(2)
+	want := base
+	want.SessionsPerDataset = 2 * base.SessionsPerDataset
+	want.SolverSamples = 2 * base.SolverSamples
+	want.NoiseSessions = 2 * base.NoiseSessions
+	want.PrototypeSessions = 2 * base.PrototypeSessions
+	want.ProdSessionsPerArm = 2 * base.ProdSessionsPerArm
+	if got != want {
+		t.Errorf("Scaled(2) = %+v, want %+v", got, want)
 	}
-	t.Setenv("SODA_EXPERIMENT_SCALE", "garbage")
-	if got := DefaultScale(); got.SessionsPerDataset != base.SessionsPerDataset {
-		t.Errorf("garbage env should fall back to defaults, got %d", got.SessionsPerDataset)
+	for _, f := range []float64{0, -1} {
+		if got := base.Scaled(f); got != base {
+			t.Errorf("Scaled(%v) = %+v, want the defaults %+v", f, got, base)
+		}
 	}
 }
 

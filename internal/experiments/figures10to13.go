@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/abr"
-	"repro/internal/core"
 	"repro/internal/predictor"
 	"repro/internal/prod"
 	"repro/internal/qoe"
@@ -27,22 +26,13 @@ type Figure10Result struct {
 	Controllers []string
 	// Aggregates[bucket][controller].
 	Aggregates map[string]map[string]qoe.Aggregate
-	// Cache[bucket] is the fleet solve cache's traffic for the SODA arm over
-	// that bucket's sessions, and SodaSolvesPerSession[bucket] the mean
-	// number of solver invocations one SODA session still ran with the cache
-	// attached. The cache is bit-identical by contract, so these report pure
-	// hot-path savings, not a behaviour change.
-	Cache                map[string]core.CacheStats
-	SodaSolvesPerSession map[string]float64
 }
 
 // Figure10 runs the full numerical-simulation comparison.
 func Figure10(scale Scale) (*Figure10Result, error) {
 	res := &Figure10Result{
-		Controllers:          SimControllers,
-		Aggregates:           map[string]map[string]qoe.Aggregate{},
-		Cache:                map[string]core.CacheStats{},
-		SodaSolvesPerSession: map[string]float64{},
+		Controllers: SimControllers,
+		Aggregates:  map[string]map[string]qoe.Aggregate{},
 	}
 
 	// Puffer split into variance quartiles. Generate 4x sessions so each
@@ -80,15 +70,7 @@ func Figure10(scale Scale) (*Figure10Result, error) {
 			var metrics []qoe.Metrics
 			var err error
 			if name == "soda" {
-				// SODA sessions share one solve cache per bucket, as a fleet
-				// would per ladder/config; the hit rate lands in the report.
-				cache := core.NewSolveCache(sharedCacheEntries)
-				var tally *solveTally
-				metrics, tally, err = runSodaOnSessions(bk.ladder, bk.sessions, scale.SessionSeconds, units.Seconds(20), cache, scale.Telemetry)
-				if err == nil {
-					res.Cache[bk.name] = cache.Stats()
-					res.SodaSolvesPerSession[bk.name] = tally.solvesPerSession()
-				}
+				metrics, err = runSodaOnSessions(bk.ladder, bk.sessions, scale.SessionSeconds, units.Seconds(20), scale.Telemetry)
 			} else {
 				metrics, err = runControllerOnSessions(name, bk.ladder, bk.sessions, scale.SessionSeconds, units.Seconds(20))
 			}
@@ -120,10 +102,6 @@ func (r *Figure10Result) Render() string {
 		fmt.Fprintf(&b, "== %s\n", bucket)
 		for _, name := range r.Controllers {
 			fmt.Fprintf(&b, "  %s\n", r.Aggregates[bucket][name].String())
-		}
-		if st, ok := r.Cache[bucket]; ok && st.Lookups > 0 {
-			fmt.Fprintf(&b, "  soda shared cache: %s, %.1f solves/session\n",
-				st.String(), r.SodaSolvesPerSession[bucket])
 		}
 	}
 	return b.String()
@@ -396,9 +374,6 @@ func (r *Figure13Result) Render() string {
 	b.WriteString("Figure 13: production A/B — SODA vs fine-tuned baseline (relative change)\n")
 	for _, rep := range r.Reports {
 		fmt.Fprintf(&b, "  %s\n", rep.String())
-		if st := rep.Treatment.Cache; st.Lookups > 0 {
-			fmt.Fprintf(&b, "    %s treatment shared cache: %s\n", rep.Family, st.String())
-		}
 	}
 	labels := make([]string, 0, len(r.Reports))
 	deltas := make([]float64, 0, len(r.Reports))

@@ -67,12 +67,9 @@ type DecideOptions struct {
 	// bound.
 	MaxInflight int
 	// RPSPerClient enables per-client token-bucket rate limiting at that
-	// sustained request rate (429 + Retry-After when exhausted); non-positive
-	// disables limiting.
+	// sustained request rate, with a burst capacity of 2x RPSPerClient (429 +
+	// Retry-After when exhausted); non-positive disables limiting.
 	RPSPerClient float64
-	// BurstPerClient is the token-bucket burst capacity; non-positive
-	// defaults to 2x RPSPerClient.
-	BurstPerClient float64
 	// FlightRecorder, when non-nil, receives one record per request: the
 	// service-clock stamps of its stage boundaries (ratelimit, inflight,
 	// session, arena, decide, then the reply tail), from which it serves the
@@ -100,9 +97,6 @@ func (o DecideOptions) normalize() DecideOptions {
 	}
 	if o.MaxInflight == 0 {
 		o.MaxInflight = DefaultMaxInflight
-	}
-	if o.RPSPerClient > 0 && o.BurstPerClient <= 0 {
-		o.BurstPerClient = 2 * o.RPSPerClient
 	}
 	return o
 }
@@ -204,7 +198,7 @@ func NewDecideService(ladder video.Ladder, opts DecideOptions, col *telemetry.Co
 		TTLNanos:    ttlNanos,
 	})
 	if opts.RPSPerClient > 0 {
-		s.limiter = sessiontable.NewLimiter(opts.RPSPerClient, opts.BurstPerClient)
+		s.limiter = sessiontable.NewLimiter(opts.RPSPerClient, 2*opts.RPSPerClient)
 	}
 	if opts.MaxInflight > 0 {
 		s.inflight = sessiontable.NewSemaphore(opts.MaxInflight)

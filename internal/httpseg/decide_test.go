@@ -730,8 +730,7 @@ func TestDecideServiceHostileCapChurn(t *testing.T) {
 
 func TestDecideServiceRateLimit(t *testing.T) {
 	svc, err := NewDecideService(video.Mobile(), DecideOptions{
-		RPSPerClient:   1,
-		BurstPerClient: 2,
+		RPSPerClient: 1,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -850,8 +849,8 @@ func TestDecideServiceOneClock(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	svc, err := NewDecideService(video.Mobile(), DecideOptions{
 		MaxSessions: 2, SessionTTL: -1, MaxInflight: 1,
-		// Two requests per client, with no refill within the test.
-		RPSPerClient: 1e-3, BurstPerClient: 2,
+		// Two requests per client, and one more per second.
+		RPSPerClient:   1,
 		FlightRecorder: rec,
 	}, col)
 	if err != nil {

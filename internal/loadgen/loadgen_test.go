@@ -211,9 +211,9 @@ func TestGateThresholds(t *testing.T) {
 }
 
 func TestRejectionAccounting(t *testing.T) {
-	// One token per client-second with minimal burst: closed-loop sessions
+	// One token per client-second and a burst of two: closed-loop sessions
 	// issuing back-to-back decides must mostly be shed with 429s.
-	svc := newService(t, httpseg.DecideOptions{RPSPerClient: 1, BurstPerClient: 1})
+	svc := newService(t, httpseg.DecideOptions{RPSPerClient: 1})
 	rep, err := Run(Config{Mode: ClosedLoop, Sessions: 4, Requests: 100}, &InProc{Svc: svc})
 	if err != nil {
 		t.Fatal(err)
@@ -459,12 +459,11 @@ func TestPlayerChargesStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sim.Run(pool[0], sim.Config{
-		Ladder:          video.NewLadder([]float64{4000}, playerSegment),
-		BufferCap:       playerBufferCap,
-		StartupSegments: 1,
-		SessionSeconds:  requests * playerSegment,
-		Controller:      rungZero{},
-		Predictor:       predictor.NewEMA(units.Seconds(4)),
+		Ladder:         video.NewLadder([]float64{4000}, playerSegment),
+		BufferCap:      playerBufferCap,
+		SessionSeconds: requests * playerSegment,
+		Controller:     rungZero{},
+		Predictor:      predictor.NewEMA(units.Seconds(4)),
 	})
 	if err != nil {
 		t.Fatal(err)

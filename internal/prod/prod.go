@@ -103,7 +103,7 @@ type Config struct {
 	// Seed makes the experiment reproducible.
 	Seed uint64
 	// Telemetry, when non-nil, receives per-arm gauges (viewing, bitrate,
-	// rebuffer/switch rates, cache hit ratio) labelled by family and arm as
+	// rebuffer/switch rates, sessions) labelled by family and arm as
 	// each family completes, so a live A/B divergence is visible on /metrics
 	// before the run finishes. Recording happens after the arms ran — it can
 	// never perturb the experiment.
@@ -132,9 +132,6 @@ type ArmStats struct {
 	RebufferRatio float64
 	SwitchRate    float64
 	Sessions      int
-	// Cache is the arm's shared solve-cache traffic; zero-valued (Lookups 0)
-	// when the arm ran without one.
-	Cache core.CacheStats
 }
 
 // Record publishes the arm aggregates as gauges on reg, labelled by device
@@ -159,10 +156,6 @@ func (s ArmStats) Record(reg *telemetry.Registry, family, arm string) {
 		telemetry.None, labels...).Set(s.SwitchRate)
 	reg.Gauge("soda_ab_sessions", "sessions simulated in the arm",
 		telemetry.None, labels...).Set(float64(s.Sessions))
-	if s.Cache.Lookups > 0 {
-		reg.Gauge("soda_ab_shared_cache_hit_ratio", "shared solve-cache hit ratio of the arm",
-			telemetry.None, labels...).Set(s.Cache.HitRate())
-	}
 }
 
 // FamilyReport is one device family's A/B outcome: the Figure 13 bars.
@@ -252,34 +245,33 @@ func rel[T ~float64](treat, control T) float64 {
 const sharedCacheEntries = 1 << 15
 
 // armFactory resolves the arm's controller once and returns a constructor
-// for its sessions, plus the arm's shared solve cache (nil for an arm that
-// has none). The "soda" arm seats every session on one policy: the
+// for its sessions. The "soda" arm seats every session on one policy: the
 // registry's "soda" configuration plus a solve cache the arm's sessions
 // share, so it decides like the registry's controller, and a session costs
 // one allocation, its controller. Any other controller comes from the abr
 // registry.
-func armFactory(controller string, ladder video.Ladder) (func() abr.Controller, *core.SolveCache, error) {
+func armFactory(controller string, ladder video.Ladder) (func() abr.Controller, error) {
 	if controller != "soda" {
 		factory, err := abr.Lookup(controller)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func() abr.Controller { return factory(ladder) }, nil, nil
+		return func() abr.Controller { return factory(ladder) }, nil
 	}
 	cfg := core.DefaultConfig()
 	cfg.SharedCache = core.NewSolveCache(sharedCacheEntries)
 	policy, err := core.NewPolicy(cfg, ladder)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return func() abr.Controller { return policy.New() }, cfg.SharedCache, nil
+	return func() abr.Controller { return policy.New() }, nil
 }
 
 // runArm simulates every session of the dataset under one controller on
 // sim.RunMany and aggregates the arm statistics in session order. The
 // engagement draw is deterministic per (seed, session).
 func runArm(cfg Config, controller string, ladder video.Ladder, ds *tracegen.Dataset, model engagement.Model, seed uint64) (ArmStats, error) {
-	newCtrl, cache, err := armFactory(controller, ladder)
+	newCtrl, err := armFactory(controller, ladder)
 	if err != nil {
 		return ArmStats{}, err
 	}
@@ -303,9 +295,6 @@ func runArm(cfg Config, controller string, ladder video.Ladder, ds *tracegen.Dat
 	stats.MeanBitrate = units.Mbps(float64(stats.MeanBitrate) / f)
 	stats.RebufferRatio /= f
 	stats.SwitchRate /= f
-	if cache != nil {
-		stats.Cache = cache.Stats()
-	}
 	return stats, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abr"
+	"repro/internal/core"
+	"repro/internal/units"
 	"repro/internal/video"
 
 	// Controller registrations.
 	_ "repro/internal/baseline"
-	_ "repro/internal/core"
 )
 
 func TestFamiliesValid(t *testing.T) {
@@ -87,16 +89,24 @@ func TestRelHelper(t *testing.T) {
 
 // TestSODAArmAllocatesOncePerSession pins that a SODA arm validates and
 // builds its policy once: after the first session, each session allocates
-// only its controller.
+// only its controller. The arm's sessions share a solve cache.
 func TestSODAArmAllocatesOncePerSession(t *testing.T) {
-	newCtrl, cache, err := armFactory("soda", video.PrimeVideo())
+	ladder := video.PrimeVideo()
+	newCtrl, err := armFactory("soda", ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache == nil {
+	ctrl := newCtrl().(*core.Controller)
+	ctrl.Decide(&abr.Context{
+		Buffer:    units.Seconds(8),
+		BufferCap: units.Seconds(20),
+		PrevRung:  2,
+		Ladder:    ladder,
+		Predict:   func(units.Seconds) units.Mbps { return units.Mbps(5) },
+	})
+	if ctrl.SolveStats().SharedLookups == 0 {
 		t.Fatal("the SODA arm has no shared solve cache")
 	}
-	newCtrl()
 	if got := testing.AllocsPerRun(100, func() { newCtrl() }); got != 1 {
 		t.Errorf("a SODA arm session allocates %g times, want 1", got)
 	}

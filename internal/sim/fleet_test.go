@@ -172,7 +172,6 @@ func TestFleetMatchesSingleSessionDecisions(t *testing.T) {
 	res, err := Run(pool[0], Config{
 		Ladder:           ladder,
 		BufferCap:        units.Seconds(6),
-		StartupSegments:  1,
 		Controller:       core.New(fleetControllerConfig(), ladder),
 		Predictor:        traceBandwidth{pool[0]},
 		RecordTrajectory: true,

@@ -7,8 +7,9 @@
 // bandwidth trace, draining the playback buffer during downloads, charging
 // rebuffering when the buffer empties, enforcing the buffer cap (20 s for the
 // paper's live configuration) by idling, and feeding measured throughput back
-// into the session's predictor. Startup delay (before the first frame) is
-// tracked separately from rebuffering, as in Sabre. Player holds the rules.
+// into the session's predictor. Playback starts once the first segment has
+// arrived, and that startup delay is tracked separately from rebuffering, as
+// in Sabre. Player holds the rules.
 package sim
 
 import (
@@ -39,11 +40,6 @@ type Config struct {
 	Sizes video.SizeModel
 	// BufferCap is the maximum buffer (e.g. 20 s for live).
 	BufferCap units.Seconds
-	// StartupSegments is how many segments must be buffered before playback
-	// starts; at least 1.
-	StartupSegments int
-	// LatencySeconds is the per-request latency added to every download.
-	LatencySeconds units.Seconds
 	// Live enables live-edge segment availability: segment i only becomes
 	// downloadable at stream time i*L - LiveEdgeOffsetSeconds, so the player
 	// can never run further ahead of the broadcast than the offset. With the
@@ -137,9 +133,6 @@ func (c *Config) validate() error {
 	if !(c.BufferCap >= c.Ladder.SegmentSeconds) || math.IsInf(float64(c.BufferCap), 1) {
 		return fmt.Errorf("sim: buffer cap %v not finite and at least one segment (%v s)", c.BufferCap, c.Ladder.SegmentSeconds)
 	}
-	if c.LatencySeconds < 0 {
-		return fmt.Errorf("sim: negative latency %v", c.LatencySeconds)
-	}
 	if c.Live && c.LiveEdgeOffsetSeconds < 0 {
 		return fmt.Errorf("sim: negative live-edge offset %v", c.LiveEdgeOffsetSeconds)
 	}
@@ -160,10 +153,6 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 	utility := cfg.Utility
 	if utility == nil {
 		utility = ladder.LogUtility
-	}
-	startup := cfg.StartupSegments
-	if startup < 1 {
-		startup = 1
 	}
 	weights := cfg.Weights
 	if weights == (qoe.Weights{}) {
@@ -203,7 +192,7 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 		watch    flightrec.SessionWatch // per-session QoE detector state
 		st       = arena.State{PrevRung: int32(abr.NoRung)}
 	)
-	player := Player{Segment: l, BufferCap: cfg.BufferCap, Startup: int32(startup), Tally: &tally}
+	player := Player{Segment: l, BufferCap: cfg.BufferCap, Startup: 1, Tally: &tally}
 	// One context per session: its bindings forecast at the clock, which no
 	// Decide moves, and each decision rewrites the fields that change.
 	ctx := &abr.Context{BufferCap: cfg.BufferCap, Ladder: ladder, TotalSegments: totalSegments,
@@ -291,11 +280,10 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 		}
 
 		size := sizes.SegmentMegabits(rung, seg)
-		dl, err := player.Download(&st, tr, st.Clock+cfg.LatencySeconds, size)
+		dlTime, err := player.Download(&st, tr, st.Clock, size)
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: segment %d: %w", seg, err)
 		}
-		dlTime := cfg.LatencySeconds + dl
 		if cfg.Abandonment && player.playing(&st) && rung > 0 && dlTime > st.Buffer+1e-9 {
 			// The download would outlast the buffer: play out the buffer,
 			// abandon the in-flight segment at the moment the buffer runs
@@ -304,11 +292,10 @@ func Run(tr *trace.Trace, cfg Config) (Result, error) {
 			player.Advance(&st, st.Buffer) // drains the buffer exactly
 			rung = 0
 			size = sizes.SegmentMegabits(rung, seg)
-			dl, err = player.Download(&st, tr, st.Clock+cfg.LatencySeconds, size)
+			dlTime, err = player.Download(&st, tr, st.Clock, size)
 			if err != nil {
 				return Result{}, fmt.Errorf("sim: segment %d (abandoned): %w", seg, err)
 			}
-			dlTime = cfg.LatencySeconds + dl
 		}
 		segStall += player.Deposit(&st, rung, dlTime)
 

@@ -50,12 +50,11 @@ func (alwaysWaitController) Reset()                           {}
 
 func baseConfig(ctrl abr.Controller) Config {
 	return Config{
-		Ladder:          video.Mobile(),
-		BufferCap:       units.Seconds(20),
-		StartupSegments: 1,
-		SessionSeconds:  units.Seconds(120),
-		Controller:      ctrl,
-		Predictor:       predictor.NewEMA(units.Seconds(4)),
+		Ladder:         video.Mobile(),
+		BufferCap:      units.Seconds(20),
+		SessionSeconds: units.Seconds(120),
+		Controller:     ctrl,
+		Predictor:      predictor.NewEMA(units.Seconds(4)),
 	}
 }
 
@@ -116,9 +115,7 @@ func TestOverdrivenRungRebuffers(t *testing.T) {
 
 func TestStartupNotChargedAsRebuffering(t *testing.T) {
 	tr := trace.Constant(units.Mbps(4), units.Seconds(300))
-	cfg := baseConfig(&fixedController{rung: 0})
-	cfg.StartupSegments = 3
-	res, err := Run(tr, cfg)
+	res, err := Run(tr, baseConfig(&fixedController{rung: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +186,6 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.BufferCap = units.Seconds(math.NaN()) },
 		func(c *Config) { c.BufferCap = units.Seconds(math.Inf(1)) },
 		func(c *Config) { c.BufferCap = units.Seconds(math.Inf(-1)) },
-		func(c *Config) { c.LatencySeconds = -1 },
 		func(c *Config) { c.SessionSeconds = 0.5 },
 	}
 	for i, f := range cases {
@@ -205,32 +201,6 @@ func TestZeroBandwidthTraceErrors(t *testing.T) {
 	tr := trace.Constant(units.Mbps(0), units.Seconds(100))
 	if _, err := Run(tr, baseConfig(&fixedController{})); err == nil {
 		t.Error("zero-bandwidth trace should fail")
-	}
-}
-
-func TestLatencyIncreasesDownloadTime(t *testing.T) {
-	tr := trace.Constant(units.Mbps(8), units.Seconds(400))
-	fast := baseConfig(&fixedController{rung: 2})
-	slow := fast
-	slow.LatencySeconds = 0.5
-	slow.Controller = &fixedController{rung: 2}
-	slow.Predictor = predictor.NewEMA(units.Seconds(4))
-	rf, err := Run(tr, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Run(tr, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 7.5 Mb/s on an 8 Mb/s link downloads in 1.875 s per 2 s segment;
-	// adding 0.5 s latency makes each segment slower than real time and
-	// must produce stalls.
-	if rf.Metrics.RebufferSec > 0 {
-		t.Errorf("no-latency run stalled %v s", rf.Metrics.RebufferSec)
-	}
-	if rs.Metrics.RebufferSec <= 0 {
-		t.Error("latency run should stall")
 	}
 }
 

@@ -305,20 +305,6 @@ func (t *Trace) RSD() float64 {
 	return math.Sqrt(ss/float64(t.total)) / float64(m)
 }
 
-// MinMbps returns the smallest bandwidth in the trace, or 0 when empty.
-func (t *Trace) MinMbps() units.Mbps {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	m := t.samples[0].Mbps
-	for _, s := range t.samples[1:] {
-		if s.Mbps < m {
-			m = s.Mbps
-		}
-	}
-	return m
-}
-
 // Validate checks the trace invariants (positive durations, finite
 // non-negative bandwidths, cached total consistent with the samples).
 func (t *Trace) Validate() error {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -121,8 +122,18 @@ func TestMeanAndRSD(t *testing.T) {
 	if tr.RSD() <= 0 {
 		t.Errorf("varying trace RSD = %v", tr.RSD())
 	}
-	if tr.MinMbps() != 1 {
-		t.Errorf("MinMbps = %v", tr.MinMbps())
+	var empty Trace
+	if got := empty.MeanMbps(); got != 0 {
+		t.Errorf("empty trace MeanMbps = %v, want 0", got)
+	}
+	if got := empty.RSD(); got != 0 {
+		t.Errorf("empty trace RSD = %v, want 0", got)
+	}
+	if got := empty.MeanOver(units.Seconds(0), units.Seconds(1)); got != 0 {
+		t.Errorf("empty trace MeanOver = %v, want 0", got)
+	}
+	if got := tr.MeanOver(units.Seconds(1), units.Seconds(0)); got != 0 {
+		t.Errorf("zero-length MeanOver = %v, want 0", got)
 	}
 }
 
@@ -134,6 +145,9 @@ func TestSliceAndSplit(t *testing.T) {
 	}
 	if got := s.MeanOver(units.Seconds(0), units.Seconds(2)); math.Abs(float64(got-tr.MeanOver(units.Seconds(0.5), units.Seconds(2)))) > 1e-9 {
 		t.Errorf("slice mean = %v, want %v", got, tr.MeanOver(units.Seconds(0.5), units.Seconds(2)))
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("slice invalid: %v", err)
 	}
 	sessions := tr.SplitSessions(units.Seconds(2))
 	if len(sessions) != 2 {
@@ -178,6 +192,23 @@ func TestCSVRoundTrip(t *testing.T) {
 	for i, s := range back.Samples() {
 		if s != tr.Samples()[i] {
 			t.Errorf("sample %d = %+v, want %+v", i, s, tr.Samples()[i])
+		}
+	}
+}
+
+// failingWriter rejects every write.
+type failingWriter struct{}
+
+var errWrite = errors.New("write failed")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestWriteCSVError fails the writer both when the final flush reaches it
+// and when a sample overflows the write buffer mid-trace.
+func TestWriteCSVError(t *testing.T) {
+	for _, copies := range []int{1, 2000} {
+		if err := figure4Trace().Repeat(copies).WriteCSV(failingWriter{}); !errors.Is(err, errWrite) {
+			t.Errorf("%d copies: WriteCSV to a failing writer = %v, want %v", copies, err, errWrite)
 		}
 	}
 }

@@ -184,8 +184,10 @@ func TestSessionDurationAndPositivity(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
 	}
-	if tr.MinMbps() <= 0 {
-		t.Errorf("bandwidth must stay positive, min = %v", tr.MinMbps())
+	for i, s := range tr.Samples() {
+		if s.Mbps <= 0 {
+			t.Fatalf("sample %d bandwidth %v, must stay positive", i, s.Mbps)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@
 //     by a trace).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmarks in bench_test.go regenerate
-// every table and figure of the paper's evaluation.
+// paper-versus-measured record. cmd/soda-experiments regenerates every table
+// and figure of the paper's evaluation into results/.
 package repro
 
 import (
